@@ -12,7 +12,12 @@
 //! single-instance mutation batch against bipartite-tangle instances of
 //! ~512, ~5k and ~51k nodes: with page-granular copy-on-write snapshots
 //! the per-op write cost must stay flat in instance size (bench_check.sh
-//! gates the 100x/1x ratio at ≤2x).
+//! gates the 100x/1x ratio at ≤2x); (4) `server_mutation_scale/
+//! write_read/{1x,10x,100x}` — mixed traffic on the same instances: 16
+//! single-op mutations, each followed by one q5 π read (the rewriting
+//! route, which reads through the CSR view). The view is carried across
+//! each write, so the read after it must not re-freeze the instance;
+//! bench_check.sh gates this 100x/1x ratio at ≤2x too.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sirup_bench::{bench_opts, bipartite_tangle};
@@ -97,10 +102,8 @@ fn server_mutation(c: &mut Criterion) {
     // which used to be O(instance) and is now O(touched pages).
     let mut g = c.benchmark_group("server_mutation_scale");
     bench_opts(&mut g);
-    for (tag, half) in [("1x", 256usize), ("10x", 2560), ("100x", 25600)] {
-        let s = server(1);
-        s.load_instance("big", bipartite_tangle(half, 2, 77));
-        let requests: Vec<Request> = (0..32)
+    let toggles = |count: usize| -> Vec<Request> {
+        (0..count)
             .map(|i| {
                 let op = if i % 2 == 0 {
                     FactOp::AddEdge(Pred::S, Node(0), Node(1))
@@ -109,10 +112,36 @@ fn server_mutation(c: &mut Criterion) {
                 };
                 Request::mutation(vec![op], "big")
             })
-            .collect();
-        g.bench_with_input(BenchmarkId::new("32req", tag), &requests, |b, reqs| {
+            .collect()
+    };
+    let scales = [("1x", 256usize), ("10x", 2560), ("100x", 25600)];
+    for (tag, half) in scales {
+        let s = server(1);
+        s.load_instance("big", bipartite_tangle(half, 2, 77));
+        g.bench_with_input(BenchmarkId::new("32req", tag), &toggles(32), |b, reqs| {
             b.iter(|| s.submit(reqs).unwrap());
         });
+    }
+
+    // Write-then-read on the same instances: every read follows a write
+    // and lands on the snapshot that write created.
+    let read = Request::query(Query::PiGoal(paper::q5()), "big");
+    for (tag, half) in scales {
+        let s = server(1);
+        s.load_instance("big", bipartite_tangle(half, 2, 77));
+        s.answer_one(&read).unwrap(); // plan built, CSR view frozen
+        g.bench_with_input(
+            BenchmarkId::new("write_read", tag),
+            &toggles(16),
+            |b, writes| {
+                b.iter(|| {
+                    for w in writes {
+                        s.answer_one(w).unwrap();
+                        s.answer_one(&read).unwrap();
+                    }
+                });
+            },
+        );
     }
     g.finish();
 }

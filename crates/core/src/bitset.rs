@@ -93,6 +93,14 @@ impl NodeSet {
         self.words[w] >> b & 1 == 1
     }
 
+    /// As [`NodeSet::contains`], but `false` (not a panic) for a node past
+    /// the universe.
+    #[inline]
+    pub fn contains_checked(&self, v: Node) -> bool {
+        let (w, b) = (v.index() / 64, v.index() % 64);
+        self.words.get(w).is_some_and(|word| word >> b & 1 == 1)
+    }
+
     /// Number of nodes in the set. Batched: `LANES` words per step with
     /// independent `count_ones` accumulators, so the popcounts pipeline
     /// instead of serialising on one running sum.

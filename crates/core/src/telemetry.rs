@@ -69,6 +69,11 @@ const COUNTER_SHARDS: usize = 8;
 /// Shards for the per-(program, instance) table.
 const KEY_SHARDS: usize = 8;
 
+/// Most rows the per-(program, instance) table holds: past this, recording
+/// a new key evicts the least recently recorded rows of its shard, so
+/// cold-program traffic cannot grow the table without bound.
+const MAX_KEYS: usize = 4096;
+
 /// Capacity of each per-thread span ring.
 const RING_CAPACITY: usize = 1024;
 
@@ -129,6 +134,12 @@ pub enum Counter {
     /// was empty, so the request was answered `Overloaded` instead of
     /// entering the scheduler queue).
     AdmissionShed,
+    /// CSR overlay folds: a maintained read view merged the rows patched
+    /// since its last fold back into fresh base arrays.
+    CsrOverlayFolds,
+    /// Per-(program, instance) telemetry rows evicted (least recently
+    /// recorded first) to keep the table within its fixed capacity.
+    TelemetryKeysEvicted,
 }
 
 const COUNTERS: &[(Counter, &str)] = &[
@@ -161,6 +172,11 @@ const COUNTERS: &[(Counter, &str)] = &[
     ),
     (Counter::AdaptiveReplans, "sirup_adaptive_replans_total"),
     (Counter::AdmissionShed, "sirup_admission_shed_total"),
+    (Counter::CsrOverlayFolds, "sirup_csr_overlay_folds_total"),
+    (
+        Counter::TelemetryKeysEvicted,
+        "sirup_telemetry_keys_evicted_total",
+    ),
 ];
 
 /// Instantaneous values (set / add / monotone max).
@@ -219,6 +235,10 @@ pub enum Family {
     FrameEncode,
     /// Frame decode (payload read + checksum verify, after the header).
     FrameDecode,
+    /// CSR read-view freeze from scratch (first read of a loaded instance).
+    CsrFreeze,
+    /// CSR read-view carry across a mutation (`FrozenStructure::apply`).
+    CsrCarry,
 }
 
 const FAMILIES: &[(Family, &str)] = &[
@@ -238,6 +258,8 @@ const FAMILIES: &[(Family, &str)] = &[
     (Family::WalCompact, "sirup_wal_compact_us"),
     (Family::FrameEncode, "sirup_frame_encode_us"),
     (Family::FrameDecode, "sirup_frame_decode_us"),
+    (Family::CsrFreeze, "sirup_csr_freeze_us"),
+    (Family::CsrCarry, "sirup_csr_carry_us"),
 ];
 
 /// Strategy labels tracked per (program, instance). Index 5 collects any
@@ -432,13 +454,96 @@ struct KeyStats {
     strategies: [AtomicU64; STRATEGIES.len()],
     latency: Histo,
     cardinality: AtomicU64,
+    /// Shard clock reading at the last record — the eviction order.
+    last: AtomicU64,
+}
+
+/// One shard of the per-(program, instance) table.
+struct KeyShard {
+    map: RwLock<FxHashMap<String, Arc<KeyStats>>>,
+    /// Recency clock, bumped by every record that lands in this shard.
+    clock: AtomicU64,
+}
+
+/// The per-(program, instance) table: hash-sharded rows, each shard
+/// bounded at `shard_cap` by evicting its least recently recorded rows.
+struct KeyTable {
+    shards: [KeyShard; KEY_SHARDS],
+    shard_cap: usize,
+}
+
+impl KeyTable {
+    fn new(cap: usize) -> KeyTable {
+        KeyTable {
+            shards: std::array::from_fn(|_| KeyShard {
+                map: RwLock::new(FxHashMap::default()),
+                clock: AtomicU64::new(0),
+            }),
+            shard_cap: cap.div_ceil(KEY_SHARDS).max(1),
+        }
+    }
+
+    /// The row for `(program, instance)`, stamped as just recorded;
+    /// created on first use, evicting the shard's least recently recorded
+    /// row when the shard is full.
+    fn row(&self, program: &str, instance: &str) -> Arc<KeyStats> {
+        let key = format!("{program}\u{1f}{instance}");
+        let shard = &self.shards[key_shard(&key)];
+        let now = shard.clock.fetch_add(1, Ordering::Relaxed);
+        let found = {
+            let map = shard.map.read().unwrap_or_else(PoisonError::into_inner);
+            map.get(&key).cloned()
+        };
+        let stats = match found {
+            Some(s) => s,
+            None => {
+                let mut map = shard.map.write().unwrap_or_else(PoisonError::into_inner);
+                if !map.contains_key(&key) && map.len() >= self.shard_cap {
+                    // Evict the least recently recorded half in one pass,
+                    // so a stream of new keys pays the scan once per
+                    // `shard_cap / 2` inserts — well under 1% of them —
+                    // rather than on every insert.
+                    let batch = (self.shard_cap / 2).max(1);
+                    let mut stamps: Vec<u64> = map
+                        .values()
+                        .map(|s| s.last.load(Ordering::Relaxed))
+                        .collect();
+                    let cut = *stamps.select_nth_unstable(batch - 1).1;
+                    let before = map.len();
+                    map.retain(|_, s| s.last.load(Ordering::Relaxed) > cut);
+                    counter_add(Counter::TelemetryKeysEvicted, (before - map.len()) as u64);
+                }
+                Arc::clone(map.entry(key).or_insert_with(|| {
+                    Arc::new(KeyStats {
+                        program: program.to_string(),
+                        instance: instance.to_string(),
+                        strategies: std::array::from_fn(|_| AtomicU64::new(0)),
+                        latency: Histo::new(),
+                        cardinality: AtomicU64::new(0),
+                        last: AtomicU64::new(now),
+                    })
+                }))
+            }
+        };
+        stats.last.fetch_max(now, Ordering::Relaxed);
+        stats
+    }
+
+    /// Number of rows held.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| s.map.read().unwrap_or_else(PoisonError::into_inner).len())
+            .sum()
+    }
 }
 
 struct Registry {
     counters: Vec<ShardedCounter>,
     gauges: Vec<AtomicU64>,
     histos: Vec<Histo>,
-    keys: [RwLock<FxHashMap<String, Arc<KeyStats>>>; KEY_SHARDS],
+    keys: KeyTable,
     rings: Mutex<Vec<Arc<Mutex<Ring>>>>,
     next_span: AtomicU64,
     epoch: Instant,
@@ -453,7 +558,7 @@ fn registry() -> &'static Registry {
             counters: (0..COUNTERS.len()).map(|_| ShardedCounter::new()).collect(),
             gauges: (0..GAUGES.len()).map(|_| AtomicU64::new(0)).collect(),
             histos: (0..FAMILIES.len()).map(|_| Histo::new()).collect(),
-            keys: std::array::from_fn(|_| RwLock::new(FxHashMap::default())),
+            keys: KeyTable::new(MAX_KEYS),
             rings: Mutex::new(Vec::new()),
             next_span: AtomicU64::new(1),
             epoch: Instant::now(),
@@ -579,7 +684,10 @@ pub fn observe(f: Family, d: Duration) {
 
 /// Record one completed request against its `(program, instance)` cell:
 /// bumps the strategy counter, the latency histograms (per-key and global),
-/// the cardinality total, and `requests_total`.
+/// the cardinality total, and `requests_total`. The table holds at most
+/// `MAX_KEYS` (4096) cells; a new key past that evicts the least recently
+/// recorded half of its shard, counted in
+/// `sirup_telemetry_keys_evicted_total`.
 pub fn record_request(
     program: &str,
     instance: &str,
@@ -596,27 +704,7 @@ pub fn record_request(
     reg.counters[Counter::RequestsTotal as usize].add(shard_id, 1);
     reg.histos[Family::RequestLatency as usize].observe_us(us);
 
-    let key = format!("{program}\u{1f}{instance}");
-    let shard = &reg.keys[key_shard(&key)];
-    let stats = {
-        let map = shard.read().unwrap_or_else(PoisonError::into_inner);
-        map.get(&key).cloned()
-    };
-    let stats = match stats {
-        Some(s) => s,
-        None => {
-            let mut map = shard.write().unwrap_or_else(PoisonError::into_inner);
-            Arc::clone(map.entry(key).or_insert_with(|| {
-                Arc::new(KeyStats {
-                    program: program.to_string(),
-                    instance: instance.to_string(),
-                    strategies: std::array::from_fn(|_| AtomicU64::new(0)),
-                    latency: Histo::new(),
-                    cardinality: AtomicU64::new(0),
-                })
-            }))
-        }
-    };
+    let stats = reg.keys.row(program, instance);
     stats.strategies[strategy_slot(strategy)].fetch_add(1, Ordering::Relaxed);
     stats.latency.observe_us(us);
     stats.cardinality.fetch_add(cardinality, Ordering::Relaxed);
@@ -1098,8 +1186,8 @@ pub fn snapshot() -> TelemetrySnapshot {
         .map(|(i, (_, name))| reg.histos[i].snapshot(name))
         .collect();
     let mut keys = Vec::new();
-    for shard in &reg.keys {
-        let map = shard.read().unwrap_or_else(PoisonError::into_inner);
+    for shard in &reg.keys.shards {
+        let map = shard.map.read().unwrap_or_else(PoisonError::into_inner);
         for stats in map.values() {
             let strategies = STRATEGIES
                 .iter()
@@ -1142,8 +1230,9 @@ pub fn reset() {
     for h in &reg.histos {
         h.reset();
     }
-    for shard in &reg.keys {
+    for shard in &reg.keys.shards {
         shard
+            .map
             .write()
             .unwrap_or_else(PoisonError::into_inner)
             .clear();
@@ -1245,6 +1334,29 @@ mod tests {
             .expect("key row for inst-b");
         assert_eq!(b.strategies, vec![("semi-naive", 1)]);
         assert_eq!(b.cardinality, 7);
+    }
+
+    #[test]
+    fn key_table_evicts_the_least_recently_recorded_rows() {
+        set_enabled(true);
+        // A private table (the global one is shared with concurrent tests)
+        // of 16 rows per shard, evicted 8 at a time.
+        let cap = 16 * KEY_SHARDS;
+        let table = KeyTable::new(cap);
+        let before = snapshot().counter("sirup_telemetry_keys_evicted_total");
+        let recorded = 10 * cap;
+        for i in 0..recorded {
+            table.row(&format!("evict-prog-{i}"), "evict-inst");
+            // Keep one hot key recent: it must survive every eviction.
+            table.row("evict-hot", "evict-inst");
+        }
+        let held = table.len();
+        assert!(held <= cap && held > cap / 2, "held {held}");
+        let evicted = snapshot().counter("sirup_telemetry_keys_evicted_total") - before;
+        assert_eq!(evicted as usize, recorded + 1 - held);
+        let hot = "evict-hot\u{1f}evict-inst".to_string();
+        let shard = &table.shards[key_shard(&hot)];
+        assert!(shard.map.read().unwrap().contains_key(&hot));
     }
 
     #[test]

@@ -5,11 +5,17 @@
 //!   instance, a freeze of the result must agree with the live containers
 //!   on every read surface (per-pred adjacency rows, edge membership,
 //!   labels, label/source/sink bitmap rows).
+//! * The maintained view is pinned against a fresh freeze: a view carried
+//!   across a random op sequence by [`FrozenStructure::apply`] must read
+//!   exactly like `FrozenStructure::freeze` of the folded structure after
+//!   every op, across node growth and overlay folds, while the view it
+//!   was derived from keeps reading like the structure it was built from.
 //! * The widened (4-words-per-step) `NodeSet` kernels are pinned against a
 //!   deliberately scalar one-bit-at-a-time oracle, including ragged tail
 //!   words and operands of different universe sizes.
 
 use proptest::prelude::*;
+use sirup_core::telemetry;
 use sirup_core::{FactOp, FrozenStructure, Node, NodeSet, Pred, PredIndex, Structure};
 
 const PREDS_U: [Pred; 3] = [Pred::F, Pred::T, Pred::A];
@@ -72,6 +78,85 @@ fn assert_frozen_agrees(s: &Structure, idx: &PredIndex) {
     for p in PREDS_B {
         assert!(f.out(p, ghost).is_empty());
         assert!(f.inn(p, ghost).is_empty());
+    }
+}
+
+/// Every read surface of `view` equals that of `fresh` (a fresh freeze of
+/// the same structure), including probes past the node universe and
+/// predicates neither view holds.
+fn assert_views_agree(view: &FrozenStructure, fresh: &FrozenStructure, what: &str) {
+    let n = fresh.node_count();
+    assert_eq!(view.node_count(), n, "{what}: node count");
+    assert_eq!(view.edge_count(), fresh.edge_count(), "{what}: edge count");
+    let unused_b = Pred::new("Unused");
+    // Past the universe, across at least one word boundary.
+    let probe = n + 70;
+    for u in (0..probe as u32).map(Node) {
+        for p in PREDS_B.into_iter().chain([unused_b]) {
+            assert_eq!(view.out(p, u), fresh.out(p, u), "{what}: out({p}, {u:?})");
+            assert_eq!(view.inn(p, u), fresh.inn(p, u), "{what}: inn({p}, {u:?})");
+            // Membership where either side has an edge, plus misses on
+            // both sides of the universe's end.
+            let edges = view.out(p, u).iter().chain(fresh.out(p, u));
+            let misses = [0, 1, n.saturating_sub(1), n, n + 1].map(|i| Node(i as u32));
+            for &v in edges.chain(&misses) {
+                assert_eq!(
+                    view.has_edge(p, u, v),
+                    fresh.has_edge(p, u, v),
+                    "{what}: {p}({u:?},{v:?})"
+                );
+            }
+        }
+        for p in PREDS_U.into_iter().chain([Pred::P]) {
+            assert_eq!(
+                view.has_label(u, p),
+                fresh.has_label(u, p),
+                "{what}: {p}({u:?})"
+            );
+        }
+    }
+    // Bitmap rows agree bit for bit, universe dimension included.
+    for p in PREDS_U.into_iter().chain([Pred::P]) {
+        assert_eq!(
+            view.label_row(p),
+            fresh.label_row(p),
+            "{what}: label row {p}"
+        );
+    }
+    for p in PREDS_B.into_iter().chain([unused_b]) {
+        assert_eq!(
+            view.source_row(p),
+            fresh.source_row(p),
+            "{what}: source row {p}"
+        );
+        assert_eq!(view.sink_row(p), fresh.sink_row(p), "{what}: sink row {p}");
+    }
+}
+
+/// Strategy: an op for the maintained-view suite. Nodes range past the
+/// base universe (so inserts grow it and retracts probe beyond it); kind
+/// 4 repeats the previous op — a duplicate insert or an absent retract —
+/// and kind 5 undoes it, so retracts of present atoms are common too.
+fn arb_step(n: u32) -> impl Strategy<Value = (u32, usize, u32, u32)> {
+    (0..6u32, 0..3usize, 0..n, 0..n)
+}
+
+fn step_op(step: (u32, usize, u32, u32), prev: Option<FactOp>) -> FactOp {
+    match (step.0, prev) {
+        (4, Some(op)) => op,
+        (5, Some(FactOp::AddLabel(p, v))) => FactOp::RemoveLabel(p, v),
+        (5, Some(FactOp::RemoveLabel(p, v))) => FactOp::AddLabel(p, v),
+        (5, Some(FactOp::AddEdge(p, u, v))) => FactOp::RemoveEdge(p, u, v),
+        (5, Some(FactOp::RemoveEdge(p, u, v))) => FactOp::AddEdge(p, u, v),
+        (kind, _) => {
+            let (pi, a, b) = (step.1, Node(step.2), Node(step.3));
+            match kind % 4 {
+                0 => FactOp::AddLabel(PREDS_U[pi], a),
+                1 => FactOp::RemoveLabel(PREDS_U[pi], a),
+                2 => FactOp::AddEdge(PREDS_B[pi % 2], a, b),
+                _ => FactOp::RemoveEdge(PREDS_B[pi % 2], a, b),
+            }
+        }
     }
 }
 
@@ -174,6 +259,62 @@ proptest! {
         }
         assert_frozen_agrees(&s, &idx);
     }
+
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// A view carried by `apply` one op at a time reads exactly like a
+    /// fresh freeze of the folded structure after every op — through node
+    /// growth, no-op ops and several overlay folds — and the predecessor
+    /// view it was derived from is left untouched.
+    #[test]
+    fn maintained_view_matches_fresh_freeze_after_every_op(
+        base_ops in proptest::collection::vec(arb_op(24), 20..=60),
+        steps in proptest::collection::vec(arb_step(60), 100..=140),
+    ) {
+        let mut s = Structure::with_nodes(24);
+        s.apply_all(&base_ops);
+        let mut view = FrozenStructure::freeze(&s);
+        let folds_before = telemetry::snapshot().counter("sirup_csr_overlay_folds_total");
+        let mut prev = None;
+        for (i, &step) in steps.iter().enumerate() {
+            let op = step_op(step, prev);
+            prev = Some(op);
+            let before = s.clone();
+            s.apply(op);
+            let next = view.apply(&[op]);
+            assert_views_agree(&next, &FrozenStructure::freeze(&s), &format!("op {i} {op:?}"));
+            assert_views_agree(&view, &FrozenStructure::freeze(&before), &format!("predecessor of op {i}"));
+            view = next;
+        }
+        let folds = telemetry::snapshot().counter("sirup_csr_overlay_folds_total") - folds_before;
+        prop_assert!(folds >= 3, "only {} overlay folds over {} ops", folds, steps.len());
+    }
+
+    /// Multi-op batches carry like the same ops one at a time: the view
+    /// after each batch reads like a fresh freeze of the folded structure.
+    #[test]
+    fn maintained_view_matches_fresh_freeze_across_batches(
+        base_ops in proptest::collection::vec(arb_op(24), 20..=60),
+        ops in proptest::collection::vec(arb_op(40), 100..=140),
+        batch in 2..12usize,
+    ) {
+        let mut s = Structure::with_nodes(24);
+        s.apply_all(&base_ops);
+        let mut view = FrozenStructure::freeze(&s);
+        for (i, chunk) in ops.chunks(batch).enumerate() {
+            s.apply_all(chunk);
+            view = view.apply(chunk);
+            assert_views_agree(&view, &FrozenStructure::freeze(&s), &format!("batch {i}"));
+        }
+    }
+
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Widened kernels equal the scalar one-bit oracle on ragged universes
     /// of different sizes (including the degenerate word counts 0 and 1 and

@@ -9,11 +9,13 @@
 //!
 //! Instances are **immutable snapshots**: a mutation builds a new
 //! [`IndexedInstance`] — data snapshot-cloned and patched, index updated by
-//! [`PredIndex::apply`] deltas (not rebuilt), every materialisation carried
-//! forward by *incremental* maintenance (not re-evaluated) — under a fresh
-//! catalog-wide version, and swaps the `Arc` (copy-on-write). Both the
-//! structure and the index store their lists in `Arc`-shared pages
-//! (`sirup_core::paged`), so the "clone" is O(pages) pointer bumps and
+//! [`PredIndex::apply`] deltas (not rebuilt), the CSR read view (once one
+//! is built) carried by [`FrozenStructure::apply`] deltas, every
+//! materialisation carried forward by *incremental* maintenance (not
+//! re-evaluated) — under a fresh catalog-wide version, and swaps the `Arc`
+//! (copy-on-write). The structure and the index store their lists in
+//! `Arc`-shared pages (`sirup_core::paged`) and the view shares its base
+//! arrays, so the "clone" is O(pages) pointer bumps and
 //! patching dirties only the pages the ops touch: a point write is
 //! O(touched) end to end, flat in instance size, and consecutive versions
 //! physically share all untouched storage ([`CowStats`] measures how
@@ -128,12 +130,15 @@ pub struct IndexedInstance {
     /// Structural sharing of this snapshot with the version it was mutated
     /// from (zero sharing after a fresh load).
     pub cow: CowStats,
-    /// Lazily built CSR read snapshot of `data` (see
-    /// [`sirup_core::csr::FrozenStructure`]): contiguous per-predicate
-    /// adjacency plus label bitmap rows, shared by every strategy that
-    /// evaluates against this version. Built at most once per snapshot on
-    /// first use, and only for instances above the engine's freeze gate —
-    /// the snapshot is immutable, so the frozen view can never go stale.
+    /// CSR read view of `data` (see [`sirup_core::csr::FrozenStructure`]):
+    /// contiguous per-predicate adjacency plus label bitmap rows, shared by
+    /// every strategy that evaluates against this version, and only for
+    /// instances above the engine's freeze gate. A loaded or restored
+    /// instance freezes it on first use; from then on every mutation
+    /// carries the predecessor's view forward with
+    /// [`FrozenStructure::apply`] and stores it pre-filled, so reads after
+    /// a write never re-freeze. Either way the view reads exactly like a
+    /// fresh freeze of this version's `data`.
     frozen: OnceLock<Option<FrozenStructure>>,
 }
 
@@ -172,22 +177,25 @@ impl IndexedInstance {
         }
     }
 
-    /// The CSR read snapshot of this version's data, building it on first
-    /// use. Returns `None` for instances below the engine's freeze gate
-    /// (where building costs more than it saves). Concurrent first calls
-    /// race on the build; `OnceLock` keeps the first and drops the rest,
-    /// which is sound because both are frozen from the same immutable data.
+    /// The CSR read view of this version's data: the one a mutation
+    /// carried forward, else built on first use. Returns `None` for
+    /// instances below the engine's freeze gate (where building costs more
+    /// than it saves). Concurrent first builds race; `OnceLock` keeps the
+    /// first and drops the rest, which is sound because both are frozen
+    /// from the same immutable data.
     pub fn frozen(&self) -> Option<&FrozenStructure> {
         self.frozen
             .get_or_init(|| {
-                (self.data.edge_count() >= FREEZE_EDGE_THRESHOLD)
-                    .then(|| FrozenStructure::freeze(&self.data))
+                (self.data.edge_count() >= FREEZE_EDGE_THRESHOLD).then(|| {
+                    let _t = telemetry::timed(telemetry::Family::CsrFreeze, "csr_freeze");
+                    FrozenStructure::freeze(&self.data)
+                })
             })
             .as_ref()
     }
 
-    /// Heap bytes held by the frozen CSR snapshot, if one has been built
-    /// (0 otherwise — querying this never forces a build).
+    /// Heap bytes held by the CSR read view, if one has been built or
+    /// carried (0 otherwise — querying this never forces a build).
     pub fn frozen_bytes(&self) -> usize {
         self.frozen
             .get()
@@ -446,6 +454,22 @@ impl Catalog {
             }
         }
         drop(mat_t);
+        // Carry a built read view forward (dropped below the freeze gate,
+        // where `frozen()` promises `None`); otherwise the new snapshot
+        // freezes lazily, like a fresh load.
+        let frozen = OnceLock::new();
+        if let Some(Some(view)) = old.frozen.get() {
+            if data.edge_count() >= FREEZE_EDGE_THRESHOLD {
+                let _t = telemetry::timed(telemetry::Family::CsrCarry, "csr_carry");
+                let next = view.apply(ops);
+                debug_assert_eq!(
+                    (next.node_count(), next.edge_count()),
+                    (data.node_count(), data.edge_count()),
+                    "carried view diverged from data"
+                );
+                let _ = frozen.set(Some(next));
+            }
+        }
         let cow = CowStats::against(&data, &index, &old);
         telemetry::gauge_set(telemetry::Gauge::CatalogBytesShared, cow.shared_bytes());
         let version = self.next_version();
@@ -458,7 +482,7 @@ impl Catalog {
             seq,
             mats,
             cow,
-            frozen: OnceLock::new(),
+            frozen,
         };
         sync::write(self.shard_of(name)).insert(name.to_owned(), Arc::new(inst));
         Some(MutationOutcome { applied, seq })
@@ -707,8 +731,9 @@ mod tests {
         assert!(small.frozen().is_none());
         assert_eq!(small.frozen_bytes(), 0);
         // Above the gate: built lazily, once, and consistent with the data.
-        let mut s = Structure::with_nodes(200);
-        for i in 0..199u32 {
+        let edges = FREEZE_EDGE_THRESHOLD as u32 + 2;
+        let mut s = Structure::with_nodes(edges as usize + 1);
+        for i in 0..edges {
             s.add_edge(Pred::R, Node(i), Node(i + 1));
         }
         s.add_label(Node(0), Pred::F);
@@ -716,18 +741,41 @@ mod tests {
         let big = c.get("big").unwrap();
         assert_eq!(big.frozen_bytes(), 0, "no build before first use");
         let f = big.frozen().expect("above the freeze gate");
-        assert_eq!(f.edge_count(), 199);
+        assert_eq!(f.edge_count(), edges as usize);
         assert!(f.has_label(Node(0), Pred::F));
         assert_eq!(f.out(Pred::R, Node(7)), &[Node(8)]);
         assert!(std::ptr::eq(f, big.frozen().unwrap()), "built once");
         assert!(big.frozen_bytes() > 0);
-        // A mutation's fresh snapshot re-freezes lazily — never stale.
+        // A mutation carries the built view forward eagerly: the new
+        // snapshot holds it before its first read, and it matches a fresh
+        // freeze of the mutated data.
         c.mutate("big", &[FactOp::AddEdge(Pred::S, Node(3), Node(9))])
             .unwrap();
         let next = c.get("big").unwrap();
+        assert!(next.frozen_bytes() > 0, "carried, not frozen lazily");
         let f2 = next.frozen().unwrap();
         assert_eq!(f2.out(Pred::S, Node(3)), &[Node(9)]);
+        assert_eq!(f2.edge_count(), next.data.edge_count());
         assert!(f.out(Pred::S, Node(3)).is_empty(), "old view untouched");
+        // The carry continues across snapshots nobody read.
+        c.mutate("big", &[FactOp::RemoveEdge(Pred::R, Node(0), Node(1))])
+            .unwrap();
+        c.mutate("big", &[FactOp::AddLabel(Pred::T, Node(5))])
+            .unwrap();
+        let later = c.get("big").unwrap();
+        assert!(later.frozen_bytes() > 0);
+        let f3 = later.frozen().unwrap();
+        assert!(f3.out(Pred::R, Node(0)).is_empty());
+        assert!(f3.has_label(Node(5), Pred::T));
+        // Dropping below the gate drops the view: `frozen()` is `None`.
+        let shrink: Vec<FactOp> = (1..edges)
+            .map(|i| FactOp::RemoveEdge(Pred::R, Node(i), Node(i + 1)))
+            .collect();
+        c.mutate("big", &shrink).unwrap();
+        let below = c.get("big").unwrap();
+        assert!(below.data.edge_count() < FREEZE_EDGE_THRESHOLD);
+        assert_eq!(below.frozen_bytes(), 0);
+        assert!(below.frozen().is_none());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Bench-regression smoke: run the criterion-shim benches in quick mode and
-# gate on three checks — every failure names the specific bar (and the
+# gate on the checks below — every failure names the specific bar (and the
 # baseline file it came from), never a bare exit code:
 #
 #  1. absolute: every *named hot-path point* must stay within
@@ -33,6 +33,10 @@
 #     2.0) of the same batch against the 1x instance, measured within the
 #     fresh run — the acceptance bar of the page-granular copy-on-write
 #     snapshot path (a reintroduced O(instance) clone fails it instantly).
+#  6. flat write-then-read (machine-independent): 16 mutations each followed
+#     by a q5 read against the 100x instance must stay within the same
+#     BENCH_FLAT_WRITE_MAX of the 1x run — the CSR read view is carried
+#     across writes, so no read after a write re-freezes the instance.
 #
 # Usage: scripts/bench_check.sh
 #   env: BENCH_CHECK_FACTOR=2.0  BENCH_PARALLEL_MIN_SPEEDUP=2.0
@@ -94,6 +98,8 @@ WATCH = {
         "server_mutation/replay_mixed_mutations_4t",
         "server_mutation_scale/32req/1x",
         "server_mutation_scale/32req/100x",
+        "server_mutation_scale/write_read/1x",
+        "server_mutation_scale/write_read/100x",
     ],
     "BENCH_parallel.json": [
         "parallel/seq_exists",
@@ -190,24 +196,30 @@ else:
 # the per-op write cost is O(touched pages), so the ratio stays near 1;
 # any reintroduced O(instance) work in the mutation path (a full clone, a
 # per-mutation instance walk) blows straight through the 2x bar.
+# The write-then-read sweep gets the same bar: a read after a write must
+# not pay an O(instance) re-freeze of the CSR view.
 flat_bar = float(os.environ.get("BENCH_FLAT_WRITE_MAX", "2.0"))
-bar = "[flat-writes] mutation batch 100x-vs-1x instance"
-one_x = fresh.get("server_mutation_scale/32req/1x")
-hundred_x = fresh.get("server_mutation_scale/32req/100x")
-if one_x is None or hundred_x is None:
-    failures.append(f"{bar}: points missing from this run")
-else:
-    mean_ratio = hundred_x / one_x
-    min_ratio = fresh_min["server_mutation_scale/32req/100x"] / \
-        fresh_min["server_mutation_scale/32req/1x"]
+for shape, bar, cause in (
+    ("32req", "[flat-writes] mutation batch 100x-vs-1x instance",
+     "write latency is no longer flat in instance size "
+     "(O(instance) work is back in the mutation path)"),
+    ("write_read", "[flat-write-read] write-then-read 100x-vs-1x instance",
+     "a read after a write is no longer flat in instance size "
+     "(the CSR view is re-frozen instead of carried)"),
+):
+    one_id = f"server_mutation_scale/{shape}/1x"
+    hundred_id = f"server_mutation_scale/{shape}/100x"
+    if one_id not in fresh or hundred_id not in fresh:
+        failures.append(f"{bar}: points missing from this run")
+        continue
+    mean_ratio = fresh[hundred_id] / fresh[one_id]
+    min_ratio = fresh_min[hundred_id] / fresh_min[one_id]
     ratio = min(mean_ratio, min_ratio)  # same noise treatment as telemetry
     verdict = "ok" if ratio <= flat_bar else "REGRESSION"
     print(f"  {verdict:>10}  {bar}: {ratio:.2f}x "
           f"(mean {mean_ratio:.2f}x, best-sample {min_ratio:.2f}x, bar: {flat_bar}x)")
     if ratio > flat_bar:
-        failures.append(
-            f"{bar}: {ratio:.2f}x > {flat_bar}x — write latency is no longer "
-            f"flat in instance size (O(instance) work is back in the mutation path)")
+        failures.append(f"{bar}: {ratio:.2f}x > {flat_bar}x — {cause}")
 
 # Intra-request parallel scaling: 4 scheduler workers vs 1 on the same
 # run's large-instance points. Enforced directly on hosts with >= 4 CPUs.
