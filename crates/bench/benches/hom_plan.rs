@@ -19,7 +19,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sirup_bench::bench_opts;
 use sirup_cactus::enumerate::full_cactus;
-use sirup_core::FrozenStructure;
+use sirup_core::{FrozenStructure, Target};
 use sirup_hom::{HomFinder, QueryPlan};
 use sirup_workloads::paper;
 
@@ -36,7 +36,10 @@ fn hom_plan(c: &mut Criterion) {
         let plan = QueryPlan::compile(small.structure());
         let frozen = FrozenStructure::freeze(big.structure());
         g.bench_with_input(BenchmarkId::new("planned_exists", depth), &depth, |b, _| {
-            b.iter(|| plan.on(big.structure()).target_frozen(&frozen).exists());
+            b.iter(|| {
+                plan.on(Target::from(big.structure()).with_view(Some(&frozen)))
+                    .exists()
+            });
         });
         // The same executions on live paged reads — the within-run control
         // that isolates the CSR substrate's gain from machine drift.
@@ -78,8 +81,7 @@ fn hom_plan(c: &mut Criterion) {
             big.structure()
                 .nodes()
                 .filter(|&a| {
-                    plan.on(big.structure())
-                        .target_frozen(&frozen)
+                    plan.on(Target::from(big.structure()).with_view(Some(&frozen)))
                         .fix(root, a)
                         .exists()
                 })
@@ -110,8 +112,7 @@ fn hom_plan(c: &mut Criterion) {
     g.bench_function("planned_enumerate", |b| {
         b.iter(|| {
             enum_plan
-                .on(c3.structure())
-                .target_frozen(&frozen3)
+                .on(Target::from(c3.structure()).with_view(Some(&frozen3)))
                 .find_up_to(256)
                 .len()
         });

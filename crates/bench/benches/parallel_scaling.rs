@@ -26,7 +26,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sirup_bench::{bench_opts, bipartite_tangle};
 use sirup_core::program::sigma_q;
-use sirup_core::{ParCtx, Scheduler};
+use sirup_core::{ParCtx, Scheduler, Target};
 use sirup_engine::CompiledProgram;
 use sirup_hom::QueryPlan;
 use sirup_workloads::paper;
@@ -61,13 +61,22 @@ fn parallel_scaling(c: &mut Criterion) {
         let sched = Scheduler::new(workers);
         let ctx = ParCtx::new(&sched, THRESHOLD);
         g.bench_function(BenchmarkId::new("exists", workers), |b| {
-            b.iter(|| assert!(!triangle.on(&tangle).parallel(ctx).exists()));
+            b.iter(|| {
+                assert!(!triangle
+                    .on(Target::from(&tangle).with_par(Some(ctx)))
+                    .exists())
+            });
         });
         g.bench_function(BenchmarkId::new("enumerate", workers), |b| {
-            b.iter(|| paths.on(&tangle).parallel(ctx).find_up_to(10_000_000).len());
+            b.iter(|| {
+                paths
+                    .on(Target::from(&tangle).with_par(Some(ctx)))
+                    .find_up_to(10_000_000)
+                    .len()
+            });
         });
         g.bench_function(BenchmarkId::new("fixpoint", workers), |b| {
-            b.iter(|| compiled.evaluate_ctx(&big, None, Some(ctx)));
+            b.iter(|| compiled.evaluate(Target::from(&big).with_par(Some(ctx))));
         });
     }
     g.finish();

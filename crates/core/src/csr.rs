@@ -38,8 +38,10 @@
 //! server catalog freezes one lazily per instance and carries it across
 //! every later mutation with `apply`; the datalog engine freezes its
 //! (edge-immutable) working instance once per evaluation and consults only
-//! the edge side while labels accrue — see the `labels_current` flag on
-//! the consumers in `sirup-hom`.
+//! the edge side while labels accrue — see [`crate::Target::relabelled`].
+//!
+//! Both freeze only at or above [`FREEZE_EDGE_THRESHOLD`] edges
+//! ([`FrozenStructure::freeze_if_large`]).
 
 use crate::bitset::NodeSet;
 use crate::delta::FactOp;
@@ -49,6 +51,12 @@ use crate::structure::{Node, Structure};
 use crate::symbols::Pred;
 use crate::telemetry::{self, Counter};
 use std::sync::Arc;
+
+/// Self-freeze gate: below this many edges a view costs more to build
+/// than the page chases it saves, so small instances stay on live reads.
+/// Shared by the fixpoint, the DPLL search, UCQ answer sweeps and the
+/// server's per-snapshot view.
+pub const FREEZE_EDGE_THRESHOLD: usize = 64;
 
 /// An overlay folds into its base once its size (patched rows plus their
 /// entries) exceeds `1 / FOLD_FRACTION` of the base's (`n + 1` offsets
@@ -284,6 +292,12 @@ impl FrozenStructure {
             sinks: shared(sinks),
             empty_row: Arc::new(NodeSet::empty(n)),
         }
+    }
+
+    /// Freeze `s` if it has at least [`FREEZE_EDGE_THRESHOLD`] edges;
+    /// `None` below the gate.
+    pub fn freeze_if_large(s: &Structure) -> Option<FrozenStructure> {
+        (s.edge_count() >= FREEZE_EDGE_THRESHOLD).then(|| FrozenStructure::freeze(s))
     }
 
     /// The view of this view's structure after `ops` (applied in order,

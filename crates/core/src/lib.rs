@@ -19,6 +19,8 @@
 //! * CSR-style frozen read snapshots ([`csr::FrozenStructure`]) — contiguous
 //!   per-predicate adjacency arrays and label bitmap rows for the hot
 //!   evaluation loops, built once per catalog snapshot,
+//! * one borrowed read target per evaluation ([`target::Target`]): the
+//!   data plus its optional index, view and parallel context,
 //! * per-worker reusable evaluation buffers ([`arena`]) so the inner loops
 //!   of plan execution and fixpoint rounds stop allocating,
 //! * structurally-shared paged storage ([`paged`]) backing both: O(pages)
@@ -55,6 +57,7 @@ pub mod shape;
 pub mod structure;
 pub mod symbols;
 pub mod sync;
+pub mod target;
 pub mod telemetry;
 
 pub use bitset::NodeSet;
@@ -66,4 +69,5 @@ pub use program::{Atom, Program, Rule, Term};
 pub use sched::{CancelToken, ParCtx, SchedStats, Scheduler};
 pub use structure::{Node, Structure};
 pub use symbols::Pred;
+pub use target::Target;
 pub use telemetry::TelemetrySnapshot;

@@ -16,10 +16,9 @@
 //! an inconsistent program entails everything; labellings assign exactly one
 //! label so the search itself is unchanged.
 
-use crate::eval::FREEZE_EDGE_THRESHOLD;
 use sirup_core::program::DSirup;
 use sirup_core::telemetry;
-use sirup_core::{FrozenStructure, Node, ParCtx, Pred, Structure};
+use sirup_core::{FrozenStructure, Node, Pred, Structure, Target};
 use sirup_hom::QueryPlan;
 
 /// Statistics from a disjunctive evaluation (for the benchmark harness).
@@ -38,91 +37,56 @@ pub fn certain_answer_dsirup(dsirup: &DSirup, data: &Structure) -> bool {
 
 /// As [`certain_answer_dsirup`], also returning search statistics.
 /// Compiles `q`'s search plan first; callers that evaluate the same d-sirup
-/// repeatedly should compile once and use
-/// [`certain_answer_dsirup_planned_stats`].
+/// repeatedly should compile once and use [`certain_answer_dsirup_planned`].
 pub fn certain_answer_dsirup_stats(dsirup: &DSirup, data: &Structure) -> (bool, DisjunctiveStats) {
     let plan = QueryPlan::compile(&dsirup.cq);
-    certain_answer_dsirup_planned_stats(dsirup, &plan, data)
+    certain_answer_inner(dsirup, &plan, data.into())
 }
 
 /// As [`certain_answer_dsirup`], with a precompiled plan for `dsirup.cq`
-/// (the server's DPLL strategy caches one per program).
-pub fn certain_answer_dsirup_planned(dsirup: &DSirup, plan: &QueryPlan, data: &Structure) -> bool {
-    certain_answer_dsirup_planned_stats(dsirup, plan, data).0
-}
-
-/// As [`certain_answer_dsirup_planned`], optionally splitting each
-/// bound-check's homomorphism search over the shared scheduler. The DPLL
+/// (the server's DPLL strategy caches one per program), over `target`.
+///
+/// The DPLL search mutates only *labels* on its bound structures, so the
+/// target's CSR view (attached, or built here when none is and the data
+/// clears the freeze gate) serves adjacency down every branch through
+/// [`Target::relabelled`]; its label rows answer the up-front `A`/`T`/`F`
+/// scans. The index is never read. With a parallel context, the DPLL
 /// branching itself stays sequential (its prunes depend on the branch
-/// order); the per-branch `q.on(low/high).exists()` checks — the hot inner
-/// loop on large instances — fan their root domains out.
-pub fn certain_answer_dsirup_planned_ctx(
+/// order); the per-branch bound checks — the hot inner loop on large
+/// instances — fan their root domains out.
+pub fn certain_answer_dsirup_planned<'a>(
     dsirup: &DSirup,
     plan: &QueryPlan,
-    data: &Structure,
-    par: Option<ParCtx<'_>>,
+    target: impl Into<Target<'a>>,
 ) -> bool {
-    certain_answer_inner(dsirup, plan, data, None, par).0
-}
-
-/// As [`certain_answer_dsirup_planned_ctx`], additionally reading adjacency
-/// through a prebuilt [`FrozenStructure`] CSR snapshot of `data` (the
-/// server's catalog instances cache one). The DPLL search mutates only
-/// *labels* on its bound structures — edges are invariant — so the
-/// snapshot's edge side stays valid down every branch and the per-branch
-/// bound checks attach it in edges-only mode.
-pub fn certain_answer_dsirup_planned_snap(
-    dsirup: &DSirup,
-    plan: &QueryPlan,
-    data: &Structure,
-    frozen: Option<&FrozenStructure>,
-    par: Option<ParCtx<'_>>,
-) -> bool {
-    certain_answer_inner(dsirup, plan, data, frozen, par).0
-}
-
-/// As [`certain_answer_dsirup_stats`], with a precompiled plan for
-/// `dsirup.cq`.
-pub fn certain_answer_dsirup_planned_stats(
-    dsirup: &DSirup,
-    plan: &QueryPlan,
-    data: &Structure,
-) -> (bool, DisjunctiveStats) {
-    certain_answer_inner(dsirup, plan, data, None, None)
+    certain_answer_inner(dsirup, plan, target.into()).0
 }
 
 fn certain_answer_inner(
     dsirup: &DSirup,
     plan: &QueryPlan,
-    data: &Structure,
-    frozen: Option<&FrozenStructure>,
-    par: Option<ParCtx<'_>>,
+    t: Target<'_>,
 ) -> (bool, DisjunctiveStats) {
     assert_eq!(
         plan.pattern(),
         &dsirup.cq,
         "plan was not compiled from this d-sirup's CQ"
     );
-    if let Some(f) = frozen {
-        assert_eq!(
-            f.node_count(),
-            data.node_count(),
-            "FrozenStructure is not a snapshot of this data instance"
-        );
-    }
     telemetry::counter_add(telemetry::Counter::DpllChecks, 1);
-    let _t = telemetry::traced(telemetry::Family::Dpll, "dpll");
+    let _span = telemetry::traced(telemetry::Family::Dpll, "dpll");
     // A search explores up to 2^|A| branches with two bound checks each, so
     // freezing once pays for itself quickly on non-trivial instances.
-    let own: Option<FrozenStructure> = (frozen.is_none()
-        && data.edge_count() >= FREEZE_EDGE_THRESHOLD)
-        .then(|| FrozenStructure::freeze(data));
-    let frozen = frozen.or(own.as_ref());
+    let own = match t.view() {
+        Some(_) => None,
+        None => FrozenStructure::freeze_if_large(t.data()),
+    };
+    let t = t.with_view(own.as_ref());
+    let data = t.data();
     let mut stats = DisjunctiveStats::default();
     if dsirup.disjoint {
         // Δ⁺ is inconsistent over data containing an FT-twin: entails G.
-        // With a snapshot, that is one word-level bitmap-row probe.
-        let inconsistent = match frozen {
+        // With a view, that is one word-level bitmap-row probe.
+        let inconsistent = match t.label_view() {
             Some(f) => f
                 .label_row(Pred::T)
                 .first_common(f.label_row(Pred::F))
@@ -137,8 +101,8 @@ fn certain_answer_inner(
     }
     // Both paths enumerate in increasing node order, so the branch order
     // (and hence the pruning behaviour) is identical with and without a
-    // snapshot.
-    let a_nodes: Vec<Node> = match frozen {
+    // view.
+    let a_nodes: Vec<Node> = match t.label_view() {
         Some(f) => f
             .label_row(Pred::A)
             .iter()
@@ -161,44 +125,31 @@ fn certain_answer_inner(
         high.add_label(v, Pred::F);
     }
 
-    let found_counter = search(
-        plan, &a_nodes, 0, &mut low, &mut high, frozen, par, &mut stats,
-    );
+    let found_counter = search(plan, &a_nodes, 0, &mut low, &mut high, t, &mut stats);
     (!found_counter, stats)
 }
 
 /// Returns true iff some completion of the current partial labelling has no
-/// `q`-match (a countermodel exists below this branch). `frozen`, when
-/// present, is an edges-valid CSR snapshot of both bound structures (they
-/// differ from the base data by labels only).
-#[allow(clippy::too_many_arguments)]
+/// `q`-match (a countermodel exists below this branch). Both bound
+/// structures differ from `t`'s data by labels only, so each check reads
+/// them as [`Target::relabelled`] working copies.
 fn search(
     q: &QueryPlan,
     a_nodes: &[Node],
     next: usize,
     low: &mut Structure,
     high: &mut Structure,
-    frozen: Option<&FrozenStructure>,
-    par: Option<ParCtx<'_>>,
+    t: Target<'_>,
     stats: &mut DisjunctiveStats,
 ) -> bool {
     stats.branches += 1;
     stats.hom_checks += 1;
-    if q.on(low)
-        .maybe_frozen_edges(frozen)
-        .maybe_parallel(par)
-        .exists()
-    {
+    if q.on(t.relabelled(low)).exists() {
         // Every completion embeds q: no countermodel here.
         return false;
     }
     stats.hom_checks += 1;
-    if !q
-        .on(high)
-        .maybe_frozen_edges(frozen)
-        .maybe_parallel(par)
-        .exists()
-    {
+    if !q.on(t.relabelled(high)).exists() {
         // No completion embeds q: the all-unassigned-free completion — e.g.
         // assign every remaining node T — is a countermodel.
         return true;
@@ -212,7 +163,7 @@ fn search(
         let other = if label == Pred::T { Pred::F } else { Pred::T };
         let low_added = low.add_label(v, label);
         let high_removed = high.remove_label(v, other);
-        let found = search(q, a_nodes, next + 1, low, high, frozen, par, stats);
+        let found = search(q, a_nodes, next + 1, low, high, t, stats);
         if low_added {
             low.remove_label(v, label);
         }

@@ -18,14 +18,8 @@
 use sirup_core::fx::FxHashMap;
 use sirup_core::program::{Program, Rule};
 use sirup_core::{arena, telemetry};
-use sirup_core::{FrozenStructure, Node, NodeSet, ParCtx, Pred, PredIndex, Structure, Term};
+use sirup_core::{FrozenStructure, Node, NodeSet, Pred, Structure, Target, Term};
 use sirup_hom::QueryPlan;
-
-/// Self-freeze gate: below this many edges a CSR snapshot costs more to
-/// build than the page chases it saves, so small instances stay on live
-/// reads. Shared by the fixpoint, the DPLL search, UCQ answer sweeps, and
-/// the server's per-snapshot frozen cache.
-pub const FREEZE_EDGE_THRESHOLD: usize = 64;
 
 /// Result of evaluating a program over a data instance.
 #[derive(Debug, Clone)]
@@ -154,89 +148,46 @@ impl CompiledProgram {
         &self.idbs
     }
 
-    /// Evaluate over `data`, returning all derived IDB facts.
-    pub fn evaluate(&self, data: &Structure) -> Evaluation {
-        self.evaluate_snapshot(data, None, None, None)
-    }
-
-    /// As [`CompiledProgram::evaluate`], but seeded from a prebuilt
-    /// [`PredIndex`] of `data`: each unary-headed rule derives only at nodes
-    /// that carry every *EDB* label its body places on the head variable,
-    /// read off the index instead of rescanned per fixpoint round. EDB
-    /// labels are invariant during evaluation (only IDB labels are added),
-    /// so the seeding is exact and the result identical to `evaluate`'s.
-    pub fn evaluate_with_index(&self, data: &Structure, index: &PredIndex) -> Evaluation {
-        self.evaluate_snapshot(data, Some(index), None, None)
-    }
-
-    /// Evaluate with optional index seeding **and** optional intra-request
-    /// parallelism: each semi-naive round partitions a rule's candidate
-    /// set across the shared scheduler's workers (above the context's
+    /// Evaluate over the target's data, returning all derived IDB facts.
+    ///
+    /// The fixpoint adds derived labels to a working copy of the data and
+    /// replays the rule plans against it through
+    /// [`Target::relabelled`]: the CSR view (attached, or built here when
+    /// none is and the data clears the freeze gate) serves adjacency for
+    /// the whole evaluation, since edges never change. The index and the
+    /// view's label rows seed each unary-headed rule's candidates: only
+    /// nodes carrying every *EDB* label its body places on the head
+    /// variable. EDB labels are invariant during evaluation, so the seeding
+    /// is exact and the result identical to a plain evaluation's.
+    ///
+    /// With a parallel context, each semi-naive round partitions a rule's
+    /// candidate set across the scheduler's workers (above the context's
     /// threshold), checks the candidates against the round-start working
     /// instance, and merges the per-worker derivation buffers in chunk
     /// order. Parallel rounds give up in-round propagation within a rule,
-    /// so [`Evaluation::rounds`] may differ from the sequential paths'
-    /// count — the fixpoint itself is unique and identical (the parallel
-    /// differential suite pins this).
-    pub fn evaluate_ctx(
-        &self,
-        data: &Structure,
-        index: Option<&PredIndex>,
-        par: Option<ParCtx<'_>>,
-    ) -> Evaluation {
-        self.evaluate_snapshot(data, index, None, par)
-    }
-
-    /// As [`CompiledProgram::evaluate_ctx`], additionally reading target
-    /// adjacency through a prebuilt [`FrozenStructure`] CSR snapshot of
-    /// `data` (the server's catalog instances cache one). The fixpoint only
-    /// ever *adds labels* to its working copy — edges are invariant — so
-    /// the snapshot's edge side stays valid for the whole evaluation and
-    /// plans attach it in edges-only mode. With no snapshot supplied, one
-    /// is built locally when `data` is large enough to repay the build.
-    pub fn evaluate_snapshot(
-        &self,
-        data: &Structure,
-        index: Option<&PredIndex>,
-        frozen: Option<&FrozenStructure>,
-        par: Option<ParCtx<'_>>,
-    ) -> Evaluation {
-        if let Some(idx) = index {
-            assert_eq!(
-                idx.node_count(),
-                data.node_count(),
-                "PredIndex is not a snapshot of this data instance"
-            );
-        }
-        if let Some(f) = frozen {
-            assert_eq!(
-                f.node_count(),
-                data.node_count(),
-                "FrozenStructure is not a snapshot of this data instance"
-            );
-        }
-        let own: Option<FrozenStructure> = (frozen.is_none()
-            && data.edge_count() >= FREEZE_EDGE_THRESHOLD)
-            .then(|| FrozenStructure::freeze(data));
-        self.evaluate_inner(data, index, frozen.or(own.as_ref()), par)
-    }
-
-    fn evaluate_inner(
-        &self,
-        data: &Structure,
-        index: Option<&PredIndex>,
-        frozen: Option<&FrozenStructure>,
-        par: Option<ParCtx<'_>>,
-    ) -> Evaluation {
-        let _t = telemetry::traced(telemetry::Family::SemiNaiveFixpoint, "seminaive_fixpoint");
+    /// so [`Evaluation::rounds`] may differ from the sequential count — the
+    /// fixpoint itself is unique and identical (the parallel differential
+    /// suite pins this).
+    pub fn evaluate<'a>(&self, target: impl Into<Target<'a>>) -> Evaluation {
+        let t = target.into();
+        let own = match t.view() {
+            Some(_) => None,
+            None => FrozenStructure::freeze_if_large(t.data()),
+        };
+        let t = t.with_view(own.as_ref());
+        let _span = telemetry::traced(telemetry::Family::SemiNaiveFixpoint, "seminaive_fixpoint");
+        let data = t.data();
         let n = data.node_count();
         // Working structure: data plus derived labels.
         let mut work = data.clone();
+        // Per-candidate checks run sequentially: the parallel context
+        // splits the candidate sweep and the nullary existence checks.
+        let seq = t.with_par(None);
         let mut nullary: Vec<Pred> = Vec::new();
         // Per-rule candidate seeds: nodes carrying every EDB label the body
         // places on the head variable (`None` = all nodes), as a bitmap
         // with its cardinality. Read off the index postings or, failing
-        // that, the frozen label rows (both snapshots of the base data, and
+        // that, the view's label rows (both snapshots of the base data, and
         // EDB labels never change during evaluation — the seeding is exact).
         let seeds: Vec<Option<(NodeSet, usize)>> = self
             .rules
@@ -245,7 +196,7 @@ impl CompiledProgram {
                 c.head_node?;
                 let (&first, rest) = c.head_edb_labels.split_first()?;
                 let mut set = NodeSet::empty(n);
-                match (index, frozen) {
+                match (t.index(), t.label_view()) {
                     (Some(idx), _) => {
                         for a in idx.nodes_with_label(first).iter() {
                             if rest.iter().all(|&l| idx.has_label(a, l)) {
@@ -291,11 +242,7 @@ impl CompiledProgram {
                         // itself splits its root domain when a context is
                         // attached.
                         if nullary.binary_search(&c.head_pred).is_err()
-                            && c.plan
-                                .on(&work)
-                                .maybe_frozen_edges(frozen)
-                                .maybe_parallel(par)
-                                .exists()
+                            && c.plan.on(t.relabelled(&work)).exists()
                         {
                             let pos = nullary.binary_search(&c.head_pred).unwrap_err();
                             nullary.insert(pos, c.head_pred);
@@ -319,7 +266,7 @@ impl CompiledProgram {
                         cand_set.difference_with(derived_p);
                         cands.clear();
                         cands.extend(cand_set.iter());
-                        match par {
+                        match t.par() {
                             Some(ctx) if ctx.should_split(cands.len()) => {
                                 // Check every candidate against the
                                 // round-start snapshot, in parallel chunks;
@@ -333,8 +280,7 @@ impl CompiledProgram {
                                             .copied()
                                             .filter(|&a| {
                                                 c.plan
-                                                    .on(work_ref)
-                                                    .maybe_frozen_edges(frozen)
+                                                    .on(seq.relabelled(work_ref))
                                                     .fix(head_node, a)
                                                     .exists()
                                             })
@@ -348,12 +294,7 @@ impl CompiledProgram {
                             }
                             _ => {
                                 for &a in cands.iter() {
-                                    if c.plan
-                                        .on(&work)
-                                        .maybe_frozen_edges(frozen)
-                                        .fix(head_node, a)
-                                        .exists()
-                                    {
+                                    if c.plan.on(seq.relabelled(&work)).fix(head_node, a).exists() {
                                         work.add_label(a, p);
                                         derived.get_mut(&p).expect("head pred is IDB").insert(a);
                                         changed = true;
@@ -385,18 +326,12 @@ impl CompiledProgram {
     }
 }
 
-/// Evaluate `program` over `data`, returning all derived IDB facts.
+/// Evaluate `program` over `target`, returning all derived IDB facts.
 ///
 /// Compiles the program first; callers that evaluate the same program
 /// repeatedly should build a [`CompiledProgram`] once instead.
-pub fn evaluate(program: &Program, data: &Structure) -> Evaluation {
-    CompiledProgram::new(program).evaluate(data)
-}
-
-/// As [`evaluate`], seeded from a prebuilt [`PredIndex`] of `data`. See
-/// [`CompiledProgram::evaluate_with_index`].
-pub fn evaluate_with_index(program: &Program, data: &Structure, index: &PredIndex) -> Evaluation {
-    CompiledProgram::new(program).evaluate_with_index(data, index)
+pub fn evaluate<'a>(program: &Program, target: impl Into<Target<'a>>) -> Evaluation {
+    CompiledProgram::new(program).evaluate(target)
 }
 
 /// Certain answer to the Boolean query `(program, program.goal)` over `data`
@@ -516,27 +451,6 @@ mod tests {
         assert_eq!(ev.nullary, sorted, "nullary facts must stay sorted");
         assert!(ev.holds(sirup_core::Pred::GOAL));
         assert!(!ev.holds(sirup_core::Pred::S));
-    }
-
-    #[test]
-    fn indexed_evaluation_agrees_with_plain() {
-        use sirup_core::PredIndex;
-        let q = q4();
-        let programs = [pi_q(&q), sigma_q(&q)];
-        let instances = [
-            st("F(f), R(m1,f), R(m1,a), A(a), R(m2,a), R(m2,t), T(t)"),
-            st("A(a), R(m,a), R(m,z), T(z), A(b), R(k,b), R(k,a)"),
-            st("F(x), R(x,y)"),
-        ];
-        for program in &programs {
-            for d in &instances {
-                let idx = PredIndex::new(d);
-                let plain = evaluate(program, d);
-                let fast = evaluate_with_index(program, d, &idx);
-                assert_eq!(plain.nullary, fast.nullary);
-                assert_eq!(plain.unary, fast.unary);
-            }
-        }
     }
 
     #[test]

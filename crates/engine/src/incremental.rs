@@ -60,7 +60,7 @@ use crate::eval::{CompiledProgram, Evaluation};
 use sirup_core::fx::{FxHashMap, FxHashSet};
 use sirup_core::program::Program;
 use sirup_core::telemetry;
-use sirup_core::{FactOp, Node, NodeSet, Pred, Structure};
+use sirup_core::{FactOp, Node, NodeSet, Pred, Structure, Target};
 use std::collections::VecDeque;
 
 /// A fact of the working instance: a unary label or a binary edge.
@@ -143,37 +143,19 @@ impl MaterializedFixpoint {
         MaterializedFixpoint::from_compiled(CompiledProgram::new(program), data)
     }
 
-    /// As [`MaterializedFixpoint::from_compiled`], with the initial
-    /// fixpoint candidate-seeded from a prebuilt [`sirup_core::PredIndex`] snapshot of
-    /// `data` (the server's catalog instances carry one).
-    pub fn from_compiled_indexed(
+    /// Materialise an already-compiled program over the target's data,
+    /// reusing its rule-body plans for both the initial fixpoint and all
+    /// later delta replays. The initial fixpoint is
+    /// [`CompiledProgram::evaluate`] over `target` (index seeding, view and
+    /// parallel context as attached); the maintained closure is the same
+    /// either way.
+    pub fn from_compiled<'a>(
         program: CompiledProgram,
-        data: &Structure,
-        index: &sirup_core::PredIndex,
+        target: impl Into<Target<'a>>,
     ) -> MaterializedFixpoint {
-        let ev = program.evaluate_with_index(data, index);
-        MaterializedFixpoint::build(program, data, ev)
-    }
-
-    /// As [`MaterializedFixpoint::from_compiled_indexed`], running the
-    /// initial fixpoint with optional intra-request parallelism (the
-    /// maintained closure is the same; only the one-off build fans out).
-    pub fn from_compiled_indexed_ctx(
-        program: CompiledProgram,
-        data: &Structure,
-        index: &sirup_core::PredIndex,
-        par: Option<sirup_core::ParCtx<'_>>,
-    ) -> MaterializedFixpoint {
-        let ev = program.evaluate_ctx(data, Some(index), par);
-        MaterializedFixpoint::build(program, data, ev)
-    }
-
-    /// Materialise an already-compiled program over `data`, reusing its
-    /// rule-body plans for both the initial fixpoint and all later delta
-    /// replays.
-    pub fn from_compiled(program: CompiledProgram, data: &Structure) -> MaterializedFixpoint {
-        let ev = program.evaluate(data);
-        MaterializedFixpoint::build(program, data, ev)
+        let t = target.into();
+        let ev = program.evaluate(t);
+        MaterializedFixpoint::build(program, t.data(), ev)
     }
 
     fn build(program: CompiledProgram, data: &Structure, ev: Evaluation) -> MaterializedFixpoint {

@@ -25,6 +25,6 @@ pub mod linear;
 pub mod ucq;
 
 pub use disjunctive::certain_answer_dsirup;
-pub use eval::{evaluate, evaluate_with_index, CompiledProgram, Evaluation, FREEZE_EDGE_THRESHOLD};
+pub use eval::{evaluate, CompiledProgram, Evaluation};
 pub use incremental::{MaterializationStats, MaterializedFixpoint};
 pub use ucq::{CompiledUcq, Ucq};

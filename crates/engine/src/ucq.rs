@@ -10,8 +10,7 @@
 //! `eval_*` methods on [`Ucq`] compile on the fly, long-lived callers (the
 //! server's rewriting strategy) keep the [`CompiledUcq`].
 
-use crate::eval::FREEZE_EDGE_THRESHOLD;
-use sirup_core::{arena, CancelToken, FrozenStructure, Node, ParCtx, PredIndex, Structure};
+use sirup_core::{arena, CancelToken, FrozenStructure, Node, Structure, Target};
 use sirup_hom::QueryPlan;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -67,13 +66,10 @@ impl Ucq {
     /// One-shot evaluation: compile disjuncts lazily so the union
     /// short-circuits on the first matching disjunct without paying for
     /// the rest.
-    fn eval_lazy(&self, data: &Structure, idx: Option<&PredIndex>, at: Option<Node>) -> bool {
+    fn eval_lazy(&self, t: Target<'_>, at: Option<Node>) -> bool {
         self.disjuncts.iter().any(|(s, free)| {
             let plan = QueryPlan::compile(s);
-            let mut exec = plan.on(data);
-            if let Some(i) = idx {
-                exec = exec.target_index(i);
-            }
+            let exec = plan.on(t);
             match (free, at) {
                 (Some(x), Some(a)) => exec.fix(*x, a).exists(),
                 _ => exec.exists(),
@@ -81,37 +77,21 @@ impl Ucq {
         })
     }
 
-    /// Boolean evaluation: does some disjunct embed into `data`?
-    pub fn eval_boolean(&self, data: &Structure) -> bool {
-        self.eval_lazy(data, None, None)
+    /// Boolean evaluation: does some disjunct embed into the target?
+    pub fn eval_boolean<'a>(&self, target: impl Into<Target<'a>>) -> bool {
+        self.eval_lazy(target.into(), None)
     }
 
     /// Unary evaluation at `a`: does some disjunct embed with its free node
     /// mapped to `a`? Boolean disjuncts count as matching any `a`.
-    pub fn eval_at(&self, data: &Structure, a: Node) -> bool {
-        self.eval_lazy(data, None, Some(a))
+    pub fn eval_at<'a>(&self, target: impl Into<Target<'a>>, a: Node) -> bool {
+        self.eval_lazy(target.into(), Some(a))
     }
 
-    /// All certain answers of a unary UCQ over `data` (disjuncts compiled
-    /// once, reused across all nodes).
-    pub fn answers(&self, data: &Structure) -> Vec<Node> {
-        self.compile().answers(data, None)
-    }
-
-    /// As [`Ucq::eval_boolean`], seeding plan domains from a prebuilt
-    /// [`PredIndex`] of `data` (which must be a current snapshot).
-    pub fn eval_boolean_indexed(&self, data: &Structure, idx: &PredIndex) -> bool {
-        self.eval_lazy(data, Some(idx), None)
-    }
-
-    /// As [`Ucq::eval_at`], seeding plan domains from a prebuilt index.
-    pub fn eval_at_indexed(&self, data: &Structure, idx: &PredIndex, a: Node) -> bool {
-        self.eval_lazy(data, Some(idx), Some(a))
-    }
-
-    /// As [`Ucq::answers`], seeding plan domains from a prebuilt index.
-    pub fn answers_indexed(&self, data: &Structure, idx: &PredIndex) -> Vec<Node> {
-        self.compile().answers(data, Some(idx))
+    /// All certain answers of a unary UCQ over the target (disjuncts
+    /// compiled once, reused across all nodes; see [`CompiledUcq::answers`]).
+    pub fn answers<'a>(&self, target: impl Into<Target<'a>>) -> Vec<Node> {
+        self.compile().answers(target)
     }
 }
 
@@ -125,175 +105,87 @@ pub struct CompiledUcq {
 }
 
 impl CompiledUcq {
-    /// Boolean evaluation, optionally index-seeded.
-    pub fn eval_boolean(&self, data: &Structure, idx: Option<&PredIndex>) -> bool {
-        self.eval_boolean_ctx(data, idx, None)
-    }
-
-    /// As [`CompiledUcq::eval_boolean`], optionally splitting over the
-    /// shared scheduler: disjuncts evaluate **concurrently**, the first
+    /// Boolean evaluation: does some disjunct embed into the target? With a
+    /// parallel context, disjuncts evaluate **concurrently**, the first
     /// matching disjunct cancels the rest through a shared token (each
     /// disjunct's plan execution polls it per backtracking node), and every
     /// disjunct's own root domain may split further above the threshold.
-    pub fn eval_boolean_ctx(
-        &self,
-        data: &Structure,
-        idx: Option<&PredIndex>,
-        par: Option<ParCtx<'_>>,
-    ) -> bool {
-        self.eval_boolean_snap(data, idx, None, par)
+    pub fn eval_boolean<'a>(&self, target: impl Into<Target<'a>>) -> bool {
+        self.any_disjunct(target.into(), None)
     }
 
-    /// As [`CompiledUcq::eval_boolean_ctx`], additionally reading `data`
-    /// through a prebuilt [`FrozenStructure`] CSR snapshot (full mode:
-    /// labels and edges). The snapshot must be current for `data`.
-    pub fn eval_boolean_snap(
-        &self,
-        data: &Structure,
-        idx: Option<&PredIndex>,
-        frozen: Option<&FrozenStructure>,
-        par: Option<ParCtx<'_>>,
-    ) -> bool {
-        match par {
-            Some(ctx) if self.disjuncts.len() > 1 => self.par_any(data, idx, frozen, ctx, None),
-            // Single disjunct: no disjunct-level fan-out, but the one
-            // plan's root domain still splits.
-            _ => self.disjuncts.iter().any(|(plan, _)| {
-                let mut exec = plan.on(data).maybe_frozen(frozen).maybe_parallel(par);
-                if let Some(i) = idx {
-                    exec = exec.target_index(i);
-                }
-                exec.exists()
-            }),
-        }
+    /// Unary evaluation at `a`: does some disjunct embed with its free node
+    /// mapped to `a`? Boolean disjuncts count as matching any `a`. Parallel
+    /// as [`CompiledUcq::eval_boolean`].
+    pub fn eval_at<'a>(&self, target: impl Into<Target<'a>>, a: Node) -> bool {
+        self.any_disjunct(target.into(), Some(a))
     }
 
-    /// Unary evaluation at `a`, optionally index-seeded. Boolean disjuncts
-    /// count as matching any `a`.
-    pub fn eval_at(&self, data: &Structure, idx: Option<&PredIndex>, a: Node) -> bool {
-        self.eval_at_snap(data, idx, None, a, None)
-    }
-
-    /// As [`CompiledUcq::eval_at`], with concurrent disjuncts and
-    /// first-match cancellation.
-    pub fn eval_at_ctx(
-        &self,
-        data: &Structure,
-        idx: Option<&PredIndex>,
-        a: Node,
-        par: Option<ParCtx<'_>>,
-    ) -> bool {
-        self.eval_at_snap(data, idx, None, a, par)
-    }
-
-    /// As [`CompiledUcq::eval_at_ctx`], additionally reading `data` through
-    /// a prebuilt [`FrozenStructure`] snapshot (full mode).
-    pub fn eval_at_snap(
-        &self,
-        data: &Structure,
-        idx: Option<&PredIndex>,
-        frozen: Option<&FrozenStructure>,
-        a: Node,
-        par: Option<ParCtx<'_>>,
-    ) -> bool {
-        match par {
-            Some(ctx) if self.disjuncts.len() > 1 => self.par_any(data, idx, frozen, ctx, Some(a)),
-            _ => self.disjuncts.iter().any(|(plan, free)| {
-                let mut exec = plan.on(data).maybe_frozen(frozen).maybe_parallel(par);
-                if let Some(i) = idx {
-                    exec = exec.target_index(i);
-                }
-                match free {
-                    Some(x) => exec.fix(*x, a).exists(),
-                    None => exec.exists(),
-                }
-            }),
-        }
-    }
-
-    /// One task per disjunct; `at` fixes each disjunct's free node.
-    fn par_any(
-        &self,
-        data: &Structure,
-        idx: Option<&PredIndex>,
-        frozen: Option<&FrozenStructure>,
-        ctx: ParCtx<'_>,
-        at: Option<Node>,
-    ) -> bool {
-        let token = CancelToken::new();
-        let hit = AtomicBool::new(false);
-        ctx.sched.scope(|s| {
-            for (plan, free) in &self.disjuncts {
-                let (token, hit) = (&token, &hit);
-                s.spawn(move || {
-                    if token.is_cancelled() {
-                        return;
-                    }
-                    let mut exec = plan
-                        .on(data)
-                        .maybe_frozen(frozen)
-                        .cancel_token(token)
-                        .parallel(ctx);
-                    if let Some(i) = idx {
-                        exec = exec.target_index(i);
-                    }
-                    if let (Some(x), Some(a)) = (free, at) {
-                        exec = exec.fix(*x, a);
-                    }
-                    if exec.exists() {
-                        hit.store(true, Ordering::Release);
-                        token.cancel();
+    /// Does some disjunct embed (with its free node fixed to `at`, if
+    /// both are given)?
+    fn any_disjunct(&self, t: Target<'_>, at: Option<Node>) -> bool {
+        match t.par() {
+            Some(ctx) if self.disjuncts.len() > 1 => {
+                // One task per disjunct; the first hit cancels the rest.
+                let token = CancelToken::new();
+                let hit = AtomicBool::new(false);
+                ctx.sched.scope(|s| {
+                    for (plan, free) in &self.disjuncts {
+                        let (token, hit) = (&token, &hit);
+                        s.spawn(move || {
+                            if token.is_cancelled() {
+                                return;
+                            }
+                            let mut exec = plan.on(t).cancel_token(token);
+                            if let (Some(x), Some(a)) = (free, at) {
+                                exec = exec.fix(*x, a);
+                            }
+                            if exec.exists() {
+                                hit.store(true, Ordering::Release);
+                                token.cancel();
+                            }
+                        });
                     }
                 });
+                hit.load(Ordering::Acquire)
             }
-        });
-        hit.load(Ordering::Acquire)
+            // Single disjunct: no disjunct-level fan-out, but the one
+            // plan's root domain still splits.
+            _ => self.disjuncts.iter().any(|(plan, free)| {
+                let exec = plan.on(t);
+                match (free, at) {
+                    (Some(x), Some(a)) => exec.fix(*x, a).exists(),
+                    _ => exec.exists(),
+                }
+            }),
+        }
     }
 
-    /// All certain answers over `data`, optionally index-seeded.
-    pub fn answers(&self, data: &Structure, idx: Option<&PredIndex>) -> Vec<Node> {
-        self.answers_ctx(data, idx, None)
-    }
-
-    /// As [`CompiledUcq::answers`], optionally partitioning the candidate
-    /// nodes across the shared scheduler. Per-chunk answer buffers merge in
-    /// chunk order, so the (sorted) answer list is bit-identical to the
-    /// sequential one.
-    pub fn answers_ctx(
-        &self,
-        data: &Structure,
-        idx: Option<&PredIndex>,
-        par: Option<ParCtx<'_>>,
-    ) -> Vec<Node> {
-        self.answers_snap(data, idx, None, par)
-    }
-
-    /// As [`CompiledUcq::answers_ctx`], additionally reading `data` through
-    /// a [`FrozenStructure`] snapshot. When none is supplied and the
-    /// instance is large enough, a snapshot is built once here and amortised
-    /// over the whole node sweep (`data` is immutable for its duration, so
-    /// full mode — labels included — is sound).
-    pub fn answers_snap(
-        &self,
-        data: &Structure,
-        idx: Option<&PredIndex>,
-        frozen: Option<&FrozenStructure>,
-        par: Option<ParCtx<'_>>,
-    ) -> Vec<Node> {
-        let own: Option<FrozenStructure> = (frozen.is_none()
-            && data.edge_count() >= FREEZE_EDGE_THRESHOLD)
-            .then(|| FrozenStructure::freeze(data));
-        let frozen = frozen.or(own.as_ref());
+    /// All certain answers over the target: every node at which
+    /// [`CompiledUcq::eval_at`] holds, checked sequentially per node. When
+    /// no view is attached and the data clears the freeze gate, one is
+    /// built here and amortised over the whole sweep (the data is
+    /// immutable for its duration, so full mode is sound). With a parallel
+    /// context the candidate nodes are partitioned across the scheduler;
+    /// per-chunk answer buffers merge in chunk order, so the (sorted)
+    /// answer list is bit-identical to the sequential one.
+    pub fn answers<'a>(&self, target: impl Into<Target<'a>>) -> Vec<Node> {
+        let t = target.into();
+        let own = match t.view() {
+            Some(_) => None,
+            None => FrozenStructure::freeze_if_large(t.data()),
+        };
+        let seq = t.with_view(own.as_ref()).with_par(None);
         let mut nodes = arena::take_node_vec();
-        nodes.extend(data.nodes());
-        let out = match par {
+        nodes.extend(t.data().nodes());
+        let out = match t.par() {
             Some(ctx) if ctx.should_split(nodes.len()) => ctx
                 .sched
                 .map_chunks(&nodes, ctx.fanout(), |slice| {
                     slice
                         .iter()
                         .copied()
-                        .filter(|&a| self.eval_at_snap(data, idx, frozen, a, None))
+                        .filter(|&a| self.eval_at(seq, a))
                         .collect::<Vec<Node>>()
                 })
                 .into_iter()
@@ -302,7 +194,7 @@ impl CompiledUcq {
             _ => nodes
                 .iter()
                 .copied()
-                .filter(|&a| self.eval_at_snap(data, idx, frozen, a, None))
+                .filter(|&a| self.eval_at(seq, a))
                 .collect(),
         };
         arena::put_node_vec(nodes);
@@ -345,26 +237,5 @@ mod tests {
     fn size_accumulates() {
         let u = Ucq::boolean([st("F(x), R(x,y)"), st("T(x)")]);
         assert_eq!(u.size(), 3);
-    }
-
-    #[test]
-    fn indexed_eval_agrees_with_plain() {
-        use sirup_core::PredIndex;
-        let (pat, pn) = parse_structure("R(x,y), T(y)").unwrap();
-        let u = Ucq {
-            disjuncts: vec![(pat, Some(pn["x"])), (st("F(a), S(a,b)"), None)],
-        };
-        for d in [
-            st("R(a,b), T(b), R(b,c)"),
-            st("F(a), S(a,b), R(b,c)"),
-            st("A(a), R(a,a)"),
-        ] {
-            let idx = PredIndex::new(&d);
-            assert_eq!(u.eval_boolean(&d), u.eval_boolean_indexed(&d, &idx));
-            assert_eq!(u.answers(&d), u.answers_indexed(&d, &idx));
-            for a in d.nodes() {
-                assert_eq!(u.eval_at(&d, a), u.eval_at_indexed(&d, &idx, a));
-            }
-        }
     }
 }

@@ -1,16 +1,16 @@
 //! Differential proptests for the engine's **parallel** evaluation paths
 //! against the sequential oracles, at 1, 2, 4 and 8 workers:
 //!
-//! * `CompiledProgram::evaluate_ctx` (chunked delta checks, merged
-//!   per-worker derivation buffers) vs `evaluate` — the fixpoint is unique,
+//! * `CompiledProgram::evaluate` on a target with a `ParCtx` (chunked
+//!   delta checks, merged per-worker derivation buffers) vs without — the
+//!   fixpoint is unique,
 //!   so the derived nullary/unary sets must be identical (round counts may
 //!   differ: parallel rounds give up in-rule in-round propagation);
-//! * `CompiledUcq::{eval_boolean_ctx, eval_at_ctx, answers_ctx}`
+//! * `CompiledUcq::{eval_boolean, eval_at, answers}` with a `ParCtx`
 //!   (concurrent disjuncts with first-match cancellation, chunked answer
-//!   sweeps) vs the sequential methods — `answers` compares **exact
-//!   vectors**, not sets;
-//! * `certain_answer_dsirup_planned_ctx` (parallel bound checks inside the
-//!   sequential DPLL branching) vs the sequential search;
+//!   sweeps) vs without — `answers` compares **exact vectors**, not sets;
+//! * `certain_answer_dsirup_planned` with a `ParCtx` (parallel bound
+//!   checks inside the sequential DPLL branching) vs without;
 //! * `MaterializedFixpoint::apply` batching consecutive insert worklists
 //!   into one cascade vs applying the same ops one at a time — maintained
 //!   closure *and* subsequent deletions (which read the support counts)
@@ -20,8 +20,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sirup_core::program::{pi_q, sigma_q, DSirup};
-use sirup_core::{FactOp, Node, ParCtx, Pred, Scheduler, Structure};
-use sirup_engine::disjunctive::{certain_answer_dsirup_planned, certain_answer_dsirup_planned_ctx};
+use sirup_core::{FactOp, Node, ParCtx, Pred, Scheduler, Structure, Target};
+use sirup_engine::disjunctive::certain_answer_dsirup_planned;
 use sirup_engine::{CompiledProgram, MaterializedFixpoint, Ucq};
 use sirup_hom::QueryPlan;
 use sirup_workloads::random::{random_ditree_cq, DitreeCqParams};
@@ -113,8 +113,8 @@ proptest! {
             let compiled = CompiledProgram::new(&program);
             let sequential = compiled.evaluate(&data);
             for sched in schedulers() {
-                let ctx = ParCtx::new(sched, THRESHOLD);
-                let parallel = compiled.evaluate_ctx(&data, None, Some(ctx));
+                let ctx = Some(ParCtx::new(sched, THRESHOLD));
+                let parallel = compiled.evaluate(Target::from(&data).with_par(ctx));
                 prop_assert_eq!(
                     &sequential.nullary, &parallel.nullary,
                     "nullary diverged at {} workers", sched.workers()
@@ -144,17 +144,14 @@ proptest! {
             .collect();
         let boolean = Ucq::boolean(disjuncts.iter().map(|(s, _)| s.clone())).compile();
         let unary = Ucq::unary(disjuncts).compile();
-        let seq_bool = boolean.eval_boolean(&data, None);
-        let seq_answers = unary.answers(&data, None);
+        let seq_bool = boolean.eval_boolean(&data);
+        let seq_answers = unary.answers(&data);
         for sched in schedulers() {
-            let ctx = Some(ParCtx::new(sched, THRESHOLD));
-            prop_assert_eq!(seq_bool, boolean.eval_boolean_ctx(&data, None, ctx));
-            prop_assert_eq!(&seq_answers, &unary.answers_ctx(&data, None, ctx));
+            let par = Target::from(&data).with_par(Some(ParCtx::new(sched, THRESHOLD)));
+            prop_assert_eq!(seq_bool, boolean.eval_boolean(par));
+            prop_assert_eq!(&seq_answers, &unary.answers(par));
             for a in data.nodes().take(4) {
-                prop_assert_eq!(
-                    unary.eval_at(&data, None, a),
-                    unary.eval_at_ctx(&data, None, a, ctx)
-                );
+                prop_assert_eq!(unary.eval_at(&data, a), unary.eval_at(par, a));
             }
         }
     }
@@ -173,10 +170,10 @@ proptest! {
             let plan = QueryPlan::compile(&d.cq);
             let sequential = certain_answer_dsirup_planned(&d, &plan, &data);
             for sched in schedulers() {
-                let ctx = Some(ParCtx::new(sched, THRESHOLD));
+                let par = Target::from(&data).with_par(Some(ParCtx::new(sched, THRESHOLD)));
                 prop_assert_eq!(
                     sequential,
-                    certain_answer_dsirup_planned_ctx(&d, &plan, &data, ctx),
+                    certain_answer_dsirup_planned(&d, &plan, par),
                     "DPLL diverged at {} workers (disjoint: {})", sched.workers(), disjoint
                 );
             }

@@ -60,7 +60,7 @@ pub fn verify_boolean_rewriting<'a>(
     let compiled = rewriting.compile();
     let mut checked = 0;
     for (i, d) in instances.into_iter().enumerate() {
-        let via_hom = compiled.eval_boolean(d, None);
+        let via_hom = compiled.eval_boolean(d);
         let via_fo = phi.eval_sentence(d);
         assert_eq!(
             via_hom, via_fo,
@@ -95,7 +95,7 @@ pub fn verify_unary_rewriting<'a>(
     for (i, d) in instances.into_iter().enumerate() {
         let expected = reference(d);
         for a in d.nodes() {
-            let via_hom = compiled.eval_at(d, None, a);
+            let via_hom = compiled.eval_at(d, a);
             let via_fo = phi.eval_at(d, a);
             assert_eq!(
                 via_hom, via_fo,

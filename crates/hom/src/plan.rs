@@ -23,15 +23,16 @@
 //!   ordered prefix, so candidates are read off the target adjacency of an
 //!   already-assigned neighbour instead of scanned from the whole domain.
 //!
-//! Execution ([`QueryPlan::on`]) seeds dense [`NodeSet`] bitset domains
-//! (optionally from a prebuilt [`PredIndex`]), runs an AC-3 pass over the
-//! pattern edges, and then backtracks in the compiled order. It supports the
-//! same pinning (`fix`), exclusion (`forbid`), and injectivity modes as the
-//! legacy finder, which is kept as the differential-test oracle.
+//! Execution ([`QueryPlan::on`]) reads one [`Target`]: it seeds dense
+//! [`NodeSet`] bitset domains (from the view's bitmap rows or the index's
+//! postings when attached), runs an AC-3 pass over the pattern edges, and
+//! then backtracks in the compiled order. It supports the same pinning
+//! (`fix`), exclusion (`forbid`), and injectivity modes as the legacy
+//! finder, which is kept as the differential-test oracle.
 
 use sirup_core::paged::NodesView;
 use sirup_core::{arena, telemetry};
-use sirup_core::{CancelToken, FrozenStructure, Node, NodeSet, ParCtx, Pred, PredIndex, Structure};
+use sirup_core::{CancelToken, Node, NodeSet, Pred, Structure, Target};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -311,18 +312,16 @@ impl QueryPlan {
         &self.stats
     }
 
-    /// Begin an execution of this plan against `target`.
-    pub fn on<'a>(&'a self, target: &'a Structure) -> PlanExec<'a> {
+    /// Begin an execution of this plan against `target`: a `&Structure`
+    /// for live sequential reads, or a [`Target`] carrying an index, a CSR
+    /// view or a parallel context.
+    pub fn on<'a>(&'a self, target: impl Into<Target<'a>>) -> PlanExec<'a> {
         PlanExec {
             plan: self,
-            target,
-            index: None,
-            frozen: None,
-            frozen_labels: false,
+            target: target.into(),
             fixed: Vec::new(),
             forbidden: Vec::new(),
             injective: false,
-            par: None,
             cancel: None,
         }
     }
@@ -412,30 +411,24 @@ impl fmt::Display for PlanExplain {
     }
 }
 
-/// One execution of a [`QueryPlan`] against a target, with the same
-/// configuration surface as the legacy `HomFinder`.
+/// One execution of a [`QueryPlan`] against a [`Target`], configured with
+/// pins ([`PlanExec::fix`]), exclusions ([`PlanExec::forbid`]),
+/// injectivity and an external cancellation token.
 pub struct PlanExec<'a> {
     plan: &'a QueryPlan,
-    target: &'a Structure,
-    index: Option<&'a PredIndex>,
-    /// CSR read snapshot of the target's *edges* (and, when
-    /// `frozen_labels`, its labels too): adjacency reads become contiguous
-    /// slice scans and domain seeding becomes bitmap-row intersections.
-    frozen: Option<&'a FrozenStructure>,
-    /// Are the frozen snapshot's label rows current? The engine's fixpoint
-    /// and DPLL's bound structures mutate labels (never edges) mid-search,
-    /// so they attach a snapshot in edges-only mode and labels stay on the
-    /// live target.
-    frozen_labels: bool,
+    /// What the search reads. With a CSR view attached, adjacency reads
+    /// become contiguous slice scans and domain seeding becomes bitmap-row
+    /// intersections; label rows are read only in full mode (a
+    /// [`Target::relabelled`] working copy keeps labels on the live data).
+    /// With a parallel context, [`PlanExec::exists`] and
+    /// [`PlanExec::find_up_to`] split the first variable's post-AC-3
+    /// domain into work units on the shared scheduler (above the context's
+    /// threshold); [`PlanExec::for_each`] and [`PlanExec::find`] always stay
+    /// sequential — they are the differential oracle for the parallel paths.
+    target: Target<'a>,
     fixed: Vec<(Node, Node)>,
     forbidden: Vec<(Node, Node)>,
     injective: bool,
-    /// When set, [`PlanExec::exists`] and [`PlanExec::find_up_to`] split
-    /// the first variable's post-AC-3 domain into work units on the shared
-    /// scheduler (above the context's threshold). [`PlanExec::for_each`]
-    /// and [`PlanExec::find`] always stay sequential — they are the
-    /// differential oracle for the parallel paths.
-    par: Option<ParCtx<'a>>,
     /// External cooperative-cancellation flag, polled once per
     /// backtracking node (parallel UCQ evaluation cancels losing disjuncts
     /// through this).
@@ -517,67 +510,6 @@ impl Iterator for AdjIter<'_> {
 }
 
 impl<'a> PlanExec<'a> {
-    /// Seed candidate domains from a prebuilt [`PredIndex`] of the target
-    /// (must be a current snapshot of it).
-    pub fn target_index(mut self, idx: &'a PredIndex) -> Self {
-        assert_eq!(
-            idx.node_count(),
-            self.target.node_count(),
-            "PredIndex is not a snapshot of this target"
-        );
-        self.index = Some(idx);
-        self
-    }
-
-    /// Read target adjacency **and labels** through a CSR snapshot (must be
-    /// a current snapshot of the target — the server's read path, where the
-    /// instance is immutable for the request's lifetime). Domain seeding
-    /// becomes word-parallel bitmap-row intersections and every adjacency
-    /// walk a contiguous slice scan.
-    pub fn target_frozen(mut self, f: &'a FrozenStructure) -> Self {
-        assert_eq!(
-            f.node_count(),
-            self.target.node_count(),
-            "FrozenStructure is not a snapshot of this target"
-        );
-        self.frozen = Some(f);
-        self.frozen_labels = true;
-        self
-    }
-
-    /// Read target adjacency through a CSR snapshot whose **labels may be
-    /// stale**: only the edge side (adjacency, source/sink rows) is
-    /// consulted; label tests stay on the live target. This is the mode for
-    /// the datalog fixpoint and DPLL search, which derive new labels
-    /// mid-evaluation but never touch edges.
-    pub fn target_frozen_edges(mut self, f: &'a FrozenStructure) -> Self {
-        assert_eq!(
-            f.node_count(),
-            self.target.node_count(),
-            "FrozenStructure is not a snapshot of this target"
-        );
-        self.frozen = Some(f);
-        self.frozen_labels = false;
-        self
-    }
-
-    /// As [`PlanExec::target_frozen`], taking the optional snapshot callers
-    /// thread through the evaluation stack (`None` keeps live reads).
-    pub fn maybe_frozen(self, f: Option<&'a FrozenStructure>) -> Self {
-        match f {
-            Some(f) => self.target_frozen(f),
-            None => self,
-        }
-    }
-
-    /// As [`PlanExec::target_frozen_edges`], for an optional snapshot.
-    pub fn maybe_frozen_edges(self, f: Option<&'a FrozenStructure>) -> Self {
-        match f {
-            Some(f) => self.target_frozen_edges(f),
-            None => self,
-        }
-    }
-
     /// Require `h(u) = v`.
     pub fn fix(mut self, u: Node, v: Node) -> Self {
         self.fixed.push((u, v));
@@ -593,21 +525,6 @@ impl<'a> PlanExec<'a> {
     /// Only look for injective homomorphisms.
     pub fn injective(mut self) -> Self {
         self.injective = true;
-        self
-    }
-
-    /// Split `exists`/`find_up_to` over the shared scheduler when the first
-    /// variable's domain reaches the context's threshold.
-    pub fn parallel(mut self, ctx: ParCtx<'a>) -> Self {
-        self.par = Some(ctx);
-        self
-    }
-
-    /// As [`PlanExec::parallel`], taking the optional context callers
-    /// thread through the evaluation stack (`None` keeps every path
-    /// sequential).
-    pub fn maybe_parallel(mut self, ctx: Option<ParCtx<'a>>) -> Self {
-        self.par = ctx;
         self
     }
 
@@ -633,9 +550,10 @@ impl<'a> PlanExec<'a> {
         out
     }
 
-    /// Does any homomorphism exist? With a [`ParCtx`] attached and a large
-    /// enough root domain, the domain is split into chunks searched
-    /// concurrently; the first witness cancels the remaining chunks.
+    /// Does any homomorphism exist? With a parallel context on the target
+    /// and a large enough root domain, the domain is split into chunks
+    /// searched concurrently; the first witness cancels the remaining
+    /// chunks.
     pub fn exists(&self) -> bool {
         match self.prepare() {
             Prep::EmptyPattern => true,
@@ -658,10 +576,10 @@ impl<'a> PlanExec<'a> {
         }
     }
 
-    /// Enumerate up to `cap` homomorphisms. With a [`ParCtx`] attached the
-    /// root domain is split and per-chunk buffers are merged **in chunk
-    /// order**, so the result is bit-identical to the sequential
-    /// enumeration (including the `cap` prefix).
+    /// Enumerate up to `cap` homomorphisms. With a parallel context on the
+    /// target the root domain is split and per-chunk buffers are merged
+    /// **in chunk order**, so the result is bit-identical to the
+    /// sequential enumeration (including the `cap` prefix).
     pub fn find_up_to(&self, cap: usize) -> Vec<Vec<Node>> {
         if cap == 0 {
             return Vec::new();
@@ -718,7 +636,7 @@ impl<'a> PlanExec<'a> {
         if self.plan.pattern.node_count() == 0 {
             return Prep::EmptyPattern;
         }
-        if self.target.node_count() == 0 {
+        if self.data().node_count() == 0 {
             return Prep::NoMatch;
         }
         let Some(mut domains) = self.initial_domains() else {
@@ -751,7 +669,7 @@ impl<'a> PlanExec<'a> {
     /// The root-domain chunks to search in parallel, if a context is
     /// attached and the domain is large enough to be worth splitting.
     fn par_chunks(&self, domains: &[NodeSet]) -> Option<Vec<NodeSet>> {
-        let ctx = self.par?;
+        let ctx = self.target.par()?;
         let root = self.plan.order[0];
         let dom = &domains[root.index()];
         if !ctx.should_split(dom.len()) {
@@ -763,7 +681,7 @@ impl<'a> PlanExec<'a> {
     /// Parallel existence: one task per root chunk, a shared token cancels
     /// the rest on the first witness (and observes the external token).
     fn par_exists(&self, domains: &[NodeSet], chunks: Vec<NodeSet>) -> bool {
-        let ctx = self.par.expect("par_chunks returned Some");
+        let ctx = self.target.par().expect("par_chunks returned Some");
         let stop = CancelToken::new();
         let found = AtomicBool::new(false);
         ctx.sched.scope(|s| {
@@ -793,7 +711,7 @@ impl<'a> PlanExec<'a> {
         chunks: Vec<NodeSet>,
         cap: usize,
     ) -> Vec<Vec<Node>> {
-        let ctx = self.par.expect("par_chunks returned Some");
+        let ctx = self.target.par().expect("par_chunks returned Some");
         let slots: Vec<Mutex<Vec<Vec<Node>>>> = chunks.iter().map(|_| Mutex::default()).collect();
         ctx.sched.scope(|s| {
             for (chunk, slot) in chunks.iter().zip(&slots) {
@@ -840,7 +758,7 @@ impl<'a> PlanExec<'a> {
         f: &mut impl FnMut(&[Node]) -> bool,
     ) -> bool {
         let np = self.plan.pattern.node_count();
-        let nt = self.target.node_count();
+        let nt = self.data().node_count();
         let mut assignment = arena::take_node_vec();
         assignment.resize(np, Node(0));
         let mut used = arena::take_bool_vec(nt);
@@ -870,48 +788,56 @@ impl<'a> PlanExec<'a> {
         completed
     }
 
-    /// Outgoing `p`-adjacency of target node `u`, CSR-backed when frozen.
+    /// The target's live data.
+    #[inline]
+    fn data(&self) -> &'a Structure {
+        self.target.data()
+    }
+
+    /// Outgoing `p`-adjacency of target node `u`, CSR-backed when a view
+    /// is attached.
     #[inline]
     fn adj_out(&self, u: Node, p: Pred) -> Adj<'a> {
-        match self.frozen {
+        match self.target.view() {
             Some(f) => Adj::Flat(f.out(p, u)),
-            None => Adj::Pairs(self.target.out_pred(u, p)),
+            None => Adj::Pairs(self.data().out_pred(u, p)),
         }
     }
 
-    /// Incoming `p`-adjacency of target node `v`, CSR-backed when frozen.
+    /// Incoming `p`-adjacency of target node `v`, CSR-backed when a view
+    /// is attached.
     #[inline]
     fn adj_inn(&self, v: Node, p: Pred) -> Adj<'a> {
-        match self.frozen {
+        match self.target.view() {
             Some(f) => Adj::Flat(f.inn(p, v)),
-            None => Adj::Pairs(self.target.inn_pred(v, p)),
+            None => Adj::Pairs(self.data().inn_pred(v, p)),
         }
     }
 
-    /// Does `p(u, v)` hold in the target (edges are never stale in a
-    /// frozen snapshot, so this always prefers the CSR)?
+    /// Does `p(u, v)` hold in the target (a view's edges are never stale,
+    /// so this always prefers the CSR)?
     #[inline]
     fn edge_holds(&self, p: Pred, u: Node, v: Node) -> bool {
-        match self.frozen {
+        match self.target.view() {
             Some(f) => f.has_edge(p, u, v),
-            None => self.target.has_edge(p, u, v),
+            None => self.data().has_edge(p, u, v),
         }
     }
 
-    /// Is `t` labelled `l`? Reads the frozen label row only when it is
-    /// declared current; otherwise the live target.
+    /// Is `t` labelled `l`? Reads the view's label row only in full mode;
+    /// otherwise the live data.
     #[inline]
     fn label_ok(&self, t: Node, l: Pred) -> bool {
-        match self.frozen {
-            Some(f) if self.frozen_labels => f.has_label(t, l),
-            _ => self.target.has_label(t, l),
+        match self.target.label_view() {
+            Some(f) => f.has_label(t, l),
+            None => self.data().has_label(t, l),
         }
     }
 
     /// Smallest index-backed candidate list for pattern node `u`, if an
     /// index is attached and `u` is constrained at all.
     fn seed_candidates(&self, c: &VarConstraint) -> Option<NodesView<'a>> {
-        let idx = self.index?;
+        let idx = self.target.index()?;
         let mut best: Option<NodesView<'a>> = None;
         let mut consider = |list: NodesView<'a>| {
             if best.is_none_or(|b| list.len() < b.len()) {
@@ -948,7 +874,7 @@ impl<'a> PlanExec<'a> {
     /// `false` means some domain came up empty.
     fn seed_domains(&self, domains: &mut Vec<NodeSet>) -> bool {
         let np = self.plan.pattern.node_count();
-        let nt = self.target.node_count();
+        let nt = self.data().node_count();
         // Resolve pins first: a pinned variable's domain is a singleton, so
         // it never pays the full admissibility scan (this is the hot shape
         // of the datalog fixpoint, which pins the head variable per
@@ -986,7 +912,7 @@ impl<'a> PlanExec<'a> {
                                 }
                             }
                             None => {
-                                for t in self.target.nodes() {
+                                for t in self.data().nodes() {
                                     if admissible(t) {
                                         dom.insert(t);
                                     }
@@ -1016,20 +942,21 @@ impl<'a> PlanExec<'a> {
         self.adj_inn(t, p).len() > 0
     }
 
-    /// Try to seed a domain by intersecting frozen bitmap rows — the
+    /// Try to seed a domain by intersecting the view's bitmap rows — the
     /// word-parallel path that replaces the per-node admissibility scan.
-    /// Returns `false` when no frozen snapshot is attached or no row is
-    /// usable (then the caller falls back to seed/scan). In edges-only
-    /// mode the label rows may be stale, so the row-AND covers only the
-    /// source/sink rows and labels are re-checked against the live target
-    /// over the (already small) candidate set.
+    /// Returns `false` when no view is attached or no row is usable (then
+    /// the caller falls back to seed/scan). In edges-only mode the label
+    /// rows may be stale, so the row-AND covers only the source/sink rows
+    /// and labels are re-checked against the live data over the (already
+    /// small) candidate set.
     fn seed_domain_rows(&self, c: &VarConstraint, dom: &mut NodeSet) -> bool {
-        let Some(f) = self.frozen else {
+        let Some(f) = self.target.view() else {
             return false;
         };
+        let label_rows = self.target.label_view();
         let rowable = c.preds_out.len()
             + c.preds_in.len()
-            + if self.frozen_labels {
+            + if label_rows.is_some() {
                 c.labels.len()
             } else {
                 0
@@ -1039,7 +966,7 @@ impl<'a> PlanExec<'a> {
             // nothing; use the index/scan path with live labels.
             return false;
         }
-        let nt = self.target.node_count();
+        let nt = self.data().node_count();
         dom.fill(nt);
         for &p in &c.preds_out {
             dom.intersect_with(f.source_row(p));
@@ -1047,14 +974,14 @@ impl<'a> PlanExec<'a> {
         for &p in &c.preds_in {
             dom.intersect_with(f.sink_row(p));
         }
-        if self.frozen_labels {
+        if let Some(f) = label_rows {
             for &l in &c.labels {
                 dom.intersect_with(f.label_row(l));
             }
         } else if !c.labels.is_empty() {
             let mut drop = arena::take_node_vec();
             for t in dom.iter() {
-                if !c.labels.iter().all(|&l| self.target.has_label(t, l)) {
+                if !c.labels.iter().all(|&l| self.data().has_label(t, l)) {
                     drop.push(t);
                 }
             }
@@ -1070,7 +997,7 @@ impl<'a> PlanExec<'a> {
     /// directed arcs, where a shrunk domain re-enqueues only the arcs whose
     /// support sets read it (precomputed per node at compile time). Returns
     /// `false` if some domain becomes empty. Worklist state comes from the
-    /// worker's scratch arena; with a frozen snapshot attached, large
+    /// worker's scratch arena; with a view attached, large
     /// revisions run word-parallel (see [`PlanExec::revise`]).
     fn ac3(&self, domains: &mut [NodeSet]) -> bool {
         let edges = &self.plan.edges;
@@ -1084,7 +1011,7 @@ impl<'a> PlanExec<'a> {
         let mut queue = arena::take_queue();
         queue.extend(0..2 * edges.len());
         let mut removals = arena::take_node_vec();
-        let mut support = arena::take_set(self.target.node_count());
+        let mut support = arena::take_set(self.data().node_count());
         let mut ok = true;
         while let Some(arc) = queue.pop_front() {
             queued[arc] = false;
@@ -1130,7 +1057,7 @@ impl<'a> PlanExec<'a> {
     /// * **scalar** — per candidate `a`, scan its adjacency for a supported
     ///   neighbour; cost `O(Σ_{a ∈ dom[revised]} deg(a))`. Wins when the
     ///   revised domain is small (the fixpoint's pinned-singleton shape).
-    /// * **word-parallel** (frozen snapshot only) — union the *other*
+    /// * **word-parallel** (CSR view only) — union the *other*
     ///   side's CSR rows into one support bitmap, then
     ///   [`NodeSet::intersect_with`] the revised domain against it, 4 words
     ///   per step; cost `O(Σ_{b ∈ dom[other]} deg(b) + n/64)`. Wins when
@@ -1147,9 +1074,9 @@ impl<'a> PlanExec<'a> {
         support: &mut NodeSet,
     ) -> bool {
         let rlen = domains[revised.index()].len();
-        if let Some(f) = self.frozen {
+        if let Some(f) = self.target.view() {
             if rlen > 32 && rlen >= domains[other.index()].len() {
-                support.reset(self.target.node_count());
+                support.reset(self.data().node_count());
                 for b in domains[other.index()].iter() {
                     // Support for the revised side = everything with an
                     // edge *to* (forward) / *from* (backward) some live b.
@@ -1270,6 +1197,7 @@ mod tests {
     use super::*;
     use crate::search::{all_homs, HomFinder};
     use sirup_core::parse::{parse_structure, st};
+    use sirup_core::{FrozenStructure, PredIndex};
 
     fn sorted(mut homs: Vec<Vec<Node>>) -> Vec<Vec<Node>> {
         homs.sort();
@@ -1300,7 +1228,10 @@ mod tests {
                 let planned = sorted(plan.on(t).find_up_to(100_000));
                 assert_eq!(legacy, planned, "pattern {p} target {t}");
                 let idx = PredIndex::new(t);
-                let indexed = sorted(plan.on(t).target_index(&idx).find_up_to(100_000));
+                let indexed = sorted(
+                    plan.on(Target::from(t).with_index(&idx))
+                        .find_up_to(100_000),
+                );
                 assert_eq!(legacy, indexed, "indexed: pattern {p} target {t}");
             }
         }
@@ -1422,9 +1353,15 @@ mod tests {
             for t in &targets {
                 let f = FrozenStructure::freeze(t);
                 let live = sorted(plan.on(t).find_up_to(100_000));
-                let full = sorted(plan.on(t).target_frozen(&f).find_up_to(100_000));
+                let full = sorted(
+                    plan.on(Target::from(t).with_view(Some(&f)))
+                        .find_up_to(100_000),
+                );
                 assert_eq!(live, full, "frozen full: pattern {p} target {t}");
-                let edges = sorted(plan.on(t).target_frozen_edges(&f).find_up_to(100_000));
+                let edges = sorted(
+                    plan.on(Target::from(t).with_view(Some(&f)).relabelled(t))
+                        .find_up_to(100_000),
+                );
                 assert_eq!(live, edges, "frozen edges: pattern {p} target {t}");
             }
         }
@@ -1439,16 +1376,24 @@ mod tests {
         for u in p.nodes() {
             for v in t.nodes() {
                 let live = plan.on(&t).fix(u, v).exists();
-                let froz = plan.on(&t).target_frozen(&f).fix(u, v).exists();
+                let froz = plan
+                    .on(Target::from(&t).with_view(Some(&f)))
+                    .fix(u, v)
+                    .exists();
                 assert_eq!(live, froz, "pin n{} -> n{}", u.0, v.0);
                 let live_f = plan.on(&t).forbid(u, v).exists();
-                let froz_f = plan.on(&t).target_frozen(&f).forbid(u, v).exists();
+                let froz_f = plan
+                    .on(Target::from(&t).with_view(Some(&f)))
+                    .forbid(u, v)
+                    .exists();
                 assert_eq!(live_f, froz_f, "forbid n{} -> n{}", u.0, v.0);
             }
         }
         assert_eq!(
             plan.on(&t).injective().exists(),
-            plan.on(&t).target_frozen(&f).injective().exists()
+            plan.on(Target::from(&t).with_view(Some(&f)))
+                .injective()
+                .exists()
         );
     }
 
@@ -1459,21 +1404,15 @@ mod tests {
         let p = st("T(a), R(a,b), T(b)");
         let base = st("R(x,y), T(x)");
         let f = FrozenStructure::freeze(&base);
-        let mut grown = base.clone();
-        assert!(!p
-            .nodes()
-            .next()
-            .map(|_| QueryPlan::compile(&p)
-                .on(&grown)
-                .target_frozen_edges(&f)
-                .exists())
-            .unwrap());
-        grown.add_label(Node(1), Pred::T); // now T(x), T(y), R(x,y)
+        let full = Target::from(&base).with_view(Some(&f));
         let plan = QueryPlan::compile(&p);
-        assert!(plan.on(&grown).target_frozen_edges(&f).exists());
+        let mut grown = base.clone();
+        assert!(!plan.on(full.relabelled(&grown)).exists());
+        grown.add_label(Node(1), Pred::T); // now T(x), T(y), R(x,y)
+        assert!(plan.on(full.relabelled(&grown)).exists());
         assert_eq!(
             sorted(plan.on(&grown).find_up_to(100)),
-            sorted(plan.on(&grown).target_frozen_edges(&f).find_up_to(100))
+            sorted(plan.on(full.relabelled(&grown)).find_up_to(100))
         );
     }
 
@@ -1484,7 +1423,7 @@ mod tests {
         let f = FrozenStructure::freeze(&t);
         let bigger = st("R(x,y), R(y,z)");
         let plan = QueryPlan::compile(&st("R(a,b)"));
-        let _ = plan.on(&bigger).target_frozen(&f).exists();
+        let _ = plan.on(Target::from(&bigger).with_view(Some(&f))).exists();
     }
 
     #[test]
@@ -1494,7 +1433,7 @@ mod tests {
         let idx = PredIndex::new(&t);
         let bigger = st("R(x,y), R(y,z)");
         let plan = QueryPlan::compile(&st("R(a,b)"));
-        let _ = plan.on(&bigger).target_index(&idx).exists();
+        let _ = plan.on(Target::from(&bigger).with_index(&idx)).exists();
     }
 
     #[test]

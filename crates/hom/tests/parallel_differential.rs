@@ -7,7 +7,7 @@
 //! what makes parallel answers deterministic all the way up the stack.
 
 use proptest::prelude::*;
-use sirup_core::{Node, ParCtx, Pred, PredIndex, Scheduler, Structure};
+use sirup_core::{Node, ParCtx, Pred, PredIndex, Scheduler, Structure, Target};
 use sirup_hom::QueryPlan;
 use std::sync::OnceLock;
 
@@ -68,12 +68,12 @@ proptest! {
         let idx = PredIndex::new(&t);
         for sched in schedulers() {
             let ctx = ParCtx::new(sched, THRESHOLD);
-            let parallel = plan.on(&t).parallel(ctx).find_up_to(200_000);
+            let parallel = plan.on(Target::from(&t).with_par(Some(ctx))).find_up_to(200_000);
             prop_assert_eq!(
                 &sequential, &parallel,
                 "parallel enumeration diverged at {} workers", sched.workers()
             );
-            let indexed = plan.on(&t).target_index(&idx).parallel(ctx).find_up_to(200_000);
+            let indexed = plan.on(Target::from(&t).with_index(&idx).with_par(Some(ctx))).find_up_to(200_000);
             prop_assert_eq!(
                 &sequential, &indexed,
                 "indexed parallel enumeration diverged at {} workers", sched.workers()
@@ -95,14 +95,14 @@ proptest! {
             let ctx = ParCtx::new(sched, THRESHOLD);
             prop_assert_eq!(
                 sequential,
-                plan.on(&t).parallel(ctx).exists(),
+                plan.on(Target::from(&t).with_par(Some(ctx))).exists(),
                 "parallel exists diverged at {} workers", sched.workers()
             );
             for u in p.nodes().take(2) {
                 for v in t.nodes().take(3) {
                     prop_assert_eq!(
                         plan.on(&t).fix(u, v).exists(),
-                        plan.on(&t).fix(u, v).parallel(ctx).exists(),
+                        plan.on(Target::from(&t).with_par(Some(ctx))).fix(u, v).exists(),
                         "pinned parallel exists diverged at {} workers", sched.workers()
                     );
                 }
@@ -124,7 +124,7 @@ proptest! {
             let ctx = ParCtx::new(sched, THRESHOLD);
             prop_assert_eq!(
                 &sequential,
-                &plan.on(&t).parallel(ctx).find_up_to(cap),
+                &plan.on(Target::from(&t).with_par(Some(ctx))).find_up_to(cap),
                 "cap-{} prefix diverged at {} workers", cap, sched.workers()
             );
         }
@@ -145,8 +145,10 @@ fn parallel_path_actually_splits() {
     let sched = Scheduler::new(2);
     let before = sched.stats().subtasks_spawned;
     let ctx = ParCtx::new(&sched, 2);
-    assert!(plan.on(&t).parallel(ctx).exists());
-    let homs = plan.on(&t).parallel(ctx).find_up_to(10_000);
+    assert!(plan.on(Target::from(&t).with_par(Some(ctx))).exists());
+    let homs = plan
+        .on(Target::from(&t).with_par(Some(ctx)))
+        .find_up_to(10_000);
     assert_eq!(homs, plan.on(&t).find_up_to(10_000));
     assert!(
         sched.stats().subtasks_spawned > before,
@@ -163,12 +165,16 @@ fn injective_and_forbid_modes_agree_in_parallel() {
         let ctx = ParCtx::new(sched, THRESHOLD);
         assert_eq!(
             plan.on(&t).injective().find_up_to(1000),
-            plan.on(&t).injective().parallel(ctx).find_up_to(1000)
+            plan.on(Target::from(&t).with_par(Some(ctx)))
+                .injective()
+                .find_up_to(1000)
         );
         for v in t.nodes() {
             assert_eq!(
                 plan.on(&t).forbid(Node(0), v).exists(),
-                plan.on(&t).forbid(Node(0), v).parallel(ctx).exists()
+                plan.on(Target::from(&t).with_par(Some(ctx)))
+                    .forbid(Node(0), v)
+                    .exists()
             );
         }
     }

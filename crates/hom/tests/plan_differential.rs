@@ -7,7 +7,7 @@
 //! a strong check that plan compilation loses no answers.
 
 use proptest::prelude::*;
-use sirup_core::{Node, Pred, PredIndex, Structure};
+use sirup_core::{Node, Pred, PredIndex, Structure, Target};
 use sirup_hom::{all_homs, HomFinder, QueryPlan};
 
 /// Strategy: a random small structure with F/T/A labels and R/S edges.
@@ -61,7 +61,7 @@ proptest! {
         let planned = sorted(plan.on(&t).find_up_to(200_000));
         prop_assert_eq!(&legacy, &planned, "plain enumeration diverged");
         let idx = PredIndex::new(&t);
-        let indexed = sorted(plan.on(&t).target_index(&idx).find_up_to(200_000));
+        let indexed = sorted(plan.on(Target::from(&t).with_index(&idx)).find_up_to(200_000));
         prop_assert_eq!(&legacy, &indexed, "indexed enumeration diverged");
         for h in &legacy {
             prop_assert!(p.is_hom(&t, h));

@@ -36,11 +36,12 @@
 //! `FxHasher`.
 
 use crate::cache::StampedLru;
+use sirup_core::csr::FREEZE_EDGE_THRESHOLD;
 use sirup_core::fx::{FxHashMap, FxHasher};
 use sirup_core::sync;
 use sirup_core::telemetry;
-use sirup_core::{FactOp, FrozenStructure, PredIndex, Scheduler, Structure};
-use sirup_engine::{MaterializationStats, MaterializedFixpoint, FREEZE_EDGE_THRESHOLD};
+use sirup_core::{FactOp, FrozenStructure, ParCtx, PredIndex, Scheduler, Structure, Target};
+use sirup_engine::{MaterializationStats, MaterializedFixpoint};
 use std::hash::Hasher as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
@@ -133,7 +134,7 @@ pub struct IndexedInstance {
     /// CSR read view of `data` (see [`sirup_core::csr::FrozenStructure`]):
     /// contiguous per-predicate adjacency plus label bitmap rows, shared by
     /// every strategy that evaluates against this version, and only for
-    /// instances above the engine's freeze gate. A loaded or restored
+    /// instances above the freeze gate. A loaded or restored
     /// instance freezes it on first use; from then on every mutation
     /// carries the predecessor's view forward with
     /// [`FrozenStructure::apply`] and stores it pre-filled, so reads after
@@ -179,19 +180,29 @@ impl IndexedInstance {
 
     /// The CSR read view of this version's data: the one a mutation
     /// carried forward, else built on first use. Returns `None` for
-    /// instances below the engine's freeze gate (where building costs more
+    /// instances below the freeze gate (where building costs more
     /// than it saves). Concurrent first builds race; `OnceLock` keeps the
     /// first and drops the rest, which is sound because both are frozen
     /// from the same immutable data.
     pub fn frozen(&self) -> Option<&FrozenStructure> {
         self.frozen
             .get_or_init(|| {
-                (self.data.edge_count() >= FREEZE_EDGE_THRESHOLD).then(|| {
-                    let _t = telemetry::timed(telemetry::Family::CsrFreeze, "csr_freeze");
-                    FrozenStructure::freeze(&self.data)
-                })
+                // Time only an actual freeze, not a gated-out `None`.
+                let _t = (self.data.edge_count() >= FREEZE_EDGE_THRESHOLD)
+                    .then(|| telemetry::timed(telemetry::Family::CsrFreeze, "csr_freeze"));
+                FrozenStructure::freeze_if_large(&self.data)
             })
             .as_ref()
+    }
+
+    /// The read target of this version: data, index and CSR view
+    /// ([`IndexedInstance::frozen`], so this may build the view), with
+    /// `par` attached.
+    pub fn target<'a>(&'a self, par: Option<ParCtx<'a>>) -> Target<'a> {
+        Target::from(&self.data)
+            .with_index(&self.index)
+            .with_view(self.frozen())
+            .with_par(par)
     }
 
     /// Heap bytes held by the CSR read view, if one has been built or

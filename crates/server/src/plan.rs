@@ -35,7 +35,7 @@ use sirup_cactus::{find_bound, pi_rewriting, sigma_rewriting, BoundSearch, Bound
 use sirup_classifier::{classify_trichotomy, TrichotomyClass};
 use sirup_core::program::{pi_q, sigma_q, DSirup};
 use sirup_core::telemetry;
-use sirup_core::{Node, OneCq, Pred, Structure};
+use sirup_core::{Node, OneCq, Pred, Structure, Target};
 use sirup_engine::containment::minimise_ucq;
 use sirup_engine::linear::{linearity, Linearity};
 use sirup_engine::ucq::CompiledUcq;
@@ -313,14 +313,17 @@ impl Plan {
     /// Strategy interaction with the live-instance machinery:
     ///
     /// * **Rewriting** (bounded programs) answers straight from the
-    ///   snapshot's data + index — the mutation fast path: rewritten
-    ///   programs need no fixpoint, so mutations never pay maintenance for
-    ///   them and a fresh snapshot answers correctly with zero extra work.
+    ///   snapshot's read target ([`IndexedInstance::target`]: data, index
+    ///   and, above the freeze gate, the CSR view) — the mutation fast
+    ///   path: rewritten programs need no fixpoint, so mutations never pay
+    ///   maintenance for them and a fresh snapshot answers correctly with
+    ///   zero extra work.
     /// * **Semi-naive** answers from the snapshot's live
     ///   [`sirup_engine::MaterializedFixpoint`] for this program: built on first use,
     ///   carried forward *incrementally* by catalog mutations, so repeated
     ///   reads are lookups instead of fixpoint runs.
-    /// * **DPLL** searches the labellings of the snapshot's data directly.
+    /// * **DPLL** searches the labellings of the snapshot's data directly,
+    ///   reading adjacency through the snapshot's CSR view when it has one.
     pub fn answer(&self, inst: &IndexedInstance) -> Answer {
         self.answer_ctx(inst, None)
     }
@@ -360,44 +363,29 @@ impl Plan {
         // everywhere; the materialised path maintains its own fixpoint
         // state and does not consult the frozen view.
         match (&self.strategy, &self.query) {
-            (Strategy::Rewriting { compiled, .. }, Query::PiGoal(_)) => Answer::Bool(
-                compiled.eval_boolean_snap(&inst.data, Some(&inst.index), inst.frozen(), par),
-            ),
-            (Strategy::Rewriting { compiled, .. }, Query::SigmaAnswers(_)) => Answer::Nodes(
-                compiled.answers_snap(&inst.data, Some(&inst.index), inst.frozen(), par),
-            ),
+            (Strategy::Rewriting { compiled, .. }, Query::PiGoal(_)) => {
+                Answer::Bool(compiled.eval_boolean(inst.target(par)))
+            }
+            (Strategy::Rewriting { compiled, .. }, Query::SigmaAnswers(_)) => {
+                Answer::Nodes(compiled.answers(inst.target(par)))
+            }
             (Strategy::SemiNaive { program }, Query::PiGoal(_)) => {
                 if materialise {
                     Answer::Bool(self.materialization(program, inst, par).holds(Pred::GOAL))
                 } else {
-                    Answer::Bool(
-                        program
-                            .evaluate_snapshot(&inst.data, Some(&inst.index), inst.frozen(), par)
-                            .holds(Pred::GOAL),
-                    )
+                    Answer::Bool(program.evaluate(inst.target(par)).holds(Pred::GOAL))
                 }
             }
             (Strategy::SemiNaive { program }, Query::SigmaAnswers(_)) => {
                 if materialise {
                     Answer::Nodes(self.materialization(program, inst, par).answers(Pred::P))
                 } else {
-                    Answer::Nodes(
-                        program
-                            .evaluate_snapshot(&inst.data, Some(&inst.index), inst.frozen(), par)
-                            .answers(Pred::P)
-                            .to_vec(),
-                    )
+                    Answer::Nodes(program.evaluate(inst.target(par)).answers(Pred::P).to_vec())
                 }
             }
-            (Strategy::Dpll { dsirup, plan }, Query::Delta { .. }) => {
-                Answer::Bool(disjunctive::certain_answer_dsirup_planned_snap(
-                    dsirup,
-                    plan,
-                    &inst.data,
-                    inst.frozen(),
-                    par,
-                ))
-            }
+            (Strategy::Dpll { dsirup, plan }, Query::Delta { .. }) => Answer::Bool(
+                disjunctive::certain_answer_dsirup_planned(dsirup, plan, inst.target(par)),
+            ),
             _ => unreachable!("strategy/query kind mismatch"),
         }
     }
@@ -452,13 +440,13 @@ impl Plan {
         inst: &IndexedInstance,
         par: Option<sirup_core::ParCtx<'_>>,
     ) -> std::sync::Arc<sirup_engine::MaterializedFixpoint> {
+        // The build reads the data and index only: it freezes its own view
+        // rather than forcing the catalog's.
         inst.materialization(&self.cache_key, || {
-            sirup_engine::MaterializedFixpoint::from_compiled_indexed_ctx(
-                program.clone(),
-                &inst.data,
-                &inst.index,
-                par,
-            )
+            let target = Target::from(&inst.data)
+                .with_index(&inst.index)
+                .with_par(par);
+            sirup_engine::MaterializedFixpoint::from_compiled(program.clone(), target)
         })
     }
 }
