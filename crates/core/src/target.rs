@@ -15,18 +15,31 @@
 //! `Copy` value, so every evaluator has exactly one entry point.
 //!
 //! **The read-target contract.** Each attached substrate is a current
-//! snapshot of `data` (its node count is asserted on attach). The one
-//! exception is built by [`Target::relabelled`]: a working copy that
-//! differs from the data by *labels only* (the fixpoint's derived IDB
-//! labels, DPLL's bound structures). Its edges are the data's, so the view
-//! stays attached for adjacency; its labels have moved on, so the index is
-//! dropped and the view's label rows are never read. The type, not a
-//! comment, rules out a stale label read.
+//! snapshot of `data` (its node count is asserted on attach). Two
+//! constructors describe an instance whose labels differ from the data's:
+//!
+//! * [`Target::relabelled`]: a working copy that has gained or lost labels
+//!   of any predicate (the fixpoint's derived IDB labels). Its edges are
+//!   the data's, so the view stays attached for adjacency ("edges-only"
+//!   mode); its labels have moved on, so the index is dropped and every
+//!   label read goes to the working copy.
+//! * [`Target::with_label_rows`]: the data itself with the rows of a few
+//!   named predicates replaced by caller-owned bitmaps (DPLL's `T`/`F`
+//!   bound overlays). A read of an overridden predicate goes to its row;
+//!   every other label keeps reading the view in full mode, or the live
+//!   data. The index is dropped, so its postings for an overridden
+//!   predicate can never be consulted.
+//!
+//! Label reads go through [`Target::has_label`] and [`Target::label_row`],
+//! which honour both constructors; the type, not a comment, rules out a
+//! stale label read.
 
 use crate::csr::FrozenStructure;
 use crate::index::PredIndex;
 use crate::sched::ParCtx;
-use crate::structure::Structure;
+use crate::structure::{Node, Structure};
+use crate::symbols::Pred;
+use crate::NodeSet;
 
 /// One evaluation's borrowed read target: the data, the optional index and
 /// CSR view of it, and the optional parallel context. See the module docs
@@ -39,6 +52,9 @@ pub struct Target<'a> {
     /// Are the view's label rows current for `data`? `false` only on a
     /// [`Target::relabelled`] working copy.
     view_labels: bool,
+    /// Label rows that override the named predicates
+    /// ([`Target::with_label_rows`]); empty for a plain target.
+    rows: &'a [(Pred, &'a NodeSet)],
     par: Option<ParCtx<'a>>,
 }
 
@@ -50,6 +66,7 @@ impl<'a> From<&'a Structure> for Target<'a> {
             index: None,
             view: None,
             view_labels: false,
+            rows: &[],
             par: None,
         }
     }
@@ -57,7 +74,12 @@ impl<'a> From<&'a Structure> for Target<'a> {
 
 impl<'a> Target<'a> {
     /// Seed candidate domains from `index`, a current snapshot of the data.
+    /// Ignored in overlay mode ([`Target::with_label_rows`]): the index's
+    /// postings for an overridden predicate would be stale.
     pub fn with_index(mut self, index: &'a PredIndex) -> Self {
+        if !self.rows.is_empty() {
+            return self;
+        }
         assert_eq!(
             index.node_count(),
             self.data.node_count(),
@@ -68,7 +90,8 @@ impl<'a> Target<'a> {
     }
 
     /// Read adjacency **and labels** through `view`, a current snapshot of
-    /// the data ("full" mode). `None` leaves the target as it is.
+    /// the data ("full" mode). `None` leaves the target as it is. An
+    /// overlay's rows keep precedence over the view's label rows.
     pub fn with_view(mut self, view: Option<&'a FrozenStructure>) -> Self {
         if let Some(f) = view {
             assert_eq!(
@@ -109,7 +132,30 @@ impl<'a> Target<'a> {
             index: None,
             view: self.view,
             view_labels: false,
+            rows: &[],
             par: self.par,
+        }
+    }
+
+    /// This target with the label rows of the named predicates replaced
+    /// by `rows` ("overlay" mode): each row must be dimensioned to the
+    /// data's node count. Reads of an overridden predicate go to its row;
+    /// every other label keeps its current source (the view in full mode,
+    /// or the live data). The index is dropped. Replaces any earlier
+    /// overlay. Not for a [`Target::relabelled`] working copy: an overlay
+    /// describes the data itself.
+    pub fn with_label_rows<'b>(self, rows: &'b [(Pred, &'b NodeSet)]) -> Target<'b>
+    where
+        'a: 'b,
+    {
+        assert!(
+            self.view.is_none() || self.view_labels,
+            "label rows overlay the data, not a relabelled working copy"
+        );
+        Target {
+            index: None,
+            rows,
+            ..self
         }
     }
 
@@ -131,10 +177,34 @@ impl<'a> Target<'a> {
         self.view
     }
 
-    /// The attached view if its label rows are current too ("full" mode).
+    /// Bitmap row of the nodes labelled `l`, dimensioned to the node
+    /// count: the overlay's row for an overridden predicate, else the
+    /// view's row in full mode; `None` when neither is current (then
+    /// labels are read off the live data).
     #[inline]
-    pub fn label_view(&self) -> Option<&'a FrozenStructure> {
-        self.view.filter(|_| self.view_labels)
+    pub fn label_row(&self, l: Pred) -> Option<&'a NodeSet> {
+        match self.rows.iter().find(|&&(p, _)| p == l) {
+            Some(&(_, row)) => Some(row),
+            None => self
+                .view
+                .filter(|_| self.view_labels)
+                .map(|f| f.label_row(l)),
+        }
+    }
+
+    /// Is `v` labelled `l` in this target? Reads [`Target::label_row`]
+    /// when there is one, else the live data.
+    #[inline]
+    pub fn has_label(&self, v: Node, l: Pred) -> bool {
+        // Live reads (no overlay, no full-mode view) are the hot case of
+        // the planner's per-node admissibility scans.
+        if self.rows.is_empty() && !self.view_labels {
+            return self.data.has_label(v, l);
+        }
+        match self.label_row(l) {
+            Some(row) => row.contains_checked(v),
+            None => self.data.has_label(v, l),
+        }
     }
 
     /// The parallel context, if any.
@@ -156,14 +226,37 @@ mod tests {
         let idx = PredIndex::new(&d);
         let f = FrozenStructure::freeze(&d);
         let full = Target::from(&d).with_index(&idx).with_view(Some(&f));
-        assert!(full.index().is_some() && full.label_view().is_some());
+        assert!(full.index().is_some() && full.label_row(Pred::T).is_some());
         let mut work = d.clone();
         work.add_label(crate::Node(0), Pred::P);
         let w = full.relabelled(&work);
         assert!(w.index().is_none());
         assert!(w.view().is_some());
-        assert!(w.label_view().is_none());
+        assert!(w.label_row(Pred::T).is_none());
+        assert!(w.has_label(crate::Node(0), Pred::P));
         // Re-attaching no view keeps the mode.
-        assert!(w.with_view(None).label_view().is_none());
+        assert!(w.with_view(None).label_row(Pred::T).is_none());
+    }
+
+    #[test]
+    fn label_rows_override_named_predicates_only() {
+        let d = st("R(a,b), T(b), A(a)");
+        let (a, b) = (crate::Node(0), crate::Node(1));
+        let idx = PredIndex::new(&d);
+        let f = FrozenStructure::freeze(&d);
+        let mut t_row = NodeSet::empty(d.node_count());
+        t_row.insert(a);
+        let rows = [(Pred::T, &t_row)];
+        for base in [Target::from(&d), Target::from(&d).with_view(Some(&f))] {
+            let o = base.with_index(&idx).with_label_rows(&rows);
+            assert!(o.index().is_none(), "an overlay drops the index");
+            assert!(o.with_index(&idx).index().is_none());
+            assert_eq!(o.label_row(Pred::T), Some(&t_row));
+            assert!(o.has_label(a, Pred::T) && !o.has_label(b, Pred::T));
+            // Other labels keep their source: the view in full mode, or
+            // the live data.
+            assert!(o.has_label(a, Pred::A));
+            assert_eq!(o.label_row(Pred::A).is_some(), base.view().is_some());
+        }
     }
 }

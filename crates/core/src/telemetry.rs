@@ -102,8 +102,14 @@ pub enum Counter {
     FramesDecoded,
     /// Semi-naive evaluation rounds across all fixpoints.
     SemiNaiveRounds,
-    /// DPLL-style disjunctive certain-answer checks.
+    /// DPLL-style disjunctive certain-answer evaluations (one per `Δ_q`
+    /// read, however deep its search goes).
     DpllChecks,
+    /// DPLL branching nodes explored across all evaluations (exactly one
+    /// for an evaluation that the root's bound checks settle).
+    DpllBranches,
+    /// Homomorphism checks (lower- and upper-bound) run by DPLL searches.
+    DpllHomChecks,
     /// AC-3 prefilter runs.
     Ac3Runs,
     /// Backtracking homomorphism searches started.
@@ -154,6 +160,8 @@ const COUNTERS: &[(Counter, &str)] = &[
     (Counter::FramesDecoded, "sirup_frames_decoded_total"),
     (Counter::SemiNaiveRounds, "sirup_seminaive_rounds_total"),
     (Counter::DpllChecks, "sirup_dpll_checks_total"),
+    (Counter::DpllBranches, "sirup_dpll_branches_total"),
+    (Counter::DpllHomChecks, "sirup_dpll_hom_checks_total"),
     (Counter::Ac3Runs, "sirup_ac3_runs_total"),
     (Counter::BacktrackSearches, "sirup_backtrack_searches_total"),
     (

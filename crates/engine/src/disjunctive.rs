@@ -18,7 +18,7 @@
 
 use sirup_core::program::DSirup;
 use sirup_core::telemetry;
-use sirup_core::{FrozenStructure, Node, Pred, Structure, Target};
+use sirup_core::{FrozenStructure, Node, NodeSet, Pred, Structure, Target};
 use sirup_hom::QueryPlan;
 
 /// Statistics from a disjunctive evaluation (for the benchmark harness).
@@ -46,14 +46,17 @@ pub fn certain_answer_dsirup_stats(dsirup: &DSirup, data: &Structure) -> (bool, 
 /// As [`certain_answer_dsirup`], with a precompiled plan for `dsirup.cq`
 /// (the server's DPLL strategy caches one per program), over `target`.
 ///
-/// The DPLL search mutates only *labels* on its bound structures, so the
-/// target's CSR view (attached, or built here when none is and the data
-/// clears the freeze gate) serves adjacency down every branch through
-/// [`Target::relabelled`]; its label rows answer the up-front `A`/`T`/`F`
-/// scans. The index is never read. With a parallel context, the DPLL
-/// branching itself stays sequential (its prunes depend on the branch
-/// order); the per-branch bound checks — the hot inner loop on large
-/// instances — fan their root domains out.
+/// The search never copies the data. Its lower and upper bounds are
+/// `T`/`F` label overlays on the target ([`Target::with_label_rows`]):
+/// four node bitmaps built once from the data's `T`/`F` rows (the view's
+/// label rows when one is attached, or is built here because the data
+/// clears the freeze gate). A branch step flips bits in them. Every bound
+/// check reads the view in full mode for edges and all other labels, so
+/// the root's lower-bound check, which settles most reads, costs what a
+/// plain hom check on the data costs. The index is never read. With a
+/// parallel context, the DPLL branching itself stays sequential (its
+/// prunes depend on the branch order); the per-branch bound checks — the
+/// hot inner loop on large instances — fan their root domains out.
 pub fn certain_answer_dsirup_planned<'a>(
     dsirup: &DSirup,
     plan: &QueryPlan,
@@ -81,75 +84,79 @@ fn certain_answer_inner(
         None => FrozenStructure::freeze_if_large(t.data()),
     };
     let t = t.with_view(own.as_ref());
-    let data = t.data();
     let mut stats = DisjunctiveStats::default();
-    if dsirup.disjoint {
-        // Δ⁺ is inconsistent over data containing an FT-twin: entails G.
-        // With a view, that is one word-level bitmap-row probe.
-        let inconsistent = match t.label_view() {
-            Some(f) => f
-                .label_row(Pred::T)
-                .first_common(f.label_row(Pred::F))
-                .is_some(),
-            None => data
-                .nodes()
-                .any(|v| data.has_label(v, Pred::T) && data.has_label(v, Pred::F)),
-        };
-        if inconsistent {
-            return (true, stats);
-        }
+    // Lower bound: assigned labels only, so it starts as the data's rows.
+    // Indexed like `PREDS`: [T, F].
+    let mut low = PREDS.map(|l| label_row(t, l));
+    // Nodes labelled both ways: Δ⁺ is inconsistent over data containing
+    // one (so it entails G), and as A-nodes they cannot change anything.
+    let mut twins = label_row(t, Pred::T);
+    twins.intersect_with(&low[1]);
+    if dsirup.disjoint && !twins.is_empty() {
+        return (true, stats);
     }
-    // Both paths enumerate in increasing node order, so the branch order
-    // (and hence the pruning behaviour) is identical with and without a
-    // view.
-    let a_nodes: Vec<Node> = match t.label_view() {
-        Some(f) => f
-            .label_row(Pred::A)
-            .iter()
-            .filter(|&v| !(f.has_label(v, Pred::T) && f.has_label(v, Pred::F)))
-            .collect(),
-        None => data
-            .nodes()
-            .filter(|&v| data.has_label(v, Pred::A))
-            // Nodes already labelled both ways cannot change anything.
-            .filter(|&v| !(data.has_label(v, Pred::T) && data.has_label(v, Pred::F)))
-            .collect(),
-    };
-
-    // Lower bound instance: assigned labels only.
-    let mut low = data.clone();
-    // Upper bound instance: unassigned A-nodes get both labels.
-    let mut high = data.clone();
-    for &v in &a_nodes {
-        high.add_label(v, Pred::T);
-        high.add_label(v, Pred::F);
-    }
+    // Increasing node order, with and without a view, so the branch order
+    // (and hence the pruning behaviour) does not depend on the substrate.
+    let mut a_set = label_row(t, Pred::A);
+    a_set.difference_with(&twins);
+    let a_nodes: Vec<Node> = a_set.iter().collect();
+    // Upper bound: unassigned A-nodes carry both labels.
+    let mut high = PREDS.map(|l| {
+        let mut row = label_row(t, l);
+        row.union_with(&a_set);
+        row
+    });
 
     let found_counter = search(plan, &a_nodes, 0, &mut low, &mut high, t, &mut stats);
+    telemetry::counter_add(telemetry::Counter::DpllBranches, stats.branches as u64);
+    telemetry::counter_add(telemetry::Counter::DpllHomChecks, stats.hom_checks as u64);
     (!found_counter, stats)
 }
 
+/// The data's row of nodes labelled `l`: the view's when attached, else one
+/// scan of the live data.
+fn label_row(t: Target<'_>, l: Pred) -> NodeSet {
+    let data = t.data();
+    let mut row = NodeSet::empty(data.node_count());
+    match t.label_row(l) {
+        Some(r) => row.copy_from(r),
+        None => {
+            for v in data.nodes().filter(|&v| data.has_label(v, l)) {
+                row.insert(v);
+            }
+        }
+    }
+    row
+}
+
+/// The predicates of the bounds' rows, in index order.
+const PREDS: [Pred; 2] = [Pred::T, Pred::F];
+
+/// `[T, F]` bound rows as a [`Target::with_label_rows`] overlay.
+fn overlay(rows: &[NodeSet; 2]) -> [(Pred, &NodeSet); 2] {
+    [(PREDS[0], &rows[0]), (PREDS[1], &rows[1])]
+}
+
 /// Returns true iff some completion of the current partial labelling has no
-/// `q`-match (a countermodel exists below this branch). Both bound
-/// structures differ from `t`'s data by labels only, so each check reads
-/// them as [`Target::relabelled`] working copies.
+/// `q`-match (a countermodel exists below this branch). `low` and `high`
+/// are the bounds' `[T, F]` rows; each check reads `t` with them overlaid.
 fn search(
     q: &QueryPlan,
     a_nodes: &[Node],
     next: usize,
-    low: &mut Structure,
-    high: &mut Structure,
+    low: &mut [NodeSet; 2],
+    high: &mut [NodeSet; 2],
     t: Target<'_>,
     stats: &mut DisjunctiveStats,
 ) -> bool {
     stats.branches += 1;
     stats.hom_checks += 1;
-    if q.on(t.relabelled(low)).exists() {
+    if q.on(t.with_label_rows(&overlay(low))).exists() {
         // Every completion embeds q: no countermodel here.
         return false;
     }
     stats.hom_checks += 1;
-    if !q.on(t.relabelled(high)).exists() {
+    if !q.on(t.with_label_rows(&overlay(high))).exists() {
         // No completion embeds q: the all-unassigned-free completion — e.g.
         // assign every remaining node T — is a countermodel.
         return true;
@@ -159,16 +166,17 @@ fn search(
         return true;
     }
     let v = a_nodes[next];
-    for label in [Pred::T, Pred::F] {
-        let other = if label == Pred::T { Pred::F } else { Pred::T };
-        let low_added = low.add_label(v, label);
-        let high_removed = high.remove_label(v, other);
+    for (label, other) in [(0, 1), (1, 0)] {
+        let low_added = low[label].insert(v);
+        // The other label leaves the upper bound only if the data does not
+        // carry it: every completion keeps the data's labels.
+        let high_removed = !t.has_label(v, PREDS[other]) && high[other].remove(v);
         let found = search(q, a_nodes, next + 1, low, high, t, stats);
         if low_added {
-            low.remove_label(v, label);
+            low[label].remove(v);
         }
         if high_removed {
-            high.add_label(v, other);
+            high[other].insert(v);
         }
         if found {
             return true;
@@ -245,6 +253,20 @@ mod tests {
         assert!(!certain_answer_dsirup(&DSirup::new(q.clone()), &d_a));
         let d_twin = st("F(u), T(u)");
         assert!(certain_answer_dsirup(&DSirup::new(q), &d_twin));
+    }
+
+    #[test]
+    fn upper_bound_keeps_data_labels_of_a_nodes() {
+        // c carries T in the data. Every labelling matches F(x), R(x,y),
+        // T(y): e is F, so f = T matches via e -> f, and f = F via f -> c.
+        // When the search assigns c the label F, the upper bound must
+        // keep c's data T, or it misses the f -> c match and reports a
+        // countermodel.
+        let q = st("F(x), R(x,y), T(y)");
+        let d = st("T(c), A(c), A(g), F(e), A(e), A(f), \
+                    R(a,c), R(a,g), R(b,c), R(e,b), R(e,f), R(f,c)");
+        assert!(certain_answer_dsirup(&DSirup::new(q.clone()), &d));
+        assert!(certain_answer_dsirup(&DSirup::with_disjointness(q), &d));
     }
 
     #[test]

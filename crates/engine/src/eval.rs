@@ -196,21 +196,20 @@ impl CompiledProgram {
                 c.head_node?;
                 let (&first, rest) = c.head_edb_labels.split_first()?;
                 let mut set = NodeSet::empty(n);
-                match (t.index(), t.label_view()) {
-                    (Some(idx), _) => {
+                match t.index() {
+                    Some(idx) => {
                         for a in idx.nodes_with_label(first).iter() {
                             if rest.iter().all(|&l| idx.has_label(a, l)) {
                                 set.insert(a);
                             }
                         }
                     }
-                    (None, Some(f)) => {
-                        set.copy_from(f.label_row(first));
+                    None => {
+                        set.copy_from(t.label_row(first)?);
                         for &l in rest {
-                            set.intersect_with(f.label_row(l));
+                            set.intersect_with(t.label_row(l)?);
                         }
                     }
-                    (None, None) => return None,
                 }
                 let len = set.len();
                 Some((set, len))

@@ -6,15 +6,21 @@
 //!   [`sirup_engine::eval::evaluate`];
 //! * [`brute`]: certain answers of a d-sirup by enumerating **all**
 //!   `T`/`F`-labellings of the `A`-nodes, checked against the DPLL-style
-//!   [`certain_answer_dsirup`].
+//!   [`certain_answer_dsirup`] and, on every read-target shape (forced CSR
+//!   view, index, parallel context) and on instances above the 64-edge
+//!   freeze gate, [`certain_answer_dsirup_planned`].
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sirup_core::program::{pi_q, sigma_q, DSirup, Program};
-use sirup_core::{Node, OneCq, Pred, Structure};
-use sirup_engine::disjunctive::certain_answer_dsirup;
+use sirup_core::{
+    FrozenStructure, Node, OneCq, ParCtx, Pred, PredIndex, Scheduler, Structure, Target,
+};
+use sirup_engine::disjunctive::{
+    certain_answer_dsirup, certain_answer_dsirup_planned, certain_answer_dsirup_stats,
+};
 use sirup_engine::eval::evaluate;
-use sirup_hom::hom_exists;
+use sirup_hom::{hom_exists, QueryPlan};
 use std::collections::BTreeSet;
 
 /// A random instance over F/T/A labels and R/S edges, denser and messier
@@ -227,6 +233,178 @@ mod brute {
                 certain_answer_dsirup(&dsirup, &d),
                 brute_force_dsirup(&dsirup, &d),
                 "Δ⁺_q diverged on seed {seed} over {d}",
+            );
+        }
+    }
+
+    /// A random instance with exactly `a_count` `A`-nodes and sparse `T`/`F`
+    /// labels (some on `A`-nodes), so that DPLL searches branch instead of
+    /// settling at the root. With `edges >= 64` it clears the freeze gate.
+    fn sparse_structure(n: usize, edges: usize, a_count: usize, seed: u64) -> Structure {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut s = Structure::with_nodes(n);
+        for _ in 0..edges {
+            let u = Node(rng.gen_range(0..n) as u32);
+            let v = Node(rng.gen_range(0..n) as u32);
+            let p = if rng.gen_bool(0.5) { Pred::R } else { Pred::S };
+            s.add_edge(p, u, v);
+        }
+        let mut placed = 0;
+        while placed < a_count {
+            if s.add_label(Node(rng.gen_range(0..n) as u32), Pred::A) {
+                placed += 1;
+            }
+        }
+        for v in 0..n as u32 {
+            if rng.gen_bool(0.08) {
+                s.add_label(Node(v), Pred::T);
+            }
+            if rng.gen_bool(0.08) {
+                s.add_label(Node(v), Pred::F);
+            }
+        }
+        s
+    }
+
+    /// `certain_answer_dsirup_planned` on every read-target shape of `d` —
+    /// live, forced CSR view, view + index, view + index + parallel
+    /// context, index only — must agree with brute force.
+    fn check_every_target(dsirup: &DSirup, d: &Structure, sched: &Scheduler, what: &str) -> bool {
+        let expect = brute_force_dsirup(dsirup, d);
+        let plan = QueryPlan::compile(&dsirup.cq);
+        let f = FrozenStructure::freeze(d);
+        let idx = PredIndex::new(d);
+        let par = Some(ParCtx::new(sched, 2));
+        let targets = [
+            ("live", Target::from(d)),
+            ("view", Target::from(d).with_view(Some(&f))),
+            (
+                "view+index",
+                Target::from(d).with_view(Some(&f)).with_index(&idx),
+            ),
+            (
+                "view+index+par",
+                Target::from(d)
+                    .with_view(Some(&f))
+                    .with_index(&idx)
+                    .with_par(par),
+            ),
+            ("index", Target::from(d).with_index(&idx)),
+        ];
+        for (shape, t) in targets {
+            assert_eq!(
+                certain_answer_dsirup_planned(dsirup, &plan, t),
+                expect,
+                "{what} diverged from brute force on the {shape} target over {d}",
+            );
+        }
+        expect
+    }
+
+    /// Below the freeze gate a view is never attached unless forced: force
+    /// one (with and without an index and a parallel context).
+    #[test]
+    fn dpll_matches_brute_force_on_forced_views() {
+        let sched = Scheduler::new(2);
+        let queries = ["F(x), R(x,y), T(y)", "F(x), R(x,y1), T(y1), S(x,y2), T(y2)"];
+        for (qi, q_text) in queries.iter().enumerate() {
+            let q = OneCq::parse(q_text);
+            for seed in 0..20u64 {
+                let dense = random_structure(8, 12, 1000 + 100 * qi as u64 + seed);
+                let sparse = sparse_structure(12, 50, 6, 3000 + 100 * qi as u64 + seed);
+                for (d, dsirup) in [&dense, &sparse].into_iter().flat_map(|d| {
+                    [
+                        (d, DSirup::new(q.structure().clone())),
+                        (d, DSirup::with_disjointness(q.structure().clone())),
+                    ]
+                }) {
+                    check_every_target(&dsirup, d, &sched, &format!("{q_text} seed {seed}"));
+                }
+            }
+        }
+    }
+
+    /// Instances above the 64-edge freeze gate with at most 12 `A`-nodes,
+    /// sparse enough that the search branches: across the seeds, both Δ
+    /// and Δ⁺ must see a 'yes' settled after branching and a 'no' (a
+    /// countermodel found after branching).
+    #[test]
+    fn dpll_matches_brute_force_above_the_freeze_gate() {
+        let sched = Scheduler::new(2);
+        let queries = [
+            "F(x), R(x,y), T(y)",
+            "T(x), R(x,y), F(y)",
+            "F(x), R(y,x), R(y,z), T(z)",
+        ];
+        for disjoint in [false, true] {
+            let (mut branched_yes, mut branched_no) = (0, 0);
+            for (qi, q_text) in queries.iter().enumerate() {
+                let q = OneCq::parse(q_text).structure().clone();
+                let dsirup = if disjoint {
+                    DSirup::with_disjointness(q)
+                } else {
+                    DSirup::new(q)
+                };
+                for seed in 0..12u64 {
+                    let d = sparse_structure(
+                        24,
+                        70,
+                        8 + (seed % 5) as usize,
+                        7000 + 100 * qi as u64 + seed,
+                    );
+                    assert!(d.edge_count() >= 64, "instance must clear the freeze gate");
+                    let what = format!("{q_text} (disjoint: {disjoint}) seed {seed}");
+                    let expect = check_every_target(&dsirup, &d, &sched, &what);
+                    let (ans, stats) = certain_answer_dsirup_stats(&dsirup, &d);
+                    assert_eq!(ans, expect, "{what} diverged from brute force over {d}");
+                    if stats.branches > 1 {
+                        if ans {
+                            branched_yes += 1;
+                        } else {
+                            branched_no += 1;
+                        }
+                    }
+                }
+            }
+            assert!(
+                branched_yes > 0 && branched_no > 0,
+                "disjoint: {disjoint}: want branching 'yes' and 'no' cases, got {branched_yes} / {branched_no}",
+            );
+        }
+    }
+
+    /// `A`-nodes that already carry one of `T`/`F` in the data keep it in
+    /// every completion, so the upper bound must keep it too when the
+    /// search assigns them the other label. Dense tiny instances put a data
+    /// label on about half the `A`-nodes.
+    #[test]
+    fn dpll_matches_brute_force_when_a_nodes_carry_data_labels() {
+        let q = sirup_core::parse::st("F(x), R(x,y), T(y)");
+        for seed in 0..4000u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = 6;
+            let mut d = Structure::with_nodes(n);
+            for _ in 0..rng.gen_range(3usize..9) {
+                let u = Node(rng.gen_range(0..n) as u32);
+                let v = Node(rng.gen_range(0..n) as u32);
+                d.add_edge(Pred::R, u, v);
+            }
+            for v in 0..n as u32 {
+                if rng.gen_bool(0.25) {
+                    d.add_label(Node(v), Pred::T);
+                }
+                if rng.gen_bool(0.25) {
+                    d.add_label(Node(v), Pred::F);
+                }
+                if rng.gen_bool(0.6) {
+                    d.add_label(Node(v), Pred::A);
+                }
+            }
+            let dsirup = DSirup::new(q.clone());
+            assert_eq!(
+                certain_answer_dsirup(&dsirup, &d),
+                brute_force_dsirup(&dsirup, &d),
+                "Δ_q diverged on seed {seed} over {d}",
             );
         }
     }

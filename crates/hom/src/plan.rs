@@ -419,7 +419,9 @@ pub struct PlanExec<'a> {
     /// What the search reads. With a CSR view attached, adjacency reads
     /// become contiguous slice scans and domain seeding becomes bitmap-row
     /// intersections; label rows are read only in full mode (a
-    /// [`Target::relabelled`] working copy keeps labels on the live data).
+    /// [`Target::relabelled`] working copy keeps labels on the live data),
+    /// and an overlay's rows ([`Target::with_label_rows`]) seed and check
+    /// the predicates they override.
     /// With a parallel context, [`PlanExec::exists`] and
     /// [`PlanExec::find_up_to`] split the first variable's post-AC-3
     /// domain into work units on the shared scheduler (above the context's
@@ -824,18 +826,17 @@ impl<'a> PlanExec<'a> {
         }
     }
 
-    /// Is `t` labelled `l`? Reads the view's label row only in full mode;
-    /// otherwise the live data.
+    /// Is `t` labelled `l`? Reads the target's label row (overlay, or the
+    /// view in full mode) when it has one; otherwise the live data.
     #[inline]
     fn label_ok(&self, t: Node, l: Pred) -> bool {
-        match self.target.label_view() {
-            Some(f) => f.has_label(t, l),
-            None => self.data().has_label(t, l),
-        }
+        self.target.has_label(t, l)
     }
 
     /// Smallest index-backed candidate list for pattern node `u`, if an
-    /// index is attached and `u` is constrained at all.
+    /// index is attached and `u` is constrained at all. An overlay target
+    /// carries no index, so the postings of an overridden predicate are
+    /// never read.
     fn seed_candidates(&self, c: &VarConstraint) -> Option<NodesView<'a>> {
         let idx = self.target.index()?;
         let mut best: Option<NodesView<'a>> = None;
@@ -945,22 +946,22 @@ impl<'a> PlanExec<'a> {
     /// Try to seed a domain by intersecting the view's bitmap rows — the
     /// word-parallel path that replaces the per-node admissibility scan.
     /// Returns `false` when no view is attached or no row is usable (then
-    /// the caller falls back to seed/scan). In edges-only mode the label
-    /// rows may be stale, so the row-AND covers only the source/sink rows
-    /// and labels are re-checked against the live data over the (already
-    /// small) candidate set.
+    /// the caller falls back to seed/scan). Label rows come from the
+    /// target: an overlay's rows, or the view's in full mode, which covers
+    /// every label. In edges-only mode (no label has a row) the view's
+    /// label rows may be stale, so the row-AND covers only the source/sink
+    /// rows and labels are re-checked against the live data over the
+    /// (already small) candidate set.
     fn seed_domain_rows(&self, c: &VarConstraint, dom: &mut NodeSet) -> bool {
         let Some(f) = self.target.view() else {
             return false;
         };
-        let label_rows = self.target.label_view();
-        let rowable = c.preds_out.len()
-            + c.preds_in.len()
-            + if label_rows.is_some() {
-                c.labels.len()
-            } else {
-                0
-            };
+        let label_rows = c
+            .labels
+            .iter()
+            .filter(|&&l| self.target.label_row(l).is_some())
+            .count();
+        let rowable = c.preds_out.len() + c.preds_in.len() + label_rows;
         if rowable == 0 && !c.labels.is_empty() {
             // Edges-only mode with label-only constraints: the rows say
             // nothing; use the index/scan path with live labels.
@@ -974,11 +975,12 @@ impl<'a> PlanExec<'a> {
         for &p in &c.preds_in {
             dom.intersect_with(f.sink_row(p));
         }
-        if let Some(f) = label_rows {
-            for &l in &c.labels {
-                dom.intersect_with(f.label_row(l));
+        for &l in &c.labels {
+            if let Some(row) = self.target.label_row(l) {
+                dom.intersect_with(row);
             }
-        } else if !c.labels.is_empty() {
+        }
+        if label_rows == 0 && !c.labels.is_empty() {
             let mut drop = arena::take_node_vec();
             for t in dom.iter() {
                 if !c.labels.iter().all(|&l| self.data().has_label(t, l)) {

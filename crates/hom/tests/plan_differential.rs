@@ -7,7 +7,7 @@
 //! a strong check that plan compilation loses no answers.
 
 use proptest::prelude::*;
-use sirup_core::{Node, Pred, PredIndex, Structure, Target};
+use sirup_core::{FrozenStructure, Node, NodeSet, Pred, PredIndex, Structure, Target};
 use sirup_hom::{all_homs, HomFinder, QueryPlan};
 
 /// Strategy: a random small structure with F/T/A labels and R/S edges.
@@ -102,6 +102,42 @@ proptest! {
         let legacy = sorted(HomFinder::new(&p, &t).injective().find_up_to(200_000));
         let planned = sorted(plan.on(&t).injective().find_up_to(200_000));
         prop_assert_eq!(legacy, planned);
+    }
+
+    /// A `T`/`F` label-row overlay reads exactly like the copy of the data
+    /// whose `T`/`F` labels are those rows — live and through a forced CSR
+    /// view, with an index attached first (the overlay drops it).
+    #[test]
+    fn label_row_overlay_equals_relabelled_copy(
+        p in arb_structure(3, 5),
+        t in arb_structure(5, 10),
+        t_row in proptest::collection::vec(0..5usize, 0..=5),
+        f_row in proptest::collection::vec(0..5usize, 0..=5),
+    ) {
+        let n = t.node_count();
+        let mut copy = t.clone();
+        let mut rows = [NodeSet::empty(n), NodeSet::empty(n)];
+        for (row, (l, picks)) in rows.iter_mut().zip([(Pred::T, &t_row), (Pred::F, &f_row)]) {
+            for v in t.nodes() {
+                copy.remove_label(v, l);
+            }
+            for &v in picks.iter().filter(|&&v| v < n) {
+                row.insert(Node(v as u32));
+                copy.add_label(Node(v as u32), l);
+            }
+        }
+        let overlay = [(Pred::T, &rows[0]), (Pred::F, &rows[1])];
+        let plan = QueryPlan::compile(&p);
+        let expect = sorted(all_homs(&p, &copy, 200_000));
+        let idx = PredIndex::new(&t);
+        let f = FrozenStructure::freeze(&t);
+        for (shape, base) in [
+            ("live", Target::from(&t).with_index(&idx)),
+            ("view", Target::from(&t).with_index(&idx).with_view(Some(&f))),
+        ] {
+            let got = sorted(plan.on(base.with_label_rows(&overlay)).find_up_to(200_000));
+            prop_assert_eq!(&expect, &got, "{} overlay diverged", shape);
+        }
     }
 
     /// Compiling once and reusing across targets equals per-target legacy
