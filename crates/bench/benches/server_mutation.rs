@@ -17,7 +17,15 @@
 //! single-op mutations, each followed by one q5 π read (the rewriting
 //! route, which reads through the CSR view). The view is carried across
 //! each write, so the read after it must not re-freeze the instance;
-//! bench_check.sh gates this 100x/1x ratio at ≤2x too.
+//! bench_check.sh gates this 100x/1x ratio at ≤2x too;
+//! (5) `server_mutation_scale/maintained/{1x,10x,100x}` — the same
+//! instances with a warm `Σ_q4` read attached, so every write also
+//! maintains that materialisation: 16 single-op `R`-edge toggles. Each
+//! maintained write replays the rule plans pinned at the toggled edge,
+//! which read the edge's neighbourhood only; the per-write clone of the
+//! materialisation (support map, extension bitsets) is still O(instance),
+//! so the 100x/1x ratio is recorded but not gated (bench_check.sh
+//! watches the 1x and 100x means against the committed ones).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sirup_bench::{bench_opts, bipartite_tangle};
@@ -102,18 +110,19 @@ fn server_mutation(c: &mut Criterion) {
     // which used to be O(instance) and is now O(touched pages).
     let mut g = c.benchmark_group("server_mutation_scale");
     bench_opts(&mut g);
-    let toggles = |count: usize| -> Vec<Request> {
+    let toggles_of = |p: Pred, count: usize| -> Vec<Request> {
         (0..count)
             .map(|i| {
                 let op = if i % 2 == 0 {
-                    FactOp::AddEdge(Pred::S, Node(0), Node(1))
+                    FactOp::AddEdge(p, Node(0), Node(1))
                 } else {
-                    FactOp::RemoveEdge(Pred::S, Node(0), Node(1))
+                    FactOp::RemoveEdge(p, Node(0), Node(1))
                 };
                 Request::mutation(vec![op], "big")
             })
             .collect()
     };
+    let toggles = |count: usize| toggles_of(Pred::S, count);
     let scales = [("1x", 256usize), ("10x", 2560), ("100x", 25600)];
     for (tag, half) in scales {
         let s = server(1);
@@ -138,6 +147,26 @@ fn server_mutation(c: &mut Criterion) {
                     for w in writes {
                         s.answer_one(w).unwrap();
                         s.answer_one(&read).unwrap();
+                    }
+                });
+            },
+        );
+    }
+
+    // Writes that maintain a materialisation: a warm `Σ_q4` read attaches
+    // it, and every `R` toggle carries it forward incrementally.
+    let sigma = Request::query(Query::SigmaAnswers(paper::q4_cq()), "big");
+    for (tag, half) in scales {
+        let s = server(1);
+        s.load_instance("big", bipartite_tangle(half, 2, 77));
+        s.answer_one(&sigma).unwrap(); // materialisation attached
+        g.bench_with_input(
+            BenchmarkId::new("maintained", tag),
+            &toggles_of(Pred::R, 16),
+            |b, writes| {
+                b.iter(|| {
+                    for w in writes {
+                        s.answer_one(w).unwrap();
                     }
                 });
             },

@@ -114,6 +114,13 @@ pub enum Counter {
     Ac3Runs,
     /// Backtracking homomorphism searches started.
     BacktrackSearches,
+    /// Plan-execution domains seeded from a pin: the pinned variable's
+    /// singleton, or the admissible neighbours of an already seeded
+    /// neighbour's domain (a read of the pin's neighbourhood).
+    HomAnchoredSeeds,
+    /// Plan-execution domains seeded over the whole instance: bitmap-row
+    /// intersection, index postings or a node scan.
+    HomUniverseSeeds,
     /// Incremental fact cascades applied to live materialisations.
     IncrementalCascades,
     /// Query plans compiled (plan-cache misses).
@@ -164,6 +171,8 @@ const COUNTERS: &[(Counter, &str)] = &[
     (Counter::DpllHomChecks, "sirup_dpll_hom_checks_total"),
     (Counter::Ac3Runs, "sirup_ac3_runs_total"),
     (Counter::BacktrackSearches, "sirup_backtrack_searches_total"),
+    (Counter::HomAnchoredSeeds, "sirup_hom_anchored_seeds_total"),
+    (Counter::HomUniverseSeeds, "sirup_hom_universe_seeds_total"),
     (
         Counter::IncrementalCascades,
         "sirup_incremental_cascades_total",

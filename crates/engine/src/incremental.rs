@@ -47,14 +47,25 @@
 //!
 //! ## Complexity
 //!
-//! Maintenance cost is proportional to the number of derivations touching
-//! the changed facts (plus the pinned plan executions that discover them),
-//! not to the instance size or the fixpoint depth — the win measured by the
-//! `engine_incremental` bench. The one caveat: support exactness needs
-//! *enumeration* of the affected derivations, so rule bodies whose
-//! homomorphism count explodes (wildly disconnected CQs on dense instances)
-//! pay proportionally; the 1-CQ rule bodies of `Π_q`/`Σ_q` are connected
-//! patterns where the pin keeps the search local.
+//! Every replay is a pinned plan execution, and a pinned execution seeds
+//! its domains outward from the pin (see [`sirup_hom::plan`]): the pinned
+//! variable is the fact's node, and each further body variable's domain
+//! is read off the adjacency of an already seeded neighbour. One delta
+//! fact therefore costs, per rule and per body atom it can pin, the
+//! adjacency read along the body from that atom, plus the derivations
+//! found. That is not proportional to the instance size or the fixpoint
+//! depth. Two terms stay linear in the node count `n`, at memset speed:
+//! each execution clears one `n`-bit domain bitset per body variable and
+//! one `n`-byte flag array. A body variable whose neighbourhood is a hub
+//! (more adjacency than a scan of the instance) is seeded by that scan
+//! instead, and a body variable the pin cannot reach (a disconnected
+//! body) is always seeded so. The 1-CQ rule bodies of `Π_q`/`Σ_q` are
+//! connected, so neither happens on their replays. Support exactness
+//! needs *enumeration* of the affected derivations, so a body whose
+//! homomorphism count explodes still pays per derivation. The
+//! `engine_incremental` bench measures the win against re-evaluation;
+//! `crates/engine/tests/anchored_seeds.rs` asserts that a maintained
+//! write on a 5000-node instance seeds nothing over the instance.
 
 use crate::eval::{CompiledProgram, Evaluation};
 use sirup_core::fx::{FxHashMap, FxHashSet};

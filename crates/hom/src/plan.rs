@@ -25,14 +25,16 @@
 //!
 //! Execution ([`QueryPlan::on`]) reads one [`Target`]: it seeds dense
 //! [`NodeSet`] bitset domains (from the view's bitmap rows or the index's
-//! postings when attached), runs an AC-3 pass over the pattern edges, and
-//! then backtracks in the compiled order. It supports the same pinning
-//! (`fix`), exclusion (`forbid`), and injectivity modes as the legacy
-//! finder, which is kept as the differential-test oracle.
+//! postings when attached; outward from the pins, over their
+//! neighbourhood, when the execution has pins), runs an AC-3 pass over
+//! the pattern edges, and then backtracks in the compiled order. It
+//! supports the same pinning (`fix`), exclusion (`forbid`), and
+//! injectivity modes as the legacy finder, which is kept as the
+//! differential-test oracle.
 
 use sirup_core::paged::NodesView;
 use sirup_core::{arena, telemetry};
-use sirup_core::{CancelToken, Node, NodeSet, Pred, Structure, Target};
+use sirup_core::{CancelToken, FrozenStructure, Node, NodeSet, Pred, Structure, Target};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -873,61 +875,30 @@ impl<'a> PlanExec<'a> {
 
     /// Fill `domains` with one seeded candidate set per pattern variable;
     /// `false` means some domain came up empty.
+    ///
+    /// An unpinned execution seeds every variable over the whole instance
+    /// ([`PlanExec::seed_universe`]). A pinned one seeds outward from its
+    /// pins ([`PlanExec::seed_anchored`]): the domains it builds are
+    /// smaller, but AC-3 shrinks both seedings to the same domains, so the
+    /// search and its [`PlanStats`] are unchanged.
     fn seed_domains(&self, domains: &mut Vec<NodeSet>) -> bool {
-        let np = self.plan.pattern.node_count();
-        let nt = self.data().node_count();
-        // Resolve pins first: a pinned variable's domain is a singleton, so
-        // it never pays the full admissibility scan (this is the hot shape
-        // of the datalog fixpoint, which pins the head variable per
-        // candidate).
-        let mut pinned: Vec<Option<Node>> = vec![None; np];
-        for &(u, v) in &self.fixed {
-            match pinned[u.index()] {
-                None => pinned[u.index()] = Some(v),
-                Some(w) if w == v => {}
-                Some(_) => return false, // conflicting pins
-            }
-        }
-        for u in self.plan.pattern.nodes() {
-            let c = &self.plan.constraints[u.index()];
-            let admissible = |t: Node| {
-                c.labels.iter().all(|&l| self.label_ok(t, l))
-                    && c.preds_out.iter().all(|&p| self.adj_out(t, p).len() > 0)
-                    && c.preds_in.iter().all(|&p| self.adj_in_nonempty(t, p))
-            };
-            let mut dom = arena::take_set(nt);
-            match pinned[u.index()] {
-                Some(v) => {
-                    if admissible(v) {
-                        dom.insert(v);
-                    }
-                }
-                None => {
-                    if !self.seed_domain_rows(c, &mut dom) {
-                        match self.seed_candidates(c) {
-                            Some(seed) => {
-                                for t in seed.iter() {
-                                    if admissible(t) {
-                                        dom.insert(t);
-                                    }
-                                }
-                            }
-                            None => {
-                                for t in self.data().nodes() {
-                                    if admissible(t) {
-                                        dom.insert(t);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            if dom.is_empty() {
-                arena::put_set(dom);
-                return false;
-            }
-            domains.push(dom);
+        let seeded = if self.fixed.is_empty() {
+            let nt = self.data().node_count();
+            let ok = self.plan.constraints.iter().all(|c| {
+                let mut dom = arena::take_set(nt);
+                self.seed_universe(c, &mut dom);
+                let ok = !dom.is_empty();
+                domains.push(dom);
+                ok
+            });
+            let seeds = domains.len() as u64;
+            telemetry::counter_add(telemetry::Counter::HomUniverseSeeds, seeds);
+            ok
+        } else {
+            self.seed_anchored(domains)
+        };
+        if !seeded {
+            return false;
         }
         for &(u, v) in &self.forbidden {
             domains[u.index()].remove(v);
@@ -938,24 +909,180 @@ impl<'a> PlanExec<'a> {
         true
     }
 
+    /// Does target node `t` satisfy `c`'s unary and degree constraints?
     #[inline]
-    fn adj_in_nonempty(&self, t: Node, p: Pred) -> bool {
-        self.adj_inn(t, p).len() > 0
+    fn admissible(&self, c: &VarConstraint, t: Node) -> bool {
+        c.labels.iter().all(|&l| self.label_ok(t, l))
+            && c.preds_out.iter().all(|&p| self.adj_out(t, p).len() > 0)
+            && c.preds_in.iter().all(|&p| self.adj_inn(t, p).len() > 0)
     }
 
-    /// Try to seed a domain by intersecting the view's bitmap rows — the
-    /// word-parallel path that replaces the per-node admissibility scan.
-    /// Returns `false` when no view is attached or no row is usable (then
-    /// the caller falls back to seed/scan). Label rows come from the
-    /// target: an overlay's rows, or the view's in full mode, which covers
-    /// every label. In edges-only mode (no label has a row) the view's
-    /// label rows may be stale, so the row-AND covers only the source/sink
-    /// rows and labels are re-checked against the live data over the
-    /// (already small) candidate set.
-    fn seed_domain_rows(&self, c: &VarConstraint, dom: &mut NodeSet) -> bool {
-        let Some(f) = self.target.view() else {
-            return false;
-        };
+    /// Seed `dom` with every admissible node of the instance: the view's
+    /// bitmap rows when they apply, else the index's shortest postings
+    /// list, else a scan of all nodes.
+    fn seed_universe(&self, c: &VarConstraint, dom: &mut NodeSet) {
+        if self.seed_domain_rows(c, dom) {
+            return;
+        }
+        match self.seed_candidates(c) {
+            Some(seed) => {
+                for t in seed.iter() {
+                    if self.admissible(c, t) {
+                        dom.insert(t);
+                    }
+                }
+            }
+            None => {
+                for t in self.data().nodes() {
+                    if self.admissible(c, t) {
+                        dom.insert(t);
+                    }
+                }
+            }
+        }
+    }
+
+    /// What [`PlanExec::seed_universe`] reads to seed `c`: bitmap-row
+    /// words, the shortest postings list, or every node.
+    fn universe_cost(&self, c: &VarConstraint) -> usize {
+        let nt = self.data().node_count();
+        if let Some((_, label_rows)) = self.seed_rows(c) {
+            let rows = c.preds_out.len() + c.preds_in.len() + label_rows;
+            return rows.max(1) * nt.div_ceil(64);
+        }
+        self.seed_candidates(c).map_or(nt, |seed| seed.len())
+    }
+
+    /// Seed a pinned execution's domains outward from its pins.
+    ///
+    /// Each pinned variable gets its pin as a singleton domain (if
+    /// admissible). A breadth-first walk over the pattern edges then seeds
+    /// each reached variable `x` from one already seeded neighbour `w`:
+    /// `x`'s domain is the admissible nodes adjacent, along that edge, to
+    /// `w`'s domain. The walk skips an edge whose neighbourhood is longer
+    /// than what [`PlanExec::universe_cost`] says a universe seed of `x`
+    /// would read (a hub). Variables the walk never reaches (other
+    /// components, or cut off by hubs) are seeded over the universe.
+    ///
+    /// An anchored domain is a subset of the universe seed and a superset
+    /// of the AC-3 fixpoint domain: every value that survives AC-3 has a
+    /// neighbour in its neighbour's surviving domain, and that domain is
+    /// inside the neighbour's anchored seed (by induction from the pins).
+    /// AC-3 computes the greatest arc-consistent sub-domains of its input,
+    /// so it lands on the same domains from either seeding.
+    fn seed_anchored(&self, domains: &mut Vec<NodeSet>) -> bool {
+        let np = self.plan.pattern.node_count();
+        let nt = self.data().node_count();
+        domains.extend((0..np).map(|_| arena::take_set(nt)));
+        let mut reached = arena::take_bool_vec(np);
+        // Domain members of the reached variables, as (variable, start,
+        // end) ranges into `members`, in the order they were reached: the
+        // walk's queue.
+        let mut members = arena::take_node_vec();
+        let mut queue: Vec<(Node, usize, usize)> = Vec::with_capacity(np);
+        let mut ok = self.anchor(domains, &mut reached, &mut members, &mut queue);
+        let anchored = queue.len() as u64;
+        let mut universe = 0u64;
+        if ok {
+            for (u, c) in self.plan.constraints.iter().enumerate() {
+                if !reached[u] {
+                    universe += 1;
+                    self.seed_universe(c, &mut domains[u]);
+                    if domains[u].is_empty() {
+                        ok = false;
+                        break;
+                    }
+                }
+            }
+        }
+        arena::put_bool_vec(reached);
+        arena::put_node_vec(members);
+        telemetry::counter_add(telemetry::Counter::HomAnchoredSeeds, anchored);
+        if universe > 0 {
+            telemetry::counter_add(telemetry::Counter::HomUniverseSeeds, universe);
+        }
+        ok
+    }
+
+    /// Seed every pinned variable with its pin, then walk the pattern
+    /// edges breadth-first from them, seeding each reached variable from
+    /// its neighbour's domain. `false` on conflicting or inadmissible pins,
+    /// or when a seeded domain comes up empty.
+    fn anchor(
+        &self,
+        domains: &mut [NodeSet],
+        reached: &mut [bool],
+        members: &mut Vec<Node>,
+        queue: &mut Vec<(Node, usize, usize)>,
+    ) -> bool {
+        for &(u, v) in &self.fixed {
+            if reached[u.index()] {
+                if !domains[u.index()].contains(v) {
+                    return false; // conflicting pins
+                }
+                continue;
+            }
+            if !self.admissible(&self.plan.constraints[u.index()], v) {
+                return false;
+            }
+            domains[u.index()].insert(v);
+            reached[u.index()] = true;
+            queue.push((u, members.len(), members.len() + 1));
+            members.push(v);
+        }
+        let mut head = 0;
+        while let Some(&(w, start, end)) = queue.get(head) {
+            head += 1;
+            for &(ei, w_is_sink) in &self.plan.dependents[w.index()] {
+                let (p, src, dst) = self.plan.edges[ei as usize];
+                let x = if w_is_sink { src } else { dst };
+                if reached[x.index()] {
+                    continue; // includes self-loops
+                }
+                // Along `p(src, dst)`: the sources of edges into `w`'s
+                // domain, or the sinks of edges out of it.
+                let nbrs = |b: Node| {
+                    if w_is_sink {
+                        self.adj_inn(b, p)
+                    } else {
+                        self.adj_out(b, p)
+                    }
+                };
+                let c = &self.plan.constraints[x.index()];
+                let budget = self.universe_cost(c);
+                let mut read = 0usize;
+                if members[start..end].iter().any(|&b| {
+                    read += nbrs(b).len();
+                    read > budget
+                }) {
+                    continue; // a hub: cheaper to seed over the universe
+                }
+                let x_start = members.len();
+                let dom = &mut domains[x.index()];
+                for i in start..end {
+                    for t in nbrs(members[i]).iter() {
+                        if !dom.contains(t) && self.admissible(c, t) {
+                            dom.insert(t);
+                            members.push(t);
+                        }
+                    }
+                }
+                if members.len() == x_start {
+                    return false;
+                }
+                reached[x.index()] = true;
+                queue.push((x, x_start, members.len()));
+            }
+        }
+        true
+    }
+
+    /// The view and the number of its label rows that seed `c`'s domain,
+    /// or `None` when no view is attached or its rows say nothing about
+    /// `c` (edges-only mode with label-only constraints; then the
+    /// index/scan path reads the live labels).
+    fn seed_rows(&self, c: &VarConstraint) -> Option<(&'a FrozenStructure, usize)> {
+        let f = self.target.view()?;
         let label_rows = c
             .labels
             .iter()
@@ -963,10 +1090,24 @@ impl<'a> PlanExec<'a> {
             .count();
         let rowable = c.preds_out.len() + c.preds_in.len() + label_rows;
         if rowable == 0 && !c.labels.is_empty() {
-            // Edges-only mode with label-only constraints: the rows say
-            // nothing; use the index/scan path with live labels.
-            return false;
+            return None;
         }
+        Some((f, label_rows))
+    }
+
+    /// Try to seed a domain by intersecting the view's bitmap rows — the
+    /// word-parallel path that replaces the per-node admissibility scan.
+    /// Returns `false` when [`PlanExec::seed_rows`] finds no usable rows
+    /// (then the caller falls back to seed/scan). Label rows come from the
+    /// target: an overlay's rows, or the view's in full mode, which covers
+    /// every label. In edges-only mode (no label has a row) the view's
+    /// label rows may be stale, so the row-AND covers only the source/sink
+    /// rows and labels are re-checked against the live data over the
+    /// (already small) candidate set.
+    fn seed_domain_rows(&self, c: &VarConstraint, dom: &mut NodeSet) -> bool {
+        let Some((f, label_rows)) = self.seed_rows(c) else {
+            return false;
+        };
         let nt = self.data().node_count();
         dom.fill(nt);
         for &p in &c.preds_out {
@@ -1453,5 +1594,126 @@ mod tests {
                 assert_eq!(legacy_f, planned_f, "forbid n{} -> n{}", u.0, v.0);
             }
         }
+    }
+
+    /// `exec`'s domains seeded the way every pinned execution was before
+    /// anchored seeding: pins as singletons, every other variable over the
+    /// universe, exclusions removed. `None` when one comes up empty.
+    fn universe_seeded(exec: &PlanExec<'_>) -> Option<Vec<NodeSet>> {
+        let nt = exec.data().node_count();
+        let mut domains = Vec::new();
+        for (u, c) in exec.plan.constraints.iter().enumerate() {
+            let mut dom = NodeSet::empty(nt);
+            let pins: Vec<Node> = exec
+                .fixed
+                .iter()
+                .filter(|&&(x, _)| x.index() == u)
+                .map(|&(_, v)| v)
+                .collect();
+            match pins.first() {
+                Some(&v) if pins.iter().any(|&w| w != v) => return None,
+                Some(&v) => {
+                    if exec.admissible(c, v) {
+                        dom.insert(v);
+                    }
+                }
+                None => exec.seed_universe(c, &mut dom),
+            }
+            domains.push(dom);
+        }
+        for &(u, v) in &exec.forbidden {
+            domains[u.index()].remove(v);
+        }
+        (!domains.iter().any(NodeSet::is_empty)).then_some(domains)
+    }
+
+    /// A 0..n `R`-chain (some nodes `T`) plus two hubs with `R` edges to and
+    /// from every other node.
+    fn two_hub_target(n: u32) -> Structure {
+        let mut t = Structure::with_nodes(n as usize);
+        for v in 0..n - 1 {
+            t.add_edge(Pred::R, Node(v), Node(v + 1));
+            if v % 3 == 0 {
+                t.add_label(Node(v), Pred::T);
+            }
+        }
+        for _ in 0..2 {
+            let hub = t.add_node();
+            for v in 0..n {
+                t.add_edge(Pred::R, hub, Node(v));
+                t.add_edge(Pred::R, Node(v), hub);
+            }
+        }
+        t
+    }
+
+    #[test]
+    fn anchored_seeding_reaches_the_universe_seeded_ac3_fixpoint() {
+        let patterns = [
+            st("F(a), R(a,b), R(b,c), T(c)"),
+            st("R(a,b), R(b,c), R(c,a)"),
+            st("R(b,a), R(b,c), T(c), A(a)"),
+            st("T(a), R(b,c)"),
+            st("R(a,a), R(a,b)"),
+        ];
+        let targets = [
+            st("F(x), R(x,y), R(y,z), T(z), R(x,z), T(y), F(y), R(z,x), A(y)"),
+            two_hub_target(70),
+        ];
+        for p in &patterns {
+            let plan = QueryPlan::compile(p);
+            for t in &targets {
+                let idx = PredIndex::new(t);
+                let f = FrozenStructure::freeze(t);
+                let shapes = [
+                    Target::from(t),
+                    Target::from(t).with_index(&idx),
+                    Target::from(t).with_view(Some(&f)),
+                    Target::from(t).with_view(Some(&f)).relabelled(t),
+                ];
+                for target in shapes {
+                    for u in p.nodes() {
+                        for v in t.nodes() {
+                            let exec = plan.on(target).fix(u, v).forbid(u, Node(0));
+                            let legacy = universe_seeded(&exec);
+                            let anchored = exec.initial_domains();
+                            if let (Some(l), Some(a)) = (&legacy, &anchored) {
+                                for (lu, au) in l.iter().zip(a) {
+                                    assert!(au.iter().all(|x| lu.contains(x)), "not a subset");
+                                }
+                            }
+                            let fixpoint = |d: Option<Vec<NodeSet>>| {
+                                d.and_then(|mut d| exec.ac3(&mut d).then_some(d))
+                            };
+                            assert_eq!(
+                                fixpoint(legacy),
+                                fixpoint(anchored),
+                                "pattern {p}, pin n{} -> n{}",
+                                u.0,
+                                v.0
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_hub_neighbourhood_falls_back_to_the_universe_seed() {
+        // Pin a chain node: b's domain is its successor and the two hubs
+        // (anchored); c's neighbourhood holds both hubs' full adjacency,
+        // longer than a scan of the instance, so c is seeded over the
+        // universe instead.
+        let (p, pn) = parse_structure("R(a,b), R(b,c)").unwrap();
+        let t = two_hub_target(40);
+        let plan = QueryPlan::compile(&p);
+        let exec = plan.on(&t).fix(pn["a"], Node(5));
+        let domains = exec.initial_domains().unwrap();
+        let b_dom: Vec<Node> = domains[pn["b"].index()].iter().collect();
+        assert_eq!(b_dom, vec![Node(6), Node(40), Node(41)]);
+        let mut universe = NodeSet::empty(t.node_count());
+        exec.seed_universe(&plan.constraints[pn["c"].index()], &mut universe);
+        assert_eq!(domains[pn["c"].index()], universe);
     }
 }

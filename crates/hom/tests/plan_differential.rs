@@ -41,6 +41,62 @@ fn arb_structure(max_nodes: usize, max_edges: usize) -> impl Strategy<Value = St
     })
 }
 
+/// Strategy: a target with 0–2 hub nodes carrying `R` edges to and from
+/// every other node (optionally `T`-labelled), so that a pin's
+/// neighbourhood can be larger than what seeding over the whole instance
+/// reads and anchored seeding falls back.
+fn arb_hub_target() -> impl Strategy<Value = Structure> {
+    (arb_structure(6, 10), 0..3usize, prop::bool::ANY).prop_map(|(mut t, hubs, label)| {
+        for _ in 0..hubs {
+            let hub = t.add_node();
+            for v in 0..hub.0 {
+                t.add_edge(Pred::R, hub, Node(v));
+                t.add_edge(Pred::R, Node(v), hub);
+            }
+            if label {
+                t.add_label(hub, Pred::T);
+            }
+        }
+        t
+    })
+}
+
+/// Strategy: a random connected-or-not pattern of 2–4 nodes with 1–5
+/// `R`/`S` edges and at most one `T` and one `F` label (sparse, so pinned
+/// searches usually have answers), optionally with a disjoint
+/// `R(a,b), T(b)` component appended, so that one component can be pinned
+/// while the other is not.
+fn arb_pattern() -> impl Strategy<Value = Structure> {
+    (2..=4usize).prop_flat_map(|n| {
+        (
+            proptest::collection::vec(((0..n), (0..n), prop::bool::ANY), 1..=5),
+            proptest::collection::vec(0..n, 0..=1),
+            proptest::collection::vec(0..n, 0..=1),
+            prop::bool::ANY,
+        )
+            .prop_map(move |(edges, t_label, f_label, split)| {
+                let mut p = Structure::with_nodes(n);
+                for (u, v, use_s) in edges {
+                    let pred = if use_s { Pred::S } else { Pred::R };
+                    p.add_edge(pred, Node(u as u32), Node(v as u32));
+                }
+                for v in t_label {
+                    p.add_label(Node(v as u32), Pred::T);
+                }
+                for v in f_label {
+                    p.add_label(Node(v as u32), Pred::F);
+                }
+                if split {
+                    let a = p.add_node();
+                    let b = p.add_node();
+                    p.add_edge(Pred::R, a, b);
+                    p.add_label(b, Pred::T);
+                }
+                p
+            })
+    })
+}
+
 fn sorted(mut homs: Vec<Vec<Node>>) -> Vec<Vec<Node>> {
     homs.sort();
     homs
@@ -153,6 +209,81 @@ proptest! {
                 sorted(all_homs(&p, t, 200_000)),
                 sorted(plan.on(t).find_up_to(200_000))
             );
+        }
+    }
+
+    /// Pinned executions — a first pin swept over every target node, an
+    /// optional second pin (possibly conflicting), an optional exclusion
+    /// and injectivity — enumerate the legacy finder's set, and the
+    /// `find_up_to(cap)` sequence is the same on every target shape:
+    /// plain, index, view, view + index, a relabelled working copy and a
+    /// `T`/`F` label-row overlay, live and on the view. Hub targets make
+    /// pins whose neighbourhood exceeds a universe seed, so the fall-back
+    /// runs too.
+    #[test]
+    fn anchored_seeding_equals_legacy_on_every_target(
+        p in arb_pattern(),
+        t in arb_hub_target(),
+        pinned in 0..8u32,
+        raw_pins in proptest::collection::vec((0..8u32, 0..12u32), 0..=1),
+        raw_forbid in proptest::collection::vec((0..8u32, 0..12u32), 0..=1),
+        injective in prop::bool::ANY,
+        cap in 1..6usize,
+    ) {
+        let (np, nt) = (p.node_count() as u32, t.node_count() as u32);
+        let pick = |&(u, v): &(u32, u32)| (Node(u % np), Node(v % nt));
+        let forbid: Vec<(Node, Node)> = raw_forbid.iter().map(pick).collect();
+        let plan = QueryPlan::compile(&p);
+        let idx = PredIndex::new(&t);
+        let f = FrozenStructure::freeze(&t);
+        let work = t.clone();
+        let mut rows = [NodeSet::empty(t.node_count()), NodeSet::empty(t.node_count())];
+        for (row, l) in rows.iter_mut().zip([Pred::T, Pred::F]) {
+            for v in t.nodes().filter(|&v| t.has_label(v, l)) {
+                row.insert(v);
+            }
+        }
+        let overlay = [(Pred::T, &rows[0]), (Pred::F, &rows[1])];
+        let shapes = [
+            ("index", Target::from(&t).with_index(&idx)),
+            ("view", Target::from(&t).with_view(Some(&f))),
+            ("view+index", Target::from(&t).with_index(&idx).with_view(Some(&f))),
+            ("relabelled", Target::from(&t).with_view(Some(&f)).relabelled(&work)),
+            ("label rows", Target::from(&t).with_view(Some(&f)).with_label_rows(&overlay)),
+            ("live label rows", Target::from(&t).with_label_rows(&overlay)),
+        ];
+        for first in t.nodes() {
+            let mut pins = vec![(Node(pinned % np), first)];
+            pins.extend(raw_pins.iter().map(pick));
+            let run = |target: Target, cap: usize| {
+                let mut exec = plan.on(target);
+                for &(u, v) in &pins {
+                    exec = exec.fix(u, v);
+                }
+                for &(u, v) in &forbid {
+                    exec = exec.forbid(u, v);
+                }
+                if injective {
+                    exec = exec.injective();
+                }
+                exec.find_up_to(cap)
+            };
+            let mut legacy = HomFinder::new(&p, &t);
+            for &(u, v) in &pins {
+                legacy = legacy.fix(u, v);
+            }
+            for &(u, v) in &forbid {
+                legacy = legacy.forbid(u, v);
+            }
+            if injective {
+                legacy = legacy.injective();
+            }
+            let expect = sorted(legacy.find_up_to(200_000));
+            prop_assert_eq!(&expect, &sorted(run(Target::from(&t), 200_000)), "set diverged");
+            let plain = run(Target::from(&t), cap);
+            for (shape, target) in shapes {
+                prop_assert_eq!(&plain, &run(target, cap), "{} sequence diverged", shape);
+            }
         }
     }
 }

@@ -37,6 +37,9 @@
 #     by a q5 read against the 100x instance must stay within the same
 #     BENCH_FLAT_WRITE_MAX of the 1x run — the CSR read view is carried
 #     across writes, so no read after a write re-freezes the instance.
+#     Writes with a materialisation attached
+#     (`server_mutation_scale/maintained`) are watched by gate 1 only:
+#     their per-write materialisation clone is still O(instance).
 #
 # Usage: scripts/bench_check.sh
 #   env: BENCH_CHECK_FACTOR=2.0  BENCH_PARALLEL_MIN_SPEEDUP=2.0
@@ -100,6 +103,8 @@ WATCH = {
         "server_mutation_scale/32req/100x",
         "server_mutation_scale/write_read/1x",
         "server_mutation_scale/write_read/100x",
+        "server_mutation_scale/maintained/1x",
+        "server_mutation_scale/maintained/100x",
     ],
     "BENCH_parallel.json": [
         "parallel/seq_exists",
