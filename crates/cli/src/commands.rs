@@ -172,8 +172,7 @@ COMMANDS
   ADAPTIVE FLAGS (same commands): --adaptive turns the feedback controller
     on (off by default; answers are bit-identical either way);
     --promote-after N / --demote-after N set the read/write-run hysteresis
-    for attaching/detaching maintained materialisations; --replan-factor F /
-    --replan-samples N gate observed-selectivity re-planning; and
+    for attaching/detaching maintained materialisations; and
     --admission-burst-us N / --admission-refill-us N configure the
     per-instance latency token bucket (0 = admission off) whose overflow
     sheds queries with `error overloaded:`
@@ -652,12 +651,6 @@ fn config_from_flags(args: &Args, threads: Option<usize>) -> Result<ServerConfig
         demote_after_writes: args
             .flag_u32("demote-after", defaults.demote_after_writes)
             .map_err(CliError::BadFlag)?,
-        replan_factor: args
-            .flag_f64("replan-factor", defaults.replan_factor)
-            .map_err(CliError::BadFlag)?,
-        replan_min_samples: args
-            .flag_usize("replan-samples", defaults.replan_min_samples as usize)
-            .map_err(CliError::BadFlag)? as u64,
         admission_burst_us: args
             .flag_usize("admission-burst-us", defaults.admission_burst_us as usize)
             .map_err(CliError::BadFlag)? as u64,
@@ -2128,9 +2121,9 @@ request mutate cli_top @2 = +A(b)
 
     #[test]
     fn adaptive_replay_answers_match_the_static_router() {
-        // The tentpole invariant: answers are bit-identical whichever
-        // strategy or plan order serves them — adaptivity on vs off, at 1
-        // and 4 workers, over the phase-shifting workload.
+        // Answers are bit-identical whichever strategy serves them —
+        // adaptivity on vs off, at 1 and 4 workers, over the
+        // phase-shifting workload.
         let path = concat!(
             env!("CARGO_MANIFEST_DIR"),
             "/../../workloads/phases.sirupload"
@@ -2158,10 +2151,6 @@ request mutate cli_top @2 = +A(b)
                 "2",
                 "--demote-after",
                 "1",
-                "--replan-factor",
-                "0.5",
-                "--replan-samples",
-                "1",
             ])
             .unwrap();
             assert_eq!(
@@ -2174,10 +2163,10 @@ request mutate cli_top @2 = +A(b)
     #[test]
     fn adaptive_replay_moves_the_feedback_counters() {
         // Aggressive knobs so every feedback path fires on the committed
-        // phase workload: promotion after 2 reads, re-planning on any
-        // observed inversion, and a 1 µs admission burst with no refill so
-        // the bucket drains on the first completed request. The telemetry
-        // registry is process-global and monotone, so assert deltas.
+        // phase workload: promotion after 2 reads, and a 1 µs admission
+        // burst with no refill so the bucket drains on the first completed
+        // request. The telemetry registry is process-global and monotone,
+        // so assert deltas.
         let exposition = |out: &str, name: &str| -> u64 {
             out.lines()
                 .find_map(|l| l.strip_prefix(name)?.trim().parse().ok())
@@ -2199,21 +2188,13 @@ request mutate cli_top @2 = +A(b)
             "2",
             "--demote-after",
             "1",
-            "--replan-factor",
-            "0.0",
-            "--replan-samples",
-            "1",
         ])
         .unwrap();
-        for counter in [
-            "sirup_adaptive_promotions_total",
-            "sirup_adaptive_replans_total",
-        ] {
-            assert!(
-                exposition(&routed, counter) > exposition(&before, counter),
-                "{counter} did not move: {routed}"
-            );
-        }
+        let counter = "sirup_adaptive_promotions_total";
+        assert!(
+            exposition(&routed, counter) > exposition(&before, counter),
+            "{counter} did not move: {routed}"
+        );
         // The route gauge explains the current assignments.
         assert!(routed.contains("sirup_adaptive_route{"), "{routed}");
         // Run 2: a 1 µs burst with no refill drains on the first completed

@@ -140,9 +140,6 @@ pub enum Counter {
     /// evaluate-from-scratch to a maintained materialisation because its
     /// observed read run cleared the promotion threshold.
     AdaptivePromotions,
-    /// Adaptive re-plans: a query plan was recompiled with observed
-    /// per-variable fan-out and swapped into the plan cache.
-    AdaptiveReplans,
     /// Requests shed by per-instance admission control (the token bucket
     /// was empty, so the request was answered `Overloaded` instead of
     /// entering the scheduler queue).
@@ -187,7 +184,6 @@ const COUNTERS: &[(Counter, &str)] = &[
         Counter::AdaptivePromotions,
         "sirup_adaptive_promotions_total",
     ),
-    (Counter::AdaptiveReplans, "sirup_adaptive_replans_total"),
     (Counter::AdmissionShed, "sirup_admission_shed_total"),
     (Counter::CsrOverlayFolds, "sirup_csr_overlay_folds_total"),
     (
@@ -222,7 +218,7 @@ const GAUGES: &[(Gauge, &str)] = &[
 pub enum Family {
     /// End-to-end request latency (all programs and instances merged).
     RequestLatency,
-    /// `Plan::build`: verdicts + strategy compilation.
+    /// `Plan::build`: boundedness evidence + strategy compilation.
     PlanCompile,
     /// Plan/answer cache probes (including the build on a miss).
     CacheLookup,

@@ -30,5 +30,5 @@ pub mod search;
 
 pub use cores::{core_of, is_minimal};
 pub use iso::{find_isomorphism, isomorphic};
-pub use plan::{PlanExec, PlanExplain, PlanStats, QueryPlan};
+pub use plan::{PlanExec, PlanExplain, QueryPlan};
 pub use search::{all_homs, find_hom, find_hom_fixing, hom_exists, HomFinder};

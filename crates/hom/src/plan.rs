@@ -36,8 +36,8 @@ use sirup_core::paged::NodesView;
 use sirup_core::{arena, telemetry};
 use sirup_core::{CancelToken, FrozenStructure, Node, NodeSet, Pred, Structure, Target};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 
 /// How a variable's candidates are produced at its position in the order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,64 +78,6 @@ impl VarConstraint {
     }
 }
 
-/// Observed per-variable fan-out of a compiled plan, shared across clones.
-///
-/// Every execution records the post-AC-3 domain size of each pattern
-/// variable (a handful of relaxed atomic adds — noise next to the AC-3 pass
-/// itself). The running averages are what adaptive re-planning compares
-/// against the static selectivity estimate: when the variable the static
-/// order put first turns out to have a much larger observed domain than a
-/// later variable, the plan can be recompiled with
-/// [`QueryPlan::compile_with_domain_estimates`].
-#[derive(Debug, Clone)]
-pub struct PlanStats(Arc<PlanStatsInner>);
-
-#[derive(Debug)]
-struct PlanStatsInner {
-    /// Executions that reached the backtracking stage (AC-3 succeeded).
-    samples: AtomicU64,
-    /// Per pattern node (by node index): sum of post-AC-3 domain sizes.
-    domain_sums: Vec<AtomicU64>,
-}
-
-impl PlanStats {
-    fn new(nvars: usize) -> PlanStats {
-        PlanStats(Arc::new(PlanStatsInner {
-            samples: AtomicU64::new(0),
-            domain_sums: (0..nvars).map(|_| AtomicU64::new(0)).collect(),
-        }))
-    }
-
-    /// Record one execution's post-AC-3 domain sizes.
-    fn record(&self, domains: &[NodeSet]) {
-        self.0.samples.fetch_add(1, Ordering::Relaxed);
-        for (sum, dom) in self.0.domain_sums.iter().zip(domains) {
-            sum.fetch_add(dom.len() as u64, Ordering::Relaxed);
-        }
-    }
-
-    /// Executions recorded so far.
-    pub fn samples(&self) -> u64 {
-        self.0.samples.load(Ordering::Relaxed)
-    }
-
-    /// Average observed post-AC-3 domain size per pattern node (by node
-    /// index), or `None` before the first recorded execution.
-    pub fn observed_domains(&self) -> Option<Vec<f64>> {
-        let n = self.samples();
-        if n == 0 {
-            return None;
-        }
-        Some(
-            self.0
-                .domain_sums
-                .iter()
-                .map(|s| s.load(Ordering::Relaxed) as f64 / n as f64)
-                .collect(),
-        )
-    }
-}
-
 /// A compiled, reusable homomorphism search plan for one pattern.
 ///
 /// Build once with [`QueryPlan::compile`]; execute any number of times
@@ -158,34 +100,11 @@ pub struct QueryPlan {
     /// Per pattern node: the AC-3 arcs `(edge index, forward?)` whose
     /// support sets read that node's domain — re-enqueued when it shrinks.
     dependents: Vec<Vec<(u32, bool)>>,
-    /// Observed execution statistics; clones share one accumulator.
-    stats: PlanStats,
 }
 
 impl QueryPlan {
     /// Compile `pattern` into a reusable plan.
     pub fn compile(pattern: &Structure) -> QueryPlan {
-        QueryPlan::compile_inner(pattern, None)
-    }
-
-    /// Compile `pattern` ordering variables by **observed** average domain
-    /// sizes (`est`, indexed by pattern node index — see
-    /// [`PlanStats::observed_domains`]) instead of the static selectivity
-    /// score: connectivity still leads, but ties now prefer the variable
-    /// with the *smallest observed* domain rather than the one with the
-    /// most syntactic constraints. The answer set is independent of
-    /// variable order, so the recompiled plan stays differentially
-    /// interchangeable with the original.
-    pub fn compile_with_domain_estimates(pattern: &Structure, est: &[f64]) -> QueryPlan {
-        assert_eq!(
-            est.len(),
-            pattern.node_count(),
-            "one domain estimate per pattern node"
-        );
-        QueryPlan::compile_inner(pattern, Some(est))
-    }
-
-    fn compile_inner(pattern: &Structure, observed: Option<&[f64]>) -> QueryPlan {
         let np = pattern.node_count();
         let constraints: Vec<VarConstraint> = pattern
             .nodes()
@@ -201,20 +120,10 @@ impl QueryPlan {
         // (connectivity), breaking ties by selectivity, then degree, then
         // node index (for determinism).
         let degree = |u: Node| -> usize { pattern.out_degree(u) + pattern.in_degree(u) };
-        // Selectivity rank, higher = expected smaller domain. Static:
-        // constraint count. Observed: inverted average domain size (scaled
-        // to keep sub-integer differences), so a variable measured at 3
-        // candidates outranks one measured at 300 whatever their syntax.
-        let rank = |u: Node| -> u64 {
-            match observed {
-                None => constraints[u.index()].selectivity() as u64,
-                Some(est) => u64::MAX - (est[u.index()].max(0.0) * 1024.0).round() as u64,
-            }
-        };
         let mut chosen = vec![false; np];
         let mut order: Vec<Node> = Vec::with_capacity(np);
         for _ in 0..np {
-            let mut best: Option<(u64, u64, u64, u64)> = None; // (links, rank, deg, -idx) max
+            let mut best: Option<(usize, usize, usize, usize)> = None; // (links, sel, deg, -idx) max
             let mut best_u = None;
             for u in pattern.nodes() {
                 if chosen[u.index()] {
@@ -231,10 +140,10 @@ impl QueryPlan {
                         .filter(|&&(_, w)| chosen[w.index()])
                         .count();
                 let key = (
-                    links as u64,
-                    rank(u),
-                    degree(u) as u64,
-                    (np - u.index()) as u64, // prefer smaller index on full ties
+                    links,
+                    constraints[u.index()].selectivity(),
+                    degree(u),
+                    np - u.index(), // prefer smaller index on full ties
                 );
                 if best.is_none_or(|b| key > b) {
                     best = Some(key);
@@ -295,7 +204,6 @@ impl QueryPlan {
             constraints,
             joins,
             dependents,
-            stats: PlanStats::new(np),
         }
     }
 
@@ -307,11 +215,6 @@ impl QueryPlan {
     /// The static variable order.
     pub fn order(&self) -> &[Node] {
         &self.order
-    }
-
-    /// Observed execution statistics (shared across clones of this plan).
-    pub fn stats(&self) -> &PlanStats {
-        &self.stats
     }
 
     /// Begin an execution of this plan against `target`: a `&Structure`
@@ -654,7 +557,6 @@ impl<'a> PlanExec<'a> {
         if !ac3_ok {
             return Prep::NoMatch;
         }
-        self.plan.stats.record(&domains);
         Prep::Domains(domains)
     }
 
@@ -880,7 +782,7 @@ impl<'a> PlanExec<'a> {
     /// ([`PlanExec::seed_universe`]). A pinned one seeds outward from its
     /// pins ([`PlanExec::seed_anchored`]): the domains it builds are
     /// smaller, but AC-3 shrinks both seedings to the same domains, so the
-    /// search and its [`PlanStats`] are unchanged.
+    /// search is unchanged.
     fn seed_domains(&self, domains: &mut Vec<NodeSet>) -> bool {
         let seeded = if self.fixed.is_empty() {
             let nt = self.data().node_count();

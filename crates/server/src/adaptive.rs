@@ -3,7 +3,7 @@
 //! PR 7's registry records per-(program, instance) request counts,
 //! cardinalities, and latency histograms; this module is the *actuator*
 //! that reads those observations (and its own lightweight cells) and
-//! changes three execution decisions:
+//! changes two execution decisions:
 //!
 //! 1. **Strategy promotion/demotion** — an unbounded program starts on
 //!    semi-naive *from scratch* (no maintained state, so mutations pay no
@@ -15,24 +15,16 @@
 //!    intervening read, the materialisation is **demoted** — detached from
 //!    the live instance so subsequent mutations stop paying incremental
 //!    maintenance for a program nobody is reading.
-//! 2. **Plan re-ordering** — when the observed per-variable fan-out of a
-//!    compiled DPLL search plan (sampled post-AC-3 by
-//!    [`sirup_hom::PlanStats`]) shows the static order's first variable
-//!    exceeding the smallest observed domain by
-//!    [`AdaptiveConfig::replan_factor`], the plan is recompiled with the
-//!    observed estimates, differentially checked against the old plan (the
-//!    oracle), and atomically swapped into the plan cache.
-//! 3. **Admission control** — a per-instance token bucket denominated in
+//! 2. **Admission control** — a per-instance token bucket denominated in
 //!    *microseconds of observed work*: completed requests charge their
 //!    measured latency, and when the bucket is empty new requests are shed
 //!    with [`Answer::Overloaded`] before
 //!    they enter the scheduler queue.
 //!
-//! Every decision is **answer-preserving by construction**: scratch and
-//! materialised evaluation compute the same unique fixpoint, and a
-//! re-ordered plan enumerates the same homomorphism set — the differential
-//! suite pins both, and admission shedding (the one visible behaviour
-//! change) ships disabled unless a bucket is configured.
+//! Routing is **answer-preserving by construction**: scratch and
+//! materialised evaluation compute the same unique fixpoint — the
+//! differential suite pins it — and admission shedding (the one visible
+//! behaviour change) ships disabled unless a bucket is configured.
 //!
 //! All state lives in small atomic cells behind one mutex-guarded map;
 //! routing decisions happen at *execution* time on the worker (a batch
@@ -40,7 +32,7 @@
 //! blind to the batch's own feedback).
 
 use crate::catalog::IndexedInstance;
-use crate::plan::{Answer, Plan, PlanCache, Strategy};
+use crate::plan::{Answer, Plan, Strategy};
 use sirup_core::fx::FxHashMap;
 use sirup_core::sync;
 use sirup_core::telemetry::{counter_add, Counter};
@@ -50,7 +42,7 @@ use std::time::Instant;
 
 /// Knobs of the adaptive controller. `enabled: false` (the default) keeps
 /// the server byte-for-byte on its static policy: always materialise
-/// semi-naive programs, never re-plan, never shed.
+/// semi-naive programs, never shed.
 ///
 /// ```
 /// use sirup_server::adaptive::AdaptiveConfig;
@@ -80,11 +72,6 @@ pub struct AdaptiveConfig {
     /// Writes with no intervening read before a promoted program is
     /// demoted (its materialisation detached).
     pub demote_after_writes: u32,
-    /// Re-plan when the static first variable's observed average domain
-    /// exceeds `replan_factor` times the smallest observed average.
-    pub replan_factor: f64,
-    /// Minimum recorded plan executions before re-planning is considered.
-    pub replan_min_samples: u64,
     /// Admission token-bucket capacity in microseconds of observed work
     /// per instance. `0` disables admission control entirely.
     pub admission_burst_us: u64,
@@ -98,8 +85,6 @@ impl Default for AdaptiveConfig {
             enabled: false,
             promote_after_reads: 4,
             demote_after_writes: 2,
-            replan_factor: 4.0,
-            replan_min_samples: 8,
             admission_burst_us: 0,
             admission_refill_us_per_sec: 0,
         }
@@ -150,8 +135,6 @@ pub struct AdaptiveController {
     cells: Mutex<FxHashMap<(String, String), Arc<Cell>>>,
     /// instance → admission bucket.
     buckets: Mutex<FxHashMap<String, Bucket>>,
-    /// Program keys already re-planned (one-shot per program).
-    replanned: Mutex<FxHashMap<String, bool>>,
 }
 
 impl AdaptiveController {
@@ -161,7 +144,6 @@ impl AdaptiveController {
             config,
             cells: Mutex::new(FxHashMap::default()),
             buckets: Mutex::new(FxHashMap::default()),
-            replanned: Mutex::new(FxHashMap::default()),
         }
     }
 
@@ -251,26 +233,6 @@ impl AdaptiveController {
         demoted
     }
 
-    /// Should `program` be re-planned given its observed inversion
-    /// `(first_var_avg, min_avg, samples)`? At most one re-plan per
-    /// program: a `true` return claims the slot.
-    pub fn try_claim_replan(
-        &self,
-        program: &str,
-        first_avg: f64,
-        min_avg: f64,
-        samples: u64,
-    ) -> bool {
-        if !self.config.enabled || samples < self.config.replan_min_samples {
-            return false;
-        }
-        if first_avg <= self.config.replan_factor * min_avg {
-            return false;
-        }
-        let mut replanned = sync::lock(&self.replanned);
-        !std::mem::replace(replanned.entry(program.to_owned()).or_insert(false), true)
-    }
-
     /// Admission check for one request against `instance`'s token bucket.
     /// `true` admits. Always `true` when admission is unconfigured
     /// (`admission_burst_us == 0`). Does not charge — completed requests
@@ -315,18 +277,10 @@ impl AdaptiveController {
         }
     }
 
-    /// Execute `plan` over `inst` with full adaptive feedback — the one
+    /// Execute `plan` over `inst` with adaptive routing — the one
     /// evaluation entry point both the worker pool and the inline wire
-    /// path use when adaptivity is on:
-    ///
-    /// 1. semi-naive programs route through
-    ///    [`AdaptiveController::route_read`] (scratch until promoted);
-    /// 2. DPLL plans whose observed fan-out inverts the static order are
-    ///    recompiled with the observed estimates, differentially checked
-    ///    against the old plan's answer **on this very instance**, and
-    ///    swapped into `plans` only when the answers agree (they always
-    ///    do — the check is the safety net, and the old plan stays the
-    ///    oracle).
+    /// path use: semi-naive programs route through
+    /// [`AdaptiveController::route_read`] (scratch until promoted).
     ///
     /// With the controller disabled this is exactly
     /// [`Plan::answer_ctx`] — the static path, byte for byte.
@@ -334,7 +288,6 @@ impl AdaptiveController {
         &self,
         plan: &Plan,
         inst: &IndexedInstance,
-        plans: &PlanCache,
         par: Option<sirup_core::ParCtx<'_>>,
     ) -> Answer {
         if !self.enabled() {
@@ -344,20 +297,7 @@ impl AdaptiveController {
             Strategy::SemiNaive { .. } => self.route_read(plan.key(), &inst.name),
             _ => true,
         };
-        let answer = plan.answer_routed(inst, par, materialise);
-        if let Some((first_avg, min_avg, samples)) = plan.observed_inversion() {
-            if self.try_claim_replan(plan.key(), first_avg, min_avg, samples) {
-                if let Some(new_plan) = plan.replanned_with_observed() {
-                    // Differential oracle: the re-ordered plan must agree
-                    // with the old plan's answer before it may serve.
-                    if new_plan.answer(inst) == answer {
-                        plans.swap(plan.key(), Arc::new(new_plan));
-                        counter_add(Counter::AdaptiveReplans, 1);
-                    }
-                }
-            }
-        }
-        answer
+        plan.answer_routed(inst, par, materialise)
     }
 
     /// Snapshot of every (program, instance) route for exposition, sorted
@@ -447,21 +387,6 @@ mod tests {
                                           // `p@b` lives on a different instance.
         assert_eq!(c.record_write("a"), vec!["p".to_owned()]);
         assert!(c.record_write("b").is_empty());
-    }
-
-    #[test]
-    fn replan_claim_is_one_shot_and_respects_thresholds() {
-        let c = AdaptiveController::new(AdaptiveConfig {
-            enabled: true,
-            replan_factor: 2.0,
-            replan_min_samples: 4,
-            ..AdaptiveConfig::default()
-        });
-        assert!(!c.try_claim_replan("p", 10.0, 1.0, 3)); // too few samples
-        assert!(!c.try_claim_replan("p", 1.5, 1.0, 10)); // under the factor
-        assert!(c.try_claim_replan("p", 10.0, 1.0, 10)); // fires once
-        assert!(!c.try_claim_replan("p", 10.0, 1.0, 10)); // never again
-        assert!(c.try_claim_replan("q", 10.0, 1.0, 10)); // other programs independent
     }
 
     #[test]

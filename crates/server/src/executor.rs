@@ -31,21 +31,12 @@
 
 use crate::adaptive::AdaptiveController;
 use crate::catalog::{Catalog, IndexedInstance};
-use crate::plan::{Answer, Plan, PlanCache};
+use crate::plan::{Answer, Plan};
 use sirup_core::telemetry;
 use sirup_core::{FactOp, ParCtx, SchedStats, Scheduler};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// What a worker needs to consult the adaptive controller at execution
-/// time: the controller itself and the plan cache re-plans swap into.
-pub(crate) struct AdaptiveRuntime {
-    /// The feedback controller.
-    pub ctrl: Arc<AdaptiveController>,
-    /// The server's plan cache (re-plan swap target).
-    pub plans: Arc<PlanCache>,
-}
 
 /// What a job does when a worker picks it up.
 pub(crate) enum Work {
@@ -102,7 +93,7 @@ pub(crate) struct Pool {
     /// Minimum work-set size before a request-level task splits.
     threshold: usize,
     /// Adaptive routing hooks; `None` = the static policy, untouched.
-    adaptive: Option<Arc<AdaptiveRuntime>>,
+    adaptive: Option<Arc<AdaptiveController>>,
 }
 
 impl Pool {
@@ -117,7 +108,7 @@ impl Pool {
         threads: usize,
         parallelism: usize,
         threshold: usize,
-        adaptive: Option<Arc<AdaptiveRuntime>>,
+        adaptive: Option<Arc<AdaptiveController>>,
     ) -> Pool {
         Pool {
             sched: Arc::new(Scheduler::new(threads)),
@@ -170,12 +161,9 @@ impl Pool {
                     // already-completed jobs have drained by now (a
                     // resolve-time check alone would see a full bucket for
                     // a whole closed batch).
-                    Some(rt) if rt.ctrl.enabled() => {
-                        if rt.ctrl.admit(&instance.name) {
-                            (
-                                rt.ctrl.execute(plan, instance, &rt.plans, par),
-                                plan.strategy.name(),
-                            )
+                    Some(ctrl) if ctrl.enabled() => {
+                        if ctrl.admit(&instance.name) {
+                            (ctrl.execute(plan, instance, par), plan.strategy.name())
                         } else {
                             (Answer::Overloaded, "shed")
                         }
@@ -202,8 +190,8 @@ impl Pool {
                     // the demoted programs' materialisations from the live
                     // (post-mutation) instance, so later mutations stop
                     // paying carry-forward for them.
-                    if let Some(rt) = &adaptive {
-                        let demoted = rt.ctrl.record_write(instance);
+                    if let Some(ctrl) = &adaptive {
+                        let demoted = ctrl.record_write(instance);
                         if !demoted.is_empty() {
                             if let Some(fresh) = catalog.get(instance) {
                                 for key in &demoted {
@@ -221,8 +209,8 @@ impl Pool {
             telemetry::record_request(program, target, strategy, latency, answer.cardinality());
             // Admission: charge the instance's token bucket the *observed*
             // cost of this completed request.
-            if let Some(rt) = &adaptive {
-                rt.ctrl.charge(target, latency.as_micros() as u64);
+            if let Some(ctrl) = &adaptive {
+                ctrl.charge(target, latency.as_micros() as u64);
             }
             // The batch collector may have given up (panic elsewhere); a
             // closed reply channel is not this worker's problem.

@@ -18,10 +18,10 @@
 //!   delta-updated, materialisations carried forward *incrementally*
 //!   (delta rules + DRed), same-instance order fixed by tickets;
 //! * [`plan`] — a **plan cache**: an LRU of per-program [`plan::Plan`]s
-//!   memoising the §4 classifier verdicts, the CQ's core, and — given
-//!   Prop. 2 boundedness evidence — the UCQ/FO rewriting, so bounded
-//!   programs are answered by rewriting instead of fixpoint (and need no
-//!   maintenance at all under mutation);
+//!   memoising the compiled search of the chosen strategy — given Prop. 2
+//!   boundedness evidence, the UCQ rewriting, so bounded programs are
+//!   answered by rewriting instead of fixpoint (and need no maintenance at
+//!   all under mutation); for disjunctive sirups, the CQ's core;
 //! * `executor` + [`server`] — a **batch executor on the shared
 //!   work-stealing scheduler** (`sirup-core::sched`): request-level jobs
 //!   (queries *and* ticketed mutations) enter the scheduler's FIFO
@@ -88,7 +88,7 @@ pub mod wire;
 pub use adaptive::{AdaptiveConfig, AdaptiveController, RouteInfo};
 pub use catalog::{Catalog, CowStats, IndexedInstance, MutationOutcome};
 pub use metrics::LatencyStats;
-pub use plan::{Answer, Plan, PlanCache, PlanOptions, Query, Strategy, Verdicts};
+pub use plan::{Answer, Plan, PlanCache, PlanOptions, Query, Strategy};
 pub use server::{
     Action, InstanceStats, ReplayMode, ReplayReport, Request, Response, Server, ServerConfig,
     ServerError,

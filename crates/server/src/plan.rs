@@ -1,14 +1,14 @@
 //! Query plans and the plan cache.
 //!
-//! A [`Plan`] is everything expensive about a program that does not depend
-//! on the data instance: the §4 classifier verdicts, the core of the CQ
-//! (from `sirup-hom`), the **compiled hom-search plans** every strategy
-//! executes (`sirup-hom::QueryPlan` — static variable order, per-variable
-//! domain constraints, join programs), and — when Prop. 2 boundedness
-//! evidence is found at the configured horizon — the UCQ rewriting (from
-//! `sirup-cactus`) with its FO rendering (from `sirup-fo`). Building a plan
-//! costs cactus enumeration, hom searches, and plan compilation; answering
-//! with one only *executes* compiled plans. The [`PlanCache`] (LRU, keyed
+//! A [`Plan`] holds exactly what answering a program executes, none of
+//! which depends on the data instance: the **compiled hom-search plans**
+//! of its strategy (`sirup-hom::QueryPlan` — static variable order,
+//! per-variable domain constraints, join programs), over the UCQ rewriting
+//! (from `sirup-cactus`) when Prop. 2 boundedness evidence is found at the
+//! configured horizon, and over the core of the CQ (from `sirup-hom`) for
+//! disjunctive sirups. Building a plan costs cactus enumeration, hom
+//! searches, and plan compilation; answering with one only *executes*
+//! compiled plans. The [`PlanCache`] (LRU, keyed
 //! by the query's canonical atom text) amortises all of that across every
 //! request for the same program, so warm-path requests skip planning
 //! entirely.
@@ -32,12 +32,10 @@
 use crate::cache::StampedLru;
 use crate::catalog::IndexedInstance;
 use sirup_cactus::{find_bound, pi_rewriting, sigma_rewriting, BoundSearch, Boundedness};
-use sirup_classifier::{classify_trichotomy, TrichotomyClass};
 use sirup_core::program::{pi_q, sigma_q, DSirup};
 use sirup_core::telemetry;
 use sirup_core::{Node, OneCq, Pred, Structure, Target};
 use sirup_engine::containment::minimise_ucq;
-use sirup_engine::linear::{linearity, Linearity};
 use sirup_engine::ucq::CompiledUcq;
 use sirup_engine::{disjunctive, CompiledProgram};
 use sirup_hom::{core_of, QueryPlan};
@@ -129,15 +127,15 @@ impl Answer {
 
 /// How a plan answers requests. Every variant carries its *compiled*
 /// search artifacts (`sirup-hom` query plans), so the plan cache amortises
-/// not just classifier verdicts and rewritings but the whole hom-search
-/// compilation: warm-path requests execute plans and never plan again.
+/// not just rewritings and cores but the whole hom-search compilation:
+/// warm-path requests execute plans and never plan again.
 #[derive(Debug, Clone)]
 pub enum Strategy {
     /// Evaluate the depth-`d` UCQ rewriting (bounded queries).
     Rewriting {
         /// The (minimised) rewriting with each disjunct compiled to a
         /// query plan. The disjunct patterns remain reachable through the
-        /// plans; the FO rendering is memoised separately in [`Plan::fo`].
+        /// plans.
         compiled: CompiledUcq,
         /// The Prop. 2 depth at which it was extracted.
         depth: u32,
@@ -166,19 +164,6 @@ impl Strategy {
             Strategy::Dpll { .. } => "dpll",
         }
     }
-}
-
-/// Per-program classifier facts memoised in the plan.
-#[derive(Debug, Clone)]
-pub struct Verdicts {
-    /// Linearity of `Σ_q` (for `pi`/`sigma` queries).
-    pub linearity: Option<Linearity>,
-    /// Theorem 11 verdict for the CQ, when the decider applies.
-    pub trichotomy: Option<TrichotomyClass>,
-    /// Node count of the CQ's core.
-    pub core_nodes: usize,
-    /// Whether the CQ is its own core (minimal).
-    pub minimal: bool,
 }
 
 /// Knobs for plan construction.
@@ -213,10 +198,6 @@ pub struct Plan {
     pub query: Query,
     /// The chosen evaluation strategy.
     pub strategy: Strategy,
-    /// Memoised classifier facts.
-    pub verdicts: Verdicts,
-    /// FO rendering of the rewriting, when one was adopted.
-    pub fo: Option<String>,
 }
 
 impl Plan {
@@ -231,13 +212,9 @@ impl Plan {
         telemetry::counter_add(telemetry::Counter::PlanCompiles, 1);
         let _t = telemetry::timed(telemetry::Family::PlanCompile, "plan_compile");
         let cache_key = query.cache_key();
-        let (core, _) = core_of(query.cq());
-        let minimal = core.node_count() == query.cq().node_count();
-        let trichotomy = classify_trichotomy(query.cq()).ok();
-        match &query {
+        let strategy = match &query {
             Query::PiGoal(q) | Query::SigmaAnswers(q) => {
                 let sigma = matches!(query, Query::SigmaAnswers(_));
-                let lin = Some(linearity(&sigma_q(q)));
                 let search = BoundSearch {
                     max_d: opts.max_depth,
                     horizon: opts.horizon,
@@ -253,57 +230,35 @@ impl Plan {
                     .map(|ucq| (minimise_ucq(&ucq), d)),
                     _ => None,
                 };
-                let (strategy, fo) = match rewriting {
-                    Some((ucq, depth)) => {
-                        let fo = format!("{}", sirup_fo::ucq_to_fo(&ucq));
-                        let compiled = ucq.compile();
-                        (Strategy::Rewriting { compiled, depth }, Some(fo))
-                    }
+                match rewriting {
+                    Some((ucq, depth)) => Strategy::Rewriting {
+                        compiled: ucq.compile(),
+                        depth,
+                    },
                     None => {
                         let program = if sigma { sigma_q(q) } else { pi_q(q) };
-                        (
-                            Strategy::SemiNaive {
-                                program: CompiledProgram::new(&program),
-                            },
-                            None,
-                        )
+                        Strategy::SemiNaive {
+                            program: CompiledProgram::new(&program),
+                        }
                     }
-                };
-                Plan {
-                    cache_key,
-                    verdicts: Verdicts {
-                        linearity: lin,
-                        trichotomy,
-                        core_nodes: core.node_count(),
-                        minimal,
-                    },
-                    query,
-                    strategy,
-                    fo,
                 }
             }
-            Query::Delta { disjoint, .. } => {
+            Query::Delta { cq, disjoint } => {
                 // Coring is sound here: the DPLL search consults `q` only
                 // through `hom_exists(q, ·)`, which hom-equivalence
                 // preserves.
                 let dsirup = DSirup {
-                    cq: core.clone(),
+                    cq: core_of(cq).0,
                     disjoint: *disjoint,
                 };
                 let plan = Box::new(QueryPlan::compile(&dsirup.cq));
-                Plan {
-                    cache_key,
-                    verdicts: Verdicts {
-                        linearity: None,
-                        trichotomy,
-                        core_nodes: core.node_count(),
-                        minimal,
-                    },
-                    query,
-                    strategy: Strategy::Dpll { dsirup, plan },
-                    fo: None,
-                }
+                Strategy::Dpll { dsirup, plan }
             }
+        };
+        Plan {
+            cache_key,
+            query,
+            strategy,
         }
     }
 
@@ -324,12 +279,9 @@ impl Plan {
     ///   reads are lookups instead of fixpoint runs.
     /// * **DPLL** searches the labellings of the snapshot's data directly,
     ///   reading adjacency through the snapshot's CSR view when it has one.
-    pub fn answer(&self, inst: &IndexedInstance) -> Answer {
-        self.answer_ctx(inst, None)
-    }
-
-    /// As [`Plan::answer`], with optional **intra-request parallelism**: a
-    /// [`ParCtx`](sirup_core::ParCtx) splits the strategy's heavy loops —
+    ///
+    /// An optional [`ParCtx`](sirup_core::ParCtx) adds **intra-request
+    /// parallelism**: it splits the strategy's heavy loops —
     /// rewriting disjuncts and answer sweeps, semi-naive delta checks and
     /// first materialisation builds, DPLL bound checks — into subtasks on
     /// the shared scheduler. `None` is the exact sequential path (the
@@ -388,49 +340,6 @@ impl Plan {
             ),
             _ => unreachable!("strategy/query kind mismatch"),
         }
-    }
-
-    /// Observed order inversion of this plan's compiled search, if any:
-    /// `(first_var_avg, min_avg, samples)` where `first_var_avg` is the
-    /// observed average post-AC-3 domain of the variable the static order
-    /// executes *first* and `min_avg` the smallest observed average over
-    /// all variables. `None` for non-DPLL strategies or before the first
-    /// execution. A first variable whose observed domain dwarfs another
-    /// variable's is the signal adaptive re-planning acts on.
-    pub fn observed_inversion(&self) -> Option<(f64, f64, u64)> {
-        let Strategy::Dpll { plan, .. } = &self.strategy else {
-            return None;
-        };
-        let est = plan.stats().observed_domains()?;
-        let first = *plan.order().first()?;
-        let first_avg = est[first.index()];
-        let min_avg = est.iter().copied().fold(f64::INFINITY, f64::min);
-        Some((first_avg, min_avg, plan.stats().samples()))
-    }
-
-    /// Recompile this plan's DPLL search with the observed per-variable
-    /// domain estimates, returning a fresh [`Plan`] (same key, query,
-    /// verdicts) whose variable order follows measurement instead of the
-    /// static selectivity score. `None` for non-DPLL strategies or before
-    /// any execution was recorded. The caller is expected to differential-
-    /// check the new plan against this one before swapping it into the
-    /// cache (the old plan is the oracle).
-    pub fn replanned_with_observed(&self) -> Option<Plan> {
-        let Strategy::Dpll { dsirup, plan } = &self.strategy else {
-            return None;
-        };
-        let est = plan.stats().observed_domains()?;
-        let replanned = Box::new(QueryPlan::compile_with_domain_estimates(&dsirup.cq, &est));
-        Some(Plan {
-            cache_key: self.cache_key.clone(),
-            query: self.query.clone(),
-            strategy: Strategy::Dpll {
-                dsirup: dsirup.clone(),
-                plan: replanned,
-            },
-            verdicts: self.verdicts.clone(),
-            fo: self.fo.clone(),
-        })
     }
 
     /// The live materialisation of this plan's program over `inst`.
@@ -494,15 +403,6 @@ impl PlanCache {
         self.lru.peek(key)
     }
 
-    /// Atomically replace the plan under `key` (insert if absent). This is
-    /// the adaptive re-planning swap: requests already holding the old
-    /// `Arc` finish on it — answers are order-independent, so the
-    /// interleaving is invisible — and every later fetch gets the new
-    /// plan.
-    pub fn swap(&self, key: &str, plan: std::sync::Arc<Plan>) {
-        self.lru.insert(key.to_owned(), plan);
-    }
-
     /// `(hits, misses)` so far.
     pub fn stats(&self) -> (u64, u64) {
         self.lru.stats()
@@ -532,7 +432,6 @@ mod tests {
     fn bounded_pi_plans_to_rewriting() {
         let plan = Plan::build(Query::PiGoal(q5()), &PlanOptions::default());
         assert_eq!(plan.strategy.name(), "rewriting");
-        assert!(plan.fo.as_deref().is_some_and(|f| f.contains('∃')));
     }
 
     #[test]
@@ -540,11 +439,6 @@ mod tests {
         let q4 = OneCq::parse("F(x), R(y,x), R(y,z), T(z)");
         let plan = Plan::build(Query::PiGoal(q4.clone()), &PlanOptions::default());
         assert_eq!(plan.strategy.name(), "semi-naive");
-        assert!(plan.fo.is_none());
-        assert_eq!(
-            plan.verdicts.linearity,
-            Some(sirup_engine::linear::Linearity::Linear)
-        );
         let sigma = Plan::build(Query::SigmaAnswers(q4), &PlanOptions::default());
         assert_eq!(sigma.strategy.name(), "semi-naive");
     }
@@ -564,8 +458,6 @@ mod tests {
             panic!("expected dpll");
         };
         assert!(dsirup.cq.node_count() < q.node_count());
-        assert!(!plan.verdicts.minimal);
-        assert_eq!(plan.verdicts.core_nodes, dsirup.cq.node_count());
     }
 
     #[test]

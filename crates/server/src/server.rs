@@ -23,7 +23,7 @@
 
 use crate::adaptive::{AdaptiveConfig, AdaptiveController};
 use crate::catalog::{Catalog, MutationOutcome};
-use crate::executor::{AdaptiveRuntime, Completion, Job, Pool, Work};
+use crate::executor::{Completion, Job, Pool, Work};
 use crate::metrics::LatencyStats;
 use crate::plan::{Answer, PlanCache, PlanOptions, Query, Strategy};
 use crate::wal::{Wal, WalRecord};
@@ -321,7 +321,7 @@ type AnswerCache = crate::cache::StampedLru<Answer>;
 pub struct Server {
     config: ServerConfig,
     catalog: Arc<Catalog>,
-    plans: Arc<PlanCache>,
+    plans: PlanCache,
     answers: AnswerCache,
     pool: Pool,
     /// The feedback controller (inert when [`AdaptiveConfig::enabled`] is
@@ -360,14 +360,8 @@ enum Route {
 impl Server {
     /// Build a server (spawns the shared scheduler's workers immediately).
     pub fn new(config: ServerConfig) -> Server {
-        let plans = Arc::new(PlanCache::new(config.plan_cache));
         let adaptive = Arc::new(AdaptiveController::new(config.adaptive));
-        let hooks = config.adaptive.enabled.then(|| {
-            Arc::new(AdaptiveRuntime {
-                ctrl: Arc::clone(&adaptive),
-                plans: Arc::clone(&plans),
-            })
-        });
+        let hooks = config.adaptive.enabled.then(|| Arc::clone(&adaptive));
         let pool = Pool::new(
             config.threads,
             config.parallelism,
@@ -380,7 +374,7 @@ impl Server {
         }
         Server {
             catalog: Arc::new(catalog),
-            plans,
+            plans: PlanCache::new(config.plan_cache),
             answers: AnswerCache::new(config.answer_cache),
             pool,
             adaptive,
@@ -643,7 +637,7 @@ impl Server {
                 let plan = self.plans.get_or_build(query, &self.config.plan);
                 let par = (self.config.parallelism > 1)
                     .then(|| ParCtx::new(self.pool.scheduler(), self.config.par_threshold));
-                let answer = self.adaptive.execute(&plan, &inst, &self.plans, par);
+                let answer = self.adaptive.execute(&plan, &inst, par);
                 if let Some(key) = answer_key {
                     self.answers.insert(key, answer.clone());
                 }

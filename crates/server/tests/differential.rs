@@ -248,10 +248,10 @@ fn cached_compiled_plans_serve_warm_path_like_fresh_builds() {
         );
         let fresh = Plan::build(query.clone(), &opts);
         for inst in &indexed {
-            let served = warm.answer(inst);
+            let served = warm.answer_ctx(inst, None);
             assert_eq!(
                 served,
-                fresh.answer(inst),
+                fresh.answer_ctx(inst, None),
                 "cached plan ≠ fresh build on {} ({})",
                 inst.name,
                 query.kind_name()

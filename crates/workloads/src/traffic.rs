@@ -382,14 +382,14 @@ pub fn scaling_traffic(nodes: usize, requests: usize, seed: u64) -> TrafficSpec 
 ///    maintained materialisation would churn on every write);
 /// 2. **read-heavy**: an uninterrupted run of unbounded semi-naive reads
 ///    (`q4` as Π/Σ) plus disjunctive DPLL reads (`q2` as Δ/Δ⁺), the shape
-///    that clears the promotion threshold and feeds re-planning samples;
+///    that clears the promotion threshold;
 /// 3. **write-heavy again**: the demotion phase — writes dominate once
 ///    more, so promoted programs detach their materialisations.
 ///
 /// `sirupctl serve --phases --emit` renders it (the bundled
 /// `workloads/phases.sirupload` is this spec at its committed size), and
 /// the CI adaptive smoke replays it with `--adaptive` asserting the
-/// promotion/re-plan/shed counters move. Deterministic in
+/// promotion/shed counters move. Deterministic in
 /// `(per_phase, seed)`; arrivals are strictly nondecreasing.
 pub fn phase_traffic(per_phase: usize, seed: u64) -> TrafficSpec {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -725,7 +725,7 @@ mod tests {
         assert!(writes(thirds[0]) > 8, "first phase must be write-heavy");
         assert!(writes(thirds[2]) > 8, "last phase must be write-heavy");
         // The read phase exercises both the semi-naive kinds (promotion)
-        // and the disjunctive kinds (re-planning).
+        // and the disjunctive kinds (DPLL, which never promotes).
         for kind in [
             QueryKind::PiGoal,
             QueryKind::SigmaAnswers,

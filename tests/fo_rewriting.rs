@@ -7,6 +7,7 @@ use monadic_sirups::cactus::enumerate::enumerate_cactuses;
 use monadic_sirups::cactus::{find_bound, pi_rewriting, sigma_rewriting, BoundSearch, Boundedness};
 use monadic_sirups::core::program::{pi_q, sigma_q};
 use monadic_sirups::core::{OneCq, Structure};
+use monadic_sirups::engine::containment::minimise_ucq;
 use monadic_sirups::engine::eval::{certain_answer_goal, certain_answers_unary};
 use monadic_sirups::fo::{
     render_sql, ucq_to_fo, verify_boolean_rewriting, verify_unary_rewriting, SqlDialect,
@@ -105,6 +106,10 @@ fn fo_translation_matches_hom_evaluation_on_random_instances() {
     let q = q5();
     let ucq = pi_rewriting(&q, 1, 10_000).unwrap();
     let phi = ucq_to_fo(&ucq);
+    // Minimising drops redundant disjuncts, not the quantified variables
+    // of the ones that remain.
+    let minimised = ucq_to_fo(&minimise_ucq(&ucq));
+    assert!(minimised.to_string().contains('∃'), "{minimised}");
     for seed in 0..25 {
         let d = random_instance(6, 10, 0.5, 0.4, 7_000 + seed);
         assert_eq!(
