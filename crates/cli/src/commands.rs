@@ -1862,7 +1862,11 @@ request mutate d @10 = +A(b), +R(b,a)
 request sigma d @20 = F(x), R(x,y), T(y)
 ";
         std::fs::write(&path, text).unwrap();
-        let out = run_line(&["stats", path.to_str().unwrap()]).unwrap();
+        // One worker: a closed batch resolves its snapshots up front, so
+        // with more the mutation can carry the catalog forward before the
+        // first `sigma` read attaches its materialisation, and the live
+        // version then shows none.
+        let out = run_line(&["stats", path.to_str().unwrap(), "--threads", "1"]).unwrap();
         assert!(out.contains("1 mutation(s)"), "{out}");
         assert!(out.contains("instance d: version"), "{out}");
         assert!(out.contains("materialisation ["), "{out}");
@@ -1883,7 +1887,15 @@ request sigma d @20 = F(x), R(x,y), T(y)
         );
         assert!(out.contains("wal            : (not durable)"), "{out}");
         // Filtering works, and unknown filters are reported.
-        let filtered = run_line(&["stats", path.to_str().unwrap(), "--instance", "d"]).unwrap();
+        let filtered = run_line(&[
+            "stats",
+            path.to_str().unwrap(),
+            "--instance",
+            "d",
+            "--threads",
+            "1",
+        ])
+        .unwrap();
         assert!(filtered.contains("instance d:"), "{filtered}");
         assert!(matches!(
             run_line(&["stats", path.to_str().unwrap(), "--instance", "nope"]),

@@ -36,9 +36,11 @@
 //! [`FrozenStructure::freeze`] of the structure **as of its build or its
 //! last `apply`** — the same contract as [`crate::index::PredIndex`]. The
 //! server catalog freezes one lazily per instance and carries it across
-//! every later mutation with `apply`; the datalog engine freezes its
-//! (edge-immutable) working instance once per evaluation and consults only
-//! the edge side while labels accrue — see [`crate::Target::relabelled`].
+//! every later mutation with `apply`; the datalog engine freezes the data
+//! once per evaluation and reads it in full mode, with the labels it
+//! derives laid over the view's rows as an overlay — see
+//! [`crate::Target::with_label_rows`]. A view is always read in full mode:
+//! its label rows are as current as its edges.
 //!
 //! Both freeze only at or above [`FREEZE_EDGE_THRESHOLD`] edges
 //! ([`FrozenStructure::freeze_if_large`]).

@@ -15,24 +15,22 @@
 //! `Copy` value, so every evaluator has exactly one entry point.
 //!
 //! **The read-target contract.** Each attached substrate is a current
-//! snapshot of `data` (its node count is asserted on attach). Two
-//! constructors describe an instance whose labels differ from the data's:
+//! snapshot of `data` (its node count is asserted on attach). Labels are
+//! read in one of two modes:
 //!
-//! * [`Target::relabelled`]: a working copy that has gained or lost labels
-//!   of any predicate (the fixpoint's derived IDB labels). Its edges are
-//!   the data's, so the view stays attached for adjacency ("edges-only"
-//!   mode); its labels have moved on, so the index is dropped and every
-//!   label read goes to the working copy.
-//! * [`Target::with_label_rows`]: the data itself with the rows of a few
-//!   named predicates replaced by caller-owned bitmaps (DPLL's `T`/`F`
-//!   bound overlays). A read of an overridden predicate goes to its row;
-//!   every other label keeps reading the view in full mode, or the live
-//!   data. The index is dropped, so its postings for an overridden
+//! * full mode: every label comes from the view's label rows when a view
+//!   is attached, else from the live data;
+//! * overlay mode ([`Target::with_label_rows`]): the data with the rows of
+//!   a few named predicates replaced by caller-owned bitmaps — DPLL's
+//!   `T`/`F` bound overlays, and the derived IDB labels of the fixpoint
+//!   and of its maintained materialisation. A read of an overridden
+//!   predicate goes to its row; every other label is read as in full
+//!   mode. The index is dropped, so its postings for an overridden
 //!   predicate can never be consulted.
 //!
 //! Label reads go through [`Target::has_label`] and [`Target::label_row`],
-//! which honour both constructors; the type, not a comment, rules out a
-//! stale label read.
+//! which honour the overlay; the type, not a comment, rules out a stale
+//! label read.
 
 use crate::csr::FrozenStructure;
 use crate::index::PredIndex;
@@ -49,9 +47,6 @@ pub struct Target<'a> {
     data: &'a Structure,
     index: Option<&'a PredIndex>,
     view: Option<&'a FrozenStructure>,
-    /// Are the view's label rows current for `data`? `false` only on a
-    /// [`Target::relabelled`] working copy.
-    view_labels: bool,
     /// Label rows that override the named predicates
     /// ([`Target::with_label_rows`]); empty for a plain target.
     rows: &'a [(Pred, &'a NodeSet)],
@@ -65,7 +60,6 @@ impl<'a> From<&'a Structure> for Target<'a> {
             data,
             index: None,
             view: None,
-            view_labels: false,
             rows: &[],
             par: None,
         }
@@ -100,7 +94,6 @@ impl<'a> Target<'a> {
                 "FrozenStructure is not a snapshot of this target"
             );
             self.view = Some(f);
-            self.view_labels = true;
         }
         self
     }
@@ -112,46 +105,16 @@ impl<'a> Target<'a> {
         self
     }
 
-    /// The target for `work`, a copy of this target's data that has since
-    /// gained or lost labels but no edges or nodes. The view stays
-    /// attached in "edges-only" mode (its label rows are never read) and
-    /// the index is dropped; the parallel context carries over.
-    pub fn relabelled<'b>(self, work: &'b Structure) -> Target<'b>
-    where
-        'a: 'b,
-    {
-        if let Some(f) = self.view {
-            assert_eq!(
-                f.node_count(),
-                work.node_count(),
-                "FrozenStructure is not a snapshot of this target"
-            );
-        }
-        Target {
-            data: work,
-            index: None,
-            view: self.view,
-            view_labels: false,
-            rows: &[],
-            par: self.par,
-        }
-    }
-
     /// This target with the label rows of the named predicates replaced
     /// by `rows` ("overlay" mode): each row must be dimensioned to the
     /// data's node count. Reads of an overridden predicate go to its row;
-    /// every other label keeps its current source (the view in full mode,
-    /// or the live data). The index is dropped. Replaces any earlier
-    /// overlay. Not for a [`Target::relabelled`] working copy: an overlay
-    /// describes the data itself.
+    /// every other label keeps its current source (the view when one is
+    /// attached, or the live data). The index is dropped. Replaces any earlier
+    /// overlay.
     pub fn with_label_rows<'b>(self, rows: &'b [(Pred, &'b NodeSet)]) -> Target<'b>
     where
         'a: 'b,
     {
-        assert!(
-            self.view.is_none() || self.view_labels,
-            "label rows overlay the data, not a relabelled working copy"
-        );
         Target {
             index: None,
             rows,
@@ -171,7 +134,7 @@ impl<'a> Target<'a> {
         self.index
     }
 
-    /// The attached view, if any. Its edge side is always current.
+    /// The attached view, if any.
     #[inline]
     pub fn view(&self) -> Option<&'a FrozenStructure> {
         self.view
@@ -179,16 +142,13 @@ impl<'a> Target<'a> {
 
     /// Bitmap row of the nodes labelled `l`, dimensioned to the node
     /// count: the overlay's row for an overridden predicate, else the
-    /// view's row in full mode; `None` when neither is current (then
-    /// labels are read off the live data).
+    /// view's row; `None` when there is neither (then labels are read off
+    /// the live data).
     #[inline]
     pub fn label_row(&self, l: Pred) -> Option<&'a NodeSet> {
         match self.rows.iter().find(|&&(p, _)| p == l) {
             Some(&(_, row)) => Some(row),
-            None => self
-                .view
-                .filter(|_| self.view_labels)
-                .map(|f| f.label_row(l)),
+            None => self.view.map(|f| f.label_row(l)),
         }
     }
 
@@ -196,9 +156,9 @@ impl<'a> Target<'a> {
     /// when there is one, else the live data.
     #[inline]
     pub fn has_label(&self, v: Node, l: Pred) -> bool {
-        // Live reads (no overlay, no full-mode view) are the hot case of
-        // the planner's per-node admissibility scans.
-        if self.rows.is_empty() && !self.view_labels {
+        // Live reads (no overlay, no view) are the hot case of the
+        // planner's per-node admissibility scans.
+        if self.rows.is_empty() && self.view.is_none() {
             return self.data.has_label(v, l);
         }
         match self.label_row(l) {
@@ -221,24 +181,6 @@ mod tests {
     use crate::Pred;
 
     #[test]
-    fn relabelled_keeps_edges_only() {
-        let d = st("R(a,b), T(b)");
-        let idx = PredIndex::new(&d);
-        let f = FrozenStructure::freeze(&d);
-        let full = Target::from(&d).with_index(&idx).with_view(Some(&f));
-        assert!(full.index().is_some() && full.label_row(Pred::T).is_some());
-        let mut work = d.clone();
-        work.add_label(crate::Node(0), Pred::P);
-        let w = full.relabelled(&work);
-        assert!(w.index().is_none());
-        assert!(w.view().is_some());
-        assert!(w.label_row(Pred::T).is_none());
-        assert!(w.has_label(crate::Node(0), Pred::P));
-        // Re-attaching no view keeps the mode.
-        assert!(w.with_view(None).label_row(Pred::T).is_none());
-    }
-
-    #[test]
     fn label_rows_override_named_predicates_only() {
         let d = st("R(a,b), T(b), A(a)");
         let (a, b) = (crate::Node(0), crate::Node(1));
@@ -253,7 +195,7 @@ mod tests {
             assert!(o.with_index(&idx).index().is_none());
             assert_eq!(o.label_row(Pred::T), Some(&t_row));
             assert!(o.has_label(a, Pred::T) && !o.has_label(b, Pred::T));
-            // Other labels keep their source: the view in full mode, or
+            // Other labels keep their source: the view when attached, or
             // the live data.
             assert!(o.has_label(a, Pred::A));
             assert_eq!(o.label_row(Pred::A).is_some(), base.view().is_some());

@@ -1,8 +1,10 @@
 //! Bottom-up evaluation of monadic datalog programs.
 //!
 //! The closure `Π(D)` of a data instance under a monadic program is computed
-//! by materialising derived unary IDB facts as extra labels on a working copy
-//! of the instance and iterating rule application to a fixpoint. Rule bodies
+//! by keeping the derived unary IDB facts as one bitmap row per IDB
+//! predicate, laid over the instance as a label overlay
+//! ([`Target::with_label_rows`]), and iterating rule application to a
+//! fixpoint; the data itself is never copied. Rule bodies
 //! are conjunctive patterns; applying a rule with head `P(x)` amounts to one
 //! pinned homomorphism check per candidate constant, and nullary heads to a
 //! single homomorphism check. Only candidates not yet derived are re-checked
@@ -11,7 +13,7 @@
 //!
 //! Rule bodies are compiled **once** into [`sirup_hom::QueryPlan`]s (a
 //! [`CompiledProgram`]); the fixpoint then replays those plans against the
-//! working instance, so no per-round or per-candidate search planning
+//! overlaid instance, so no per-round or per-candidate search planning
 //! happens. Long-lived callers (the query service) build a
 //! [`CompiledProgram`] up front and reuse it across requests.
 
@@ -150,21 +152,24 @@ impl CompiledProgram {
 
     /// Evaluate over the target's data, returning all derived IDB facts.
     ///
-    /// The fixpoint adds derived labels to a working copy of the data and
-    /// replays the rule plans against it through
-    /// [`Target::relabelled`]: the CSR view (attached, or built here when
-    /// none is and the data clears the freeze gate) serves adjacency for
-    /// the whole evaluation, since edges never change. The index and the
-    /// view's label rows seed each unary-headed rule's candidates: only
-    /// nodes carrying every *EDB* label its body places on the head
-    /// variable. EDB labels are invariant during evaluation, so the seeding
-    /// is exact and the result identical to a plain evaluation's.
+    /// The fixpoint keeps each IDB predicate's closure extension as a
+    /// bitmap row and replays the rule plans against the data with those
+    /// rows laid over it ([`Target::with_label_rows`]): the CSR view
+    /// (attached, or built here when none is and the data clears the
+    /// freeze gate) serves adjacency and the EDB labels for the whole
+    /// evaluation, since neither changes. The overlay is rebuilt after each
+    /// derivation, so a later candidate of the same sweep sees it. The
+    /// index and the view's label rows seed each unary-headed rule's
+    /// candidates: only nodes carrying every *EDB* label its body places on
+    /// the head variable. EDB labels are invariant during evaluation, so
+    /// the seeding is exact and the result identical to a plain
+    /// evaluation's.
     ///
     /// With a parallel context, each semi-naive round partitions a rule's
     /// candidate set across the scheduler's workers (above the context's
-    /// threshold), checks the candidates against the round-start working
-    /// instance, and merges the per-worker derivation buffers in chunk
-    /// order. Parallel rounds give up in-round propagation within a rule,
+    /// threshold), checks the candidates against the round-start overlay,
+    /// and merges the per-worker derivation buffers in chunk order.
+    /// Parallel rounds give up in-round propagation within a rule,
     /// so [`Evaluation::rounds`] may differ from the sequential count — the
     /// fixpoint itself is unique and identical (the parallel differential
     /// suite pins this).
@@ -178,8 +183,6 @@ impl CompiledProgram {
         let _span = telemetry::traced(telemetry::Family::SemiNaiveFixpoint, "seminaive_fixpoint");
         let data = t.data();
         let n = data.node_count();
-        // Working structure: data plus derived labels.
-        let mut work = data.clone();
         // Per-candidate checks run sequentially: the parallel context
         // splits the candidate sweep and the nullary existence checks.
         let seq = t.with_par(None);
@@ -215,9 +218,9 @@ impl CompiledProgram {
                 Some((set, len))
             })
             .collect();
-        // Maintained closure extension per IDB predicate, seeded from the
-        // base data in one pass and updated on every derivation — replaces
-        // the per-round / final O(n · |IDB|) label rescans.
+        // Closure extension per IDB predicate, seeded from the base data in
+        // one pass and updated on every derivation: the label rows every
+        // rule check reads through the overlay.
         let mut derived: FxHashMap<Pred, NodeSet> =
             self.idbs.iter().map(|&p| (p, NodeSet::empty(n))).collect();
         for (p, a) in data.unary_atoms() {
@@ -241,7 +244,7 @@ impl CompiledProgram {
                         // itself splits its root domain when a context is
                         // attached.
                         if nullary.binary_search(&c.head_pred).is_err()
-                            && c.plan.on(t.relabelled(&work)).exists()
+                            && c.plan.on(t.with_label_rows(&label_rows(&derived))).exists()
                         {
                             let pos = nullary.binary_search(&c.head_pred).unwrap_err();
                             nullary.insert(pos, c.head_pred);
@@ -268,36 +271,44 @@ impl CompiledProgram {
                         match t.par() {
                             Some(ctx) if ctx.should_split(cands.len()) => {
                                 // Check every candidate against the
-                                // round-start snapshot, in parallel chunks;
+                                // round-start overlay, in parallel chunks;
                                 // merge the per-chunk derivation buffers in
                                 // chunk order (deterministic) and apply.
-                                let work_ref = &work;
+                                let rows = label_rows(&derived);
+                                let on = seq.with_label_rows(&rows);
                                 let derived_now: Vec<Vec<Node>> =
                                     ctx.sched.map_chunks(&cands, ctx.fanout(), |slice| {
                                         slice
                                             .iter()
                                             .copied()
-                                            .filter(|&a| {
-                                                c.plan
-                                                    .on(seq.relabelled(work_ref))
-                                                    .fix(head_node, a)
-                                                    .exists()
-                                            })
+                                            .filter(|&a| c.plan.on(on).fix(head_node, a).exists())
                                             .collect()
                                     });
                                 for a in derived_now.into_iter().flatten() {
-                                    work.add_label(a, p);
                                     derived.get_mut(&p).expect("head pred is IDB").insert(a);
                                     changed = true;
                                 }
                             }
                             _ => {
-                                for &a in cands.iter() {
-                                    if c.plan.on(seq.relabelled(&work)).fix(head_node, a).exists() {
-                                        work.add_label(a, p);
-                                        derived.get_mut(&p).expect("head pred is IDB").insert(a);
-                                        changed = true;
-                                    }
+                                // The overlay is rebuilt after each
+                                // derivation, so the rest of the sweep sees
+                                // it (in-round propagation).
+                                let mut rest = &cands[..];
+                                while !rest.is_empty() {
+                                    let rows = label_rows(&derived);
+                                    let on = seq.with_label_rows(&rows);
+                                    let Some(k) = rest
+                                        .iter()
+                                        .position(|&a| c.plan.on(on).fix(head_node, a).exists())
+                                    else {
+                                        break;
+                                    };
+                                    derived
+                                        .get_mut(&p)
+                                        .expect("head pred is IDB")
+                                        .insert(rest[k]);
+                                    changed = true;
+                                    rest = &rest[k + 1..];
                                 }
                             }
                         }
@@ -323,6 +334,11 @@ impl CompiledProgram {
             rounds,
         }
     }
+}
+
+/// The overlay rows of `derived`: one per IDB predicate.
+pub(crate) fn label_rows(derived: &FxHashMap<Pred, NodeSet>) -> Vec<(Pred, &NodeSet)> {
+    derived.iter().map(|(&p, row)| (p, row)).collect()
 }
 
 /// Evaluate `program` over `target`, returning all derived IDB facts.

@@ -41,9 +41,22 @@
 //!    and cascade through the *insertion* machinery, which also restores
 //!    the counts of derivations that involve rederived facts.
 //!
+//! ## The working instance
+//!
+//! The working instance is never copied. It is the base [`Structure`] (the
+//! asserted facts) read with every IDB predicate's closure extension laid
+//! over its labels as a bitmap row ([`Target::with_label_rows`]), so each
+//! derived label lives in one place. A pending fact stays out of it until
+//! the cascade pops it: an inserted EDB fact enters the base, and a
+//! derived or asserted IDB label enters its extension row, only then; a
+//! retracted one leaves at the same point, after its own replay. An
+//! asserted IDB label is a DRed axiom, so it enters and leaves the base
+//! when its op is staged; the overlay hides the base's IDB labels from rule
+//! checks, so this changes no read.
+//!
 //! The differential suite (`crates/engine/tests/incremental.rs`) pins the
 //! maintained state to a from-scratch [`CompiledProgram::evaluate`] after
-//! every op of random mutation sequences.
+//! every op of random mutation sequences, and after every whole batch.
 //!
 //! ## Complexity
 //!
@@ -67,7 +80,7 @@
 //! `crates/engine/tests/anchored_seeds.rs` asserts that a maintained
 //! write on a 5000-node instance seeds nothing over the instance.
 
-use crate::eval::{CompiledProgram, Evaluation};
+use crate::eval::{label_rows, CompiledProgram, Evaluation};
 use sirup_core::fx::{FxHashMap, FxHashSet};
 use sirup_core::program::Program;
 use sirup_core::telemetry;
@@ -129,10 +142,10 @@ pub struct MaterializedFixpoint {
     program: CompiledProgram,
     pins: Vec<RulePins>,
     /// The asserted (base) instance: every retained EDB fact, plus any
-    /// IDB-predicate facts the data itself carries.
+    /// IDB-predicate facts the data itself carries. Between calls it holds
+    /// every asserted fact; during a cascade its EDB facts are those the
+    /// cascade has popped (see the module docs).
     base: Structure,
-    /// Base plus derived IDB labels — the closure.
-    work: Structure,
     /// Derived nullary facts, sorted (membership ⟺ support > 0).
     nullary: Vec<Pred>,
     /// Exact support counts: number of (rule, body-homomorphism) pairs in
@@ -141,7 +154,8 @@ pub struct MaterializedFixpoint {
     /// materialisation skips the enumeration pass entirely).
     support: FxHashMap<HeadKey, u64>,
     supports_seeded: bool,
-    /// Closure extension of each IDB predicate as a bitset over nodes.
+    /// Closure extension of each IDB predicate as a bitset over nodes: the
+    /// label rows rule checks read over the base.
     extension: FxHashMap<Pred, NodeSet>,
     ops_applied: u64,
 }
@@ -186,29 +200,24 @@ impl MaterializedFixpoint {
             })
             .collect();
 
-        // Initial closure from the one-shot evaluator. Support counts are
-        // seeded by one enumeration pass per rule — deferred to the first
-        // mutation, since only maintenance reads them.
-        let mut work = data.clone();
-        for (&p, nodes) in &ev.unary {
-            for &a in nodes {
-                work.add_label(a, p);
-            }
-        }
-        let mut extension: FxHashMap<Pred, NodeSet> = FxHashMap::default();
-        for &p in program.idb_preds() {
-            let mut set = NodeSet::empty(work.node_count());
-            for a in work.nodes() {
-                if work.has_label(a, p) {
+        // Initial closure from the one-shot evaluator, whose extensions
+        // include the data's own IDB labels. Support counts are seeded by
+        // one enumeration pass per rule — deferred to the first mutation,
+        // since only maintenance reads them.
+        let extension: FxHashMap<Pred, NodeSet> = program
+            .idb_preds()
+            .iter()
+            .map(|&p| {
+                let mut set = NodeSet::empty(data.node_count());
+                for &a in ev.answers(p) {
                     set.insert(a);
                 }
-            }
-            extension.insert(p, set);
-        }
+                (p, set)
+            })
+            .collect();
         MaterializedFixpoint {
             pins,
             base: data.clone(),
-            work,
             nullary: ev.nullary,
             support: FxHashMap::default(),
             supports_seeded: false,
@@ -224,10 +233,13 @@ impl MaterializedFixpoint {
         if self.supports_seeded {
             return;
         }
+        let rows = label_rows(&self.extension);
+        let on = Target::from(&self.base).with_label_rows(&rows);
+        let support = &mut self.support;
         for r in self.program.compiled_rules() {
-            r.plan.on(&self.work).for_each(|h| {
+            r.plan.on(on).for_each(|h| {
                 let key = (r.head_pred, r.head_node.map(|n| h[n.index()]));
-                *self.support.entry(key).or_default() += 1;
+                *support.entry(key).or_default() += 1;
                 true
             });
         }
@@ -246,7 +258,10 @@ impl MaterializedFixpoint {
 
     /// Is `p(a)` in the closure?
     pub fn holds_at(&self, p: Pred, a: Node) -> bool {
-        a.index() < self.work.node_count() && self.work.has_label(a, p)
+        match self.extension.get(&p) {
+            Some(row) => row.contains_checked(a),
+            None => a.index() < self.base.node_count() && self.base.has_label(a, p),
+        }
     }
 
     /// The closure extension of IDB predicate `p`, sorted.
@@ -304,22 +319,26 @@ impl MaterializedFixpoint {
     /// (pending facts stay out of the working instance until popped) is
     /// seed-count-agnostic, so the maintained state and support counts are
     /// identical to the per-op result — the batch-vs-per-op differential
-    /// test pins this. Retracts flush the pending batch first and cascade
-    /// individually (DRed overdeletion is order-sensitive).
+    /// test pins this. A staged EDB fact is present if the base holds it
+    /// or it is already pending, so a repeated insert is a no-op. Retracts
+    /// flush the pending batch first and cascade individually (DRed
+    /// overdeletion is order-sensitive).
     pub fn apply(&mut self, ops: &[FactOp]) -> usize {
         telemetry::counter_add(telemetry::Counter::IncrementalCascades, 1);
         let _t = telemetry::traced(telemetry::Family::IncrementalCascade, "incremental_cascade");
         self.ensure_supports_seeded();
         let mut applied = 0usize;
         let mut seeds: Vec<Fact> = Vec::new();
+        let mut staged: FxHashSet<Fact> = FxHashSet::default();
         for &op in ops {
             if op.is_insert() {
-                if let Some(seed) = self.stage_insert(op, &mut applied) {
+                if let Some(seed) = self.stage_insert(op, &staged, &mut applied) {
+                    staged.insert(seed);
                     seeds.push(seed);
                 }
             } else {
                 if !seeds.is_empty() {
-                    self.insert_cascade(std::mem::take(&mut seeds));
+                    self.insert_cascade(std::mem::take(&mut seeds), std::mem::take(&mut staged));
                 }
                 if self.stage_retract(op) {
                     applied += 1;
@@ -328,7 +347,7 @@ impl MaterializedFixpoint {
             }
         }
         if !seeds.is_empty() {
-            self.insert_cascade(seeds);
+            self.insert_cascade(seeds, staged);
         }
         applied
     }
@@ -340,7 +359,7 @@ impl MaterializedFixpoint {
         extension_sizes.sort_unstable();
         let entry_bytes = std::mem::size_of::<(HeadKey, u64)>() + std::mem::size_of::<u64>();
         MaterializationStats {
-            nodes: self.work.node_count(),
+            nodes: self.base.node_count(),
             base_atoms: self.base.size(),
             extension_sizes,
             nullary: self.nullary.clone(),
@@ -351,80 +370,75 @@ impl MaterializedFixpoint {
         }
     }
 
-    /// Patch the base with one insert op and return the worklist seed, if
-    /// the op introduced a genuinely new working-instance fact. Bumps the
-    /// counters for effective ops; the caller owns cascading the seeds.
-    fn stage_insert(&mut self, op: FactOp, applied: &mut usize) -> Option<Fact> {
-        let seed = match op {
+    /// Stage one insert op and return the worklist seed, if the op
+    /// introduced a genuinely new working-instance fact (`staged` holds the
+    /// seeds already pending). An asserted IDB label is a DRed axiom and
+    /// enters the base here; an EDB fact waits for the cascade to pop it.
+    /// Bumps the counters for effective ops; the caller owns cascading the
+    /// seeds.
+    fn stage_insert(
+        &mut self,
+        op: FactOp,
+        staged: &FxHashSet<Fact>,
+        applied: &mut usize,
+    ) -> Option<Fact> {
+        let f = match op {
             FactOp::AddLabel(p, v) => {
                 self.ensure_node(v);
-                if !self.base.add_label(v, p) {
-                    return None;
-                }
-                if self.work.has_label(v, p) {
-                    // Asserted on top of derived: the closure is unchanged,
-                    // only the extension bookkeeping needs the node.
-                    if let Some(set) = self.extension.get_mut(&p) {
-                        set.insert(v);
-                    }
-                    None
-                } else {
-                    Some(Fact::Label(p, v))
-                }
+                Fact::Label(p, v)
             }
             FactOp::AddEdge(p, u, v) => {
                 self.ensure_node(u.max(v));
-                if !self.base.add_edge(p, u, v) {
-                    return None;
-                }
-                // Edges are never derived, so work cannot have it yet.
-                Some(Fact::Edge(p, u, v))
+                Fact::Edge(p, u, v)
             }
             FactOp::RemoveLabel(..) | FactOp::RemoveEdge(..) => {
                 unreachable!("stage_insert takes Add* ops")
             }
         };
+        let fresh = match f {
+            Fact::Label(p, v) if self.extension.contains_key(&p) => self.base.add_label(v, p),
+            _ => !self.fact_in_work(f) && !staged.contains(&f),
+        };
+        if !fresh {
+            return None;
+        }
         *applied += 1;
         self.ops_applied += 1;
-        seed
+        // Asserted on top of derived: the closure is unchanged.
+        (!self.fact_in_work(f)).then_some(f)
     }
 
-    /// Patch the base with one retract op and run its DRed cascade.
-    /// Returns whether the op changed the instance.
+    /// Stage one retract op and run its DRed cascade, which takes an EDB
+    /// fact out of the base after its own replay; an asserted IDB label
+    /// leaves the base here. Returns whether the op changed the instance.
     fn stage_retract(&mut self, op: FactOp) -> bool {
-        match op {
-            FactOp::RemoveLabel(p, v) => {
-                if v.index() >= self.base.node_count() || !self.base.remove_label(v, p) {
-                    false
-                } else {
-                    // Even a still-derived fact must go through the DRed
-                    // cascade: its remaining supports may be cyclic (resting
-                    // on derivations that rest on this fact).
-                    self.retract_cascade(vec![Fact::Label(p, v)]);
-                    true
-                }
-            }
-            FactOp::RemoveEdge(p, u, v) => {
-                if u.index() >= self.base.node_count()
-                    || v.index() >= self.base.node_count()
-                    || !self.base.remove_edge(p, u, v)
-                {
-                    false
-                } else {
-                    self.retract_cascade(vec![Fact::Edge(p, u, v)]);
-                    true
-                }
-            }
+        let n = self.base.node_count();
+        let (f, in_range) = match op {
+            FactOp::RemoveLabel(p, v) => (Fact::Label(p, v), v.index() < n),
+            FactOp::RemoveEdge(p, u, v) => (Fact::Edge(p, u, v), u.index() < n && v.index() < n),
             FactOp::AddLabel(..) | FactOp::AddEdge(..) => {
                 unreachable!("stage_retract takes Remove* ops")
             }
+        };
+        let present = in_range
+            && match f {
+                Fact::Label(p, v) if self.extension.contains_key(&p) => {
+                    self.base.remove_label(v, p)
+                }
+                _ => self.fact_in_work(f),
+            };
+        if present {
+            // Even a still-derived fact must go through the DRed cascade:
+            // its remaining supports may be cyclic (resting on derivations
+            // that rest on this fact).
+            self.retract_cascade(vec![f]);
         }
+        present
     }
 
     fn ensure_node(&mut self, v: Node) {
         self.base.ensure_node(v);
-        self.work.ensure_node(v);
-        let n = self.work.node_count();
+        let n = self.base.node_count();
         for set in self.extension.values_mut() {
             set.grow(n);
         }
@@ -435,12 +449,14 @@ impl MaterializedFixpoint {
     /// (a hom found via two pinned atoms must count support once).
     fn homs_using(&self, r: usize, fact: Fact) -> Vec<Vec<Node>> {
         let plan = &self.program.compiled_rules()[r].plan;
+        let rows = label_rows(&self.extension);
+        let on = Target::from(&self.base).with_label_rows(&rows);
         let mut homs: Vec<Vec<Node>> = Vec::new();
         match fact {
             Fact::Label(p, a) => {
                 if let Some(vars) = self.pins[r].unary.get(&p) {
                     for &t in vars {
-                        plan.on(&self.work).fix(t, a).for_each(|h| {
+                        plan.on(on).fix(t, a).for_each(|h| {
                             homs.push(h.to_vec());
                             true
                         });
@@ -450,7 +466,7 @@ impl MaterializedFixpoint {
             Fact::Edge(p, a, b) => {
                 if let Some(atoms) = self.pins[r].binary.get(&p) {
                     for &(t1, t2) in atoms {
-                        plan.on(&self.work).fix(t1, a).fix(t2, b).for_each(|h| {
+                        plan.on(on).fix(t1, a).fix(t2, b).for_each(|h| {
                             homs.push(h.to_vec());
                             true
                         });
@@ -465,32 +481,37 @@ impl MaterializedFixpoint {
         homs
     }
 
-    /// Add a fact to the working instance (and the IDB extension bitsets).
+    /// Add a popped fact to the working instance: an IDB label to its
+    /// extension row, an EDB fact to the base.
     fn add_to_work(&mut self, fact: Fact) {
         match fact {
-            Fact::Label(p, a) => {
-                self.work.add_label(a, p);
-                if let Some(set) = self.extension.get_mut(&p) {
-                    set.insert(a);
+            Fact::Label(p, a) => match self.extension.get_mut(&p) {
+                Some(row) => {
+                    row.insert(a);
                 }
-            }
+                None => {
+                    self.base.add_label(a, p);
+                }
+            },
             Fact::Edge(p, a, b) => {
-                self.work.add_edge(p, a, b);
+                self.base.add_edge(p, a, b);
             }
         }
     }
 
-    /// Remove a fact from the working instance (and the extension bitsets).
+    /// Remove a popped fact from the working instance (see `add_to_work`).
     fn remove_from_work(&mut self, fact: Fact) {
         match fact {
-            Fact::Label(p, a) => {
-                self.work.remove_label(a, p);
-                if let Some(set) = self.extension.get_mut(&p) {
-                    set.remove(a);
+            Fact::Label(p, a) => match self.extension.get_mut(&p) {
+                Some(row) => {
+                    row.remove(a);
                 }
-            }
+                None => {
+                    self.base.remove_label(a, p);
+                }
+            },
             Fact::Edge(p, a, b) => {
-                self.work.remove_edge(p, a, b);
+                self.base.remove_edge(p, a, b);
             }
         }
     }
@@ -500,9 +521,9 @@ impl MaterializedFixpoint {
     /// head facts join the worklist. Pending facts stay *out* of the
     /// working instance until popped, so each new derivation is found
     /// exactly once — when the last of its new facts is processed.
-    fn insert_cascade(&mut self, seeds: Vec<Fact>) {
+    /// `queued` holds the seeds.
+    fn insert_cascade(&mut self, seeds: Vec<Fact>, mut queued: FxHashSet<Fact>) {
         let mut pending: VecDeque<Fact> = seeds.into();
-        let mut queued: FxHashSet<Fact> = pending.iter().copied().collect();
         while let Some(f) = pending.pop_front() {
             self.add_to_work(f);
             for r in 0..self.pins.len() {
@@ -519,7 +540,7 @@ impl MaterializedFixpoint {
                         }
                         Some(a) => {
                             let derived = Fact::Label(head_pred, a);
-                            if !self.work.has_label(a, head_pred) && queued.insert(derived) {
+                            if !self.holds_at(head_pred, a) && queued.insert(derived) {
                                 pending.push_back(derived);
                             }
                         }
@@ -571,7 +592,7 @@ impl MaterializedFixpoint {
                             // fact for overdeletion — unless it is asserted
                             // in the base (an axiom stays true).
                             let g = Fact::Label(head_pred, a);
-                            if self.work.has_label(a, head_pred)
+                            if self.holds_at(head_pred, a)
                                 && !self.base.has_label(a, head_pred)
                                 && queued.insert(g)
                             {
@@ -591,20 +612,20 @@ impl MaterializedFixpoint {
         let rederive: Vec<Fact> = overdeleted
             .into_iter()
             .filter(|&(p, a)| {
-                self.support.get(&(p, Some(a))).copied().unwrap_or(0) > 0
-                    && !self.work.has_label(a, p)
+                self.support.get(&(p, Some(a))).copied().unwrap_or(0) > 0 && !self.holds_at(p, a)
             })
             .map(|(p, a)| Fact::Label(p, a))
             .collect();
         if !rederive.is_empty() {
-            self.insert_cascade(rederive);
+            let queued = rederive.iter().copied().collect();
+            self.insert_cascade(rederive, queued);
         }
     }
 
     fn fact_in_work(&self, f: Fact) -> bool {
         match f {
-            Fact::Label(p, a) => self.work.has_label(a, p),
-            Fact::Edge(p, a, b) => self.work.has_edge(p, a, b),
+            Fact::Label(p, a) => self.holds_at(p, a),
+            Fact::Edge(p, a, b) => self.base.has_edge(p, a, b),
         }
     }
 }

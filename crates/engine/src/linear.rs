@@ -17,10 +17,10 @@
 //!   undirected-reachability algorithm that is sound and complete exactly
 //!   for symmetric-linear programs.
 
-use crate::eval::certain_answers_unary;
+use crate::eval::{certain_answers_unary, label_rows};
 use sirup_core::fx::FxHashMap;
 use sirup_core::program::{Program, Rule};
-use sirup_core::{Node, Pred, Structure, Term};
+use sirup_core::{Node, NodeSet, Pred, Structure, Target, Term};
 use sirup_hom::QueryPlan;
 
 /// Linearity classification of a program.
@@ -69,8 +69,8 @@ struct CompiledLinearRule {
     /// fact-graph construction replays it per (head, body) node pair.
     plan: QueryPlan,
     /// For nullary heads: the *full* body pattern (IDB atoms kept as
-    /// labels), compiled once — it runs against the fact-augmented data
-    /// after the closure.
+    /// labels), compiled once — it runs against the data with the closure's
+    /// facts laid over it.
     full_plan: Option<QueryPlan>,
 }
 
@@ -195,15 +195,24 @@ impl LinearEvaluator {
         // Directed reachability from the base facts.
         let derived = closure(&base, &edges, false);
 
-        // Nullary rules fire against data + derived facts.
-        let mut work = data.clone();
-        for &(p, a) in &derived {
-            work.add_label(a, p);
+        // Nullary rules fire against data + derived facts: each IDB
+        // predicate's row (its data labels plus its derived facts) laid
+        // over the data.
+        let mut rows: FxHashMap<Pred, NodeSet> = idbs
+            .iter()
+            .map(|&p| (p, NodeSet::empty(data.node_count())))
+            .collect();
+        for (p, a) in data.unary_atoms().chain(derived.iter().copied()) {
+            if let Some(row) = rows.get_mut(&p) {
+                row.insert(a);
+            }
         }
+        let rows = label_rows(&rows);
+        let on = Target::from(data).with_label_rows(&rows);
         let mut nullary = Vec::new();
         for c in &compiled {
             if let Some(fp) = &c.full_plan {
-                if fp.on(&work).exists() && !nullary.contains(&c.head_pred) {
+                if fp.on(on).exists() && !nullary.contains(&c.head_pred) {
                     nullary.push(c.head_pred);
                 }
             }

@@ -2,7 +2,9 @@
 //! [`MaterializedFixpoint`] driven through random mutation sequences must
 //! equal a from-scratch [`evaluate`] of its base instance **after every
 //! single op** — insertions (delta rules), deletions (overdelete/rederive),
-//! node growth, and no-op re-inserts/re-retractions alike.
+//! node growth, and no-op re-inserts/re-retractions alike — and after
+//! every whole batch, where one `apply` stages several ops before their
+//! cascade runs.
 //!
 //! Programs are the paper's `Π_q`/`Σ_q` over random ditree 1-CQs (the
 //! monadic-sirup shape the maintenance layer is specialised to), instances
@@ -164,4 +166,119 @@ fn drain_and_rebuild_round_trip() {
     let live = mat.evaluation();
     assert_eq!(live.nullary, fresh.nullary);
     assert_eq!(live.unary, fresh.unary);
+}
+
+/// The base's node count and its facts in a canonical order.
+fn facts(s: &Structure) -> (usize, Vec<String>) {
+    let mut ops: Vec<String> = s.to_ops().iter().map(FactOp::to_string).collect();
+    ops.sort_unstable();
+    (s.node_count(), ops)
+}
+
+/// One random batch against `mat`: random ops plus the shapes a batch can
+/// hold that a single op cannot — a repeated insert, an insert and a
+/// retract of the same fact, an asserted `P` label that is already
+/// derived, and inserts that grow the node range.
+fn random_batch(mat: &MaterializedFixpoint, rng: &mut StdRng) -> Vec<FactOp> {
+    let n = mat.base().node_count();
+    let mut batch = random_ops(n, rng.gen_range(1..6), rng.gen_range(0..u64::MAX));
+    let derived = mat.answers(Pred::P);
+    if !derived.is_empty() && rng.gen_bool(0.5) {
+        let v = derived[rng.gen_range(0..derived.len())];
+        batch.insert(rng.gen_range(0..=batch.len()), FactOp::AddLabel(Pred::P, v));
+    }
+    if rng.gen_bool(0.3) {
+        let (a, b) = (Node(n as u32), Node(n as u32 + 1));
+        batch.push(FactOp::AddLabel(Pred::A, a));
+        batch.push(FactOp::AddEdge(
+            Pred::R,
+            a,
+            Node(rng.gen_range(0..n as u32)),
+        ));
+        batch.push(FactOp::AddEdge(Pred::S, b, a));
+    }
+    for _ in 0..2 {
+        let Some(&op) = batch.get(rng.gen_range(0..batch.len())) else {
+            continue;
+        };
+        let echo = match (op, rng.gen_bool(0.5)) {
+            (op, true) => op,
+            (FactOp::AddLabel(p, v), false) => FactOp::RemoveLabel(p, v),
+            (FactOp::RemoveLabel(p, v), false) => FactOp::AddLabel(p, v),
+            (FactOp::AddEdge(p, u, v), false) => FactOp::RemoveEdge(p, u, v),
+            (FactOp::RemoveEdge(p, u, v), false) => FactOp::AddEdge(p, u, v),
+        };
+        batch.insert(rng.gen_range(0..=batch.len()), echo);
+    }
+    batch
+}
+
+/// Drive whole batches through a materialisation: after every batch the
+/// maintained state equals a from-scratch fixpoint of the base, the base
+/// equals `Structure::apply_all` of the same batches, `apply` counts what
+/// `apply_all` counts, and the support counts equal those a fresh
+/// materialisation of the base seeds.
+fn check_batches(program: &Program, data: &Structure, batches: usize, seed: u64, ctx: &str) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut mat = MaterializedFixpoint::new(program, data);
+    let mut reference = data.clone();
+    for i in 0..batches {
+        let batch = random_batch(&mat, &mut rng);
+        let applied = mat.apply(&batch);
+        assert_eq!(
+            applied,
+            reference.apply_all(&batch),
+            "{ctx}: count diverged on batch {i} {batch:?}"
+        );
+        assert_eq!(
+            facts(mat.base()),
+            facts(&reference),
+            "{ctx}: base diverged on batch {i}"
+        );
+        let fresh = evaluate(program, mat.base());
+        let live = mat.evaluation();
+        assert_eq!(
+            live.nullary, fresh.nullary,
+            "{ctx}: nullary diverged on batch {i} {batch:?}"
+        );
+        assert_eq!(
+            live.unary, fresh.unary,
+            "{ctx}: unary diverged on batch {i} {batch:?}"
+        );
+        let mut seeded = MaterializedFixpoint::new(program, mat.base());
+        seeded.apply(&[]);
+        let (got, want) = (mat.stats(), seeded.stats());
+        assert_eq!(
+            (got.support_entries, got.support_total),
+            (want.support_entries, want.support_total),
+            "{ctx}: supports diverged on batch {i} {batch:?}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Σ_q and Π_q of a random ditree CQ under 30 random batches: see
+    /// [`check_batches`].
+    #[test]
+    fn batch_maintenance_equals_from_scratch(seed in 0u64..10_000) {
+        let q = random_ditree_cq(DitreeCqParams::default(), seed)
+            .or_else(|| random_ditree_cq(DitreeCqParams::default(), seed + 7))
+            .unwrap_or_else(|| sirup_core::OneCq::parse("F(x), R(x,y), T(y)"));
+        let data = random_structure(8, 14, seed ^ 0x5eed);
+        check_batches(&sigma_q(&q), &data, 30, seed, "sigma");
+        check_batches(&pi_q(&q), &data, 30, seed ^ 1, "pi");
+    }
+}
+
+/// The paper's q4 under batches, on both programs.
+#[test]
+fn q4_batches() {
+    let q = sirup_core::OneCq::parse("F(x), R(y,x), R(y,z), T(z)");
+    for seed in [4u64, 5, 6] {
+        let data = random_structure(10, 18, seed);
+        check_batches(&sigma_q(&q), &data, 60, seed, "q4 sigma");
+        check_batches(&pi_q(&q), &data, 60, seed, "q4 pi");
+    }
 }

@@ -34,7 +34,7 @@
 
 use sirup_core::paged::NodesView;
 use sirup_core::{arena, telemetry};
-use sirup_core::{CancelToken, FrozenStructure, Node, NodeSet, Pred, Structure, Target};
+use sirup_core::{CancelToken, Node, NodeSet, Pred, Structure, Target};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -323,10 +323,9 @@ pub struct PlanExec<'a> {
     plan: &'a QueryPlan,
     /// What the search reads. With a CSR view attached, adjacency reads
     /// become contiguous slice scans and domain seeding becomes bitmap-row
-    /// intersections; label rows are read only in full mode (a
-    /// [`Target::relabelled`] working copy keeps labels on the live data),
-    /// and an overlay's rows ([`Target::with_label_rows`]) seed and check
-    /// the predicates they override.
+    /// intersections; an overlay's rows ([`Target::with_label_rows`]) seed
+    /// and check the predicates they override, the view's rows every other
+    /// label.
     /// With a parallel context, [`PlanExec::exists`] and
     /// [`PlanExec::find_up_to`] split the first variable's post-AC-3
     /// domain into work units on the shared scheduler (above the context's
@@ -363,7 +362,7 @@ enum Prep {
 
 /// One adjacency list of the target, whichever backing store it came from:
 /// `(pred, node)` pairs off the paged [`Structure`], or a flat contiguous
-/// node slice off a [`FrozenStructure`] CSR row.
+/// node slice off a [`FrozenStructure`](sirup_core::FrozenStructure) CSR row.
 enum Adj<'a> {
     /// A `Structure::out_pred`/`inn_pred` slice (pred is constant).
     Pairs(&'a [(Pred, Node)]),
@@ -731,7 +730,7 @@ impl<'a> PlanExec<'a> {
     }
 
     /// Is `t` labelled `l`? Reads the target's label row (overlay, or the
-    /// view in full mode) when it has one; otherwise the live data.
+    /// view) when it has one; otherwise the live data.
     #[inline]
     fn label_ok(&self, t: Node, l: Pred) -> bool {
         self.target.has_label(t, l)
@@ -848,8 +847,8 @@ impl<'a> PlanExec<'a> {
     /// words, the shortest postings list, or every node.
     fn universe_cost(&self, c: &VarConstraint) -> usize {
         let nt = self.data().node_count();
-        if let Some((_, label_rows)) = self.seed_rows(c) {
-            let rows = c.preds_out.len() + c.preds_in.len() + label_rows;
+        if self.target.view().is_some() {
+            let rows = c.preds_out.len() + c.preds_in.len() + c.labels.len();
             return rows.max(1) * nt.div_ceil(64);
         }
         self.seed_candidates(c).map_or(nt, |seed| seed.len())
@@ -979,39 +978,16 @@ impl<'a> PlanExec<'a> {
         true
     }
 
-    /// The view and the number of its label rows that seed `c`'s domain,
-    /// or `None` when no view is attached or its rows say nothing about
-    /// `c` (edges-only mode with label-only constraints; then the
-    /// index/scan path reads the live labels).
-    fn seed_rows(&self, c: &VarConstraint) -> Option<(&'a FrozenStructure, usize)> {
-        let f = self.target.view()?;
-        let label_rows = c
-            .labels
-            .iter()
-            .filter(|&&l| self.target.label_row(l).is_some())
-            .count();
-        let rowable = c.preds_out.len() + c.preds_in.len() + label_rows;
-        if rowable == 0 && !c.labels.is_empty() {
-            return None;
-        }
-        Some((f, label_rows))
-    }
-
     /// Try to seed a domain by intersecting the view's bitmap rows — the
     /// word-parallel path that replaces the per-node admissibility scan.
-    /// Returns `false` when [`PlanExec::seed_rows`] finds no usable rows
-    /// (then the caller falls back to seed/scan). Label rows come from the
-    /// target: an overlay's rows, or the view's in full mode, which covers
-    /// every label. In edges-only mode (no label has a row) the view's
-    /// label rows may be stale, so the row-AND covers only the source/sink
-    /// rows and labels are re-checked against the live data over the
-    /// (already small) candidate set.
+    /// Returns `false` when no view is attached (then the caller falls back
+    /// to seed/scan). Label rows come from the target: an overlay's rows,
+    /// else the view's, which cover every label.
     fn seed_domain_rows(&self, c: &VarConstraint, dom: &mut NodeSet) -> bool {
-        let Some((f, label_rows)) = self.seed_rows(c) else {
+        let Some(f) = self.target.view() else {
             return false;
         };
-        let nt = self.data().node_count();
-        dom.fill(nt);
+        dom.fill(self.data().node_count());
         for &p in &c.preds_out {
             dom.intersect_with(f.source_row(p));
         }
@@ -1019,21 +995,11 @@ impl<'a> PlanExec<'a> {
             dom.intersect_with(f.sink_row(p));
         }
         for &l in &c.labels {
-            if let Some(row) = self.target.label_row(l) {
-                dom.intersect_with(row);
-            }
-        }
-        if label_rows == 0 && !c.labels.is_empty() {
-            let mut drop = arena::take_node_vec();
-            for t in dom.iter() {
-                if !c.labels.iter().all(|&l| self.data().has_label(t, l)) {
-                    drop.push(t);
-                }
-            }
-            for &t in &drop {
-                dom.remove(t);
-            }
-            arena::put_node_vec(drop);
+            dom.intersect_with(
+                self.target
+                    .label_row(l)
+                    .expect("a view has every label row"),
+            );
         }
         true
     }
@@ -1249,6 +1215,23 @@ mod tests {
         homs
     }
 
+    /// `t` with its `T` and `F` labels stripped, and those labels as rows:
+    /// the rows laid over the stripped copy read like `t` itself.
+    fn strip_tf(t: &Structure) -> (Structure, [NodeSet; 2]) {
+        let mut stripped = t.clone();
+        let mut rows = [
+            NodeSet::empty(t.node_count()),
+            NodeSet::empty(t.node_count()),
+        ];
+        for (row, l) in rows.iter_mut().zip([Pred::T, Pred::F]) {
+            for v in t.nodes().filter(|&v| t.has_label(v, l)) {
+                row.insert(v);
+                stripped.remove_label(v, l);
+            }
+        }
+        (stripped, rows)
+    }
+
     #[test]
     fn plan_agrees_with_legacy_on_fixtures() {
         let patterns = [
@@ -1403,11 +1386,17 @@ mod tests {
                         .find_up_to(100_000),
                 );
                 assert_eq!(live, full, "frozen full: pattern {p} target {t}");
-                let edges = sorted(
-                    plan.on(Target::from(t).with_view(Some(&f)).relabelled(t))
+                // `T`/`F` as overlay rows on a view that lacks them.
+                let (stripped, rows) = strip_tf(t);
+                let sf = FrozenStructure::freeze(&stripped);
+                let overlay = [(Pred::T, &rows[0]), (Pred::F, &rows[1])];
+                let over = sorted(
+                    plan.on(Target::from(&stripped)
+                        .with_view(Some(&sf))
+                        .with_label_rows(&overlay))
                         .find_up_to(100_000),
                 );
-                assert_eq!(live, edges, "frozen edges: pattern {p} target {t}");
+                assert_eq!(live, over, "frozen overlay: pattern {p} target {t}");
             }
         }
     }
@@ -1443,21 +1432,27 @@ mod tests {
     }
 
     #[test]
-    fn frozen_edges_mode_tracks_live_labels() {
-        // The engine's shape: labels accrue on the target after the freeze,
-        // edges never change. Edges-only mode must see the *live* labels.
+    fn frozen_overlay_tracks_accruing_labels() {
+        // The engine's shape: labels accrue after the freeze, edges never
+        // change. The accrued labels ride as an overlay row on the view and
+        // must read like the live labelled copy.
         let p = st("T(a), R(a,b), T(b)");
         let base = st("R(x,y), T(x)");
         let f = FrozenStructure::freeze(&base);
         let full = Target::from(&base).with_view(Some(&f));
         let plan = QueryPlan::compile(&p);
         let mut grown = base.clone();
-        assert!(!plan.on(full.relabelled(&grown)).exists());
+        let mut t_row = NodeSet::empty(base.node_count());
+        t_row.insert(Node(0));
+        assert!(!plan.on(full.with_label_rows(&[(Pred::T, &t_row)])).exists());
+        assert!(!plan.on(&grown).exists());
         grown.add_label(Node(1), Pred::T); // now T(x), T(y), R(x,y)
-        assert!(plan.on(full.relabelled(&grown)).exists());
+        t_row.insert(Node(1));
+        let rows = [(Pred::T, &t_row)];
+        assert!(plan.on(full.with_label_rows(&rows)).exists());
         assert_eq!(
             sorted(plan.on(&grown).find_up_to(100)),
-            sorted(plan.on(full.relabelled(&grown)).find_up_to(100))
+            sorted(plan.on(full.with_label_rows(&rows)).find_up_to(100))
         );
     }
 
@@ -1567,15 +1562,21 @@ mod tests {
             for t in &targets {
                 let idx = PredIndex::new(t);
                 let f = FrozenStructure::freeze(t);
+                let (stripped, rows) = strip_tf(t);
+                let sf = FrozenStructure::freeze(&stripped);
+                let overlay = [(Pred::T, &rows[0]), (Pred::F, &rows[1])];
                 let shapes = [
                     Target::from(t),
                     Target::from(t).with_index(&idx),
                     Target::from(t).with_view(Some(&f)),
-                    Target::from(t).with_view(Some(&f)).relabelled(t),
+                    Target::from(&stripped)
+                        .with_view(Some(&sf))
+                        .with_label_rows(&overlay),
                 ];
-                for target in shapes {
-                    for u in p.nodes() {
-                        for v in t.nodes() {
+                for u in p.nodes() {
+                    for v in t.nodes() {
+                        let mut live = None;
+                        for target in shapes {
                             let exec = plan.on(target).fix(u, v).forbid(u, Node(0));
                             let legacy = universe_seeded(&exec);
                             let anchored = exec.initial_domains();
@@ -1587,13 +1588,18 @@ mod tests {
                             let fixpoint = |d: Option<Vec<NodeSet>>| {
                                 d.and_then(|mut d| exec.ac3(&mut d).then_some(d))
                             };
+                            let anchored = fixpoint(anchored);
                             assert_eq!(
                                 fixpoint(legacy),
-                                fixpoint(anchored),
+                                anchored,
                                 "pattern {p}, pin n{} -> n{}",
                                 u.0,
                                 v.0
                             );
+                            // Every shape, the overlay included, lands on
+                            // the live read's domains.
+                            let live = live.get_or_insert_with(|| anchored.clone());
+                            assert_eq!(*live, anchored, "shapes diverged: pattern {p}");
                         }
                     }
                 }

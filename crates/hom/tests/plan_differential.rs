@@ -160,9 +160,10 @@ proptest! {
         prop_assert_eq!(legacy, planned);
     }
 
-    /// A `T`/`F` label-row overlay reads exactly like the copy of the data
-    /// whose `T`/`F` labels are those rows — live and through a forced CSR
-    /// view, with an index attached first (the overlay drops it).
+    /// A `T`/`F` label-row overlay reads exactly like a live read of the
+    /// copy of the data whose `T`/`F` labels are those rows — live and
+    /// through a forced CSR view, with an index attached first (the overlay
+    /// drops it).
     #[test]
     fn label_row_overlay_equals_relabelled_copy(
         p in arb_structure(3, 5),
@@ -185,6 +186,7 @@ proptest! {
         let overlay = [(Pred::T, &rows[0]), (Pred::F, &rows[1])];
         let plan = QueryPlan::compile(&p);
         let expect = sorted(all_homs(&p, &copy, 200_000));
+        prop_assert_eq!(&expect, &sorted(plan.on(Target::from(&copy)).find_up_to(200_000)));
         let idx = PredIndex::new(&t);
         let f = FrozenStructure::freeze(&t);
         for (shape, base) in [
@@ -216,8 +218,9 @@ proptest! {
     /// optional second pin (possibly conflicting), an optional exclusion
     /// and injectivity — enumerate the legacy finder's set, and the
     /// `find_up_to(cap)` sequence is the same on every target shape:
-    /// plain, index, view, view + index, a relabelled working copy and a
-    /// `T`/`F` label-row overlay, live and on the view. Hub targets make
+    /// plain, index, view, view + index, and a `T`/`F` label-row overlay
+    /// live, on the view, and on the view of a copy stripped of those
+    /// labels. Hub targets make
     /// pins whose neighbourhood exceeds a universe seed, so the fall-back
     /// runs too.
     #[test]
@@ -236,19 +239,22 @@ proptest! {
         let plan = QueryPlan::compile(&p);
         let idx = PredIndex::new(&t);
         let f = FrozenStructure::freeze(&t);
-        let work = t.clone();
+        // `t` without its `T`/`F` labels: the rows restore them on its view.
+        let mut stripped = t.clone();
         let mut rows = [NodeSet::empty(t.node_count()), NodeSet::empty(t.node_count())];
         for (row, l) in rows.iter_mut().zip([Pred::T, Pred::F]) {
             for v in t.nodes().filter(|&v| t.has_label(v, l)) {
                 row.insert(v);
+                stripped.remove_label(v, l);
             }
         }
+        let sf = FrozenStructure::freeze(&stripped);
         let overlay = [(Pred::T, &rows[0]), (Pred::F, &rows[1])];
         let shapes = [
             ("index", Target::from(&t).with_index(&idx)),
             ("view", Target::from(&t).with_view(Some(&f))),
             ("view+index", Target::from(&t).with_index(&idx).with_view(Some(&f))),
-            ("relabelled", Target::from(&t).with_view(Some(&f)).relabelled(&work)),
+            ("stripped view + label rows", Target::from(&stripped).with_view(Some(&sf)).with_label_rows(&overlay)),
             ("label rows", Target::from(&t).with_view(Some(&f)).with_label_rows(&overlay)),
             ("live label rows", Target::from(&t).with_label_rows(&overlay)),
         ];
