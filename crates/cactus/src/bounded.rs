@@ -14,9 +14,11 @@
 //! the paper gives exact deciders, `sirup-classifier` implements those.)
 
 use crate::cactus::Cactus;
-use crate::enumerate::enumerate_cactuses;
-use sirup_core::OneCq;
+use crate::enumerate::{enumerate_cactuses, enumerate_shapes, grow, Shape};
+use sirup_core::fx::FxHashMap;
+use sirup_core::{telemetry, OneCq};
 use sirup_hom::QueryPlan;
+use std::cell::OnceCell;
 
 /// Parameters for the bounded-horizon Prop. 2 check.
 #[derive(Debug, Clone, Copy)]
@@ -67,59 +69,56 @@ pub enum Boundedness {
 
 /// Run the bounded-horizon Prop. 2 check for `(Π_q, G)` (or `(Σ_q, P)` with
 /// `sigma = true`).
+///
+/// The cap is decided by counting shapes
+/// ([`shape_count`](crate::enumerate::shape_count)), so past it the
+/// check returns [`Boundedness::Inconclusive`] without building a cactus.
+/// Otherwise each cactus, and each small cactus's search plan, is built on
+/// first touch: a verdict settled at a small `d` never builds the deeper
+/// shapes it does not read. Each (small, big) embedding is decided once and
+/// replayed for every candidate bound that asks it again.
 pub fn find_bound(q: &OneCq, params: BoundSearch) -> Boundedness {
     assert!(params.horizon > params.max_d, "horizon must exceed max_d");
-    let (cactuses, complete) = enumerate_cactuses(q, params.horizon, params.cap);
+    let (shapes, complete) = enumerate_shapes(q.span(), params.horizon, params.cap);
     if !complete {
         return Boundedness::Inconclusive;
     }
-    // Each "small" cactus's search plan is compiled lazily on first use
-    // and then replayed against every deeper cactus, for every candidate
-    // bound that includes it — so a query certified at small `d` never
-    // pays compilation for the deeper cactuses.
-    let plans: Vec<std::cell::OnceCell<QueryPlan>> =
-        (0..cactuses.len()).map(|_| Default::default()).collect();
+    let depths: Vec<u32> = shapes.iter().map(Shape::depth).collect();
+    let cactuses: Vec<OnceCell<Cactus>> = shapes.iter().map(|_| OnceCell::new()).collect();
+    let plans: Vec<OnceCell<QueryPlan>> = shapes.iter().map(|_| OnceCell::new()).collect();
+    let root = Cactus::root(q);
+    let cactus = |i: usize| cactuses[i].get_or_init(|| grow(root.clone(), &shapes[i]));
+    let mut memo: FxHashMap<(usize, usize), bool> = FxHashMap::default();
+    let mut maps_into = |small: usize, big: usize| {
+        *memo.entry((small, big)).or_insert_with(|| {
+            let plan = plans[small].get_or_init(|| QueryPlan::compile(cactus(small).structure()));
+            embeds_planned(cactus(small), plan, cactus(big), params.sigma)
+        })
+    };
     'next_d: for d in 0..=params.max_d {
-        let smalls: Vec<(&Cactus, &std::cell::OnceCell<QueryPlan>)> = cactuses
-            .iter()
-            .zip(&plans)
-            .filter(|(c, _)| c.depth() <= d)
-            .collect();
-        let mut witness_depth = None;
-        for big in cactuses.iter().filter(|c| c.depth() > d) {
-            let image_found = smalls.iter().any(|(small, cell)| {
-                let plan = cell.get_or_init(|| QueryPlan::compile(small.structure()));
-                embeds_planned(small, plan, big, params.sigma)
-            });
-            if !image_found {
-                witness_depth = Some(big.depth());
+        let smalls: Vec<usize> = (0..shapes.len()).filter(|&i| depths[i] <= d).collect();
+        for big in (0..shapes.len()).filter(|&i| depths[i] > d) {
+            if !smalls.iter().any(|&small| maps_into(small, big)) {
                 if d == params.max_d {
                     return Boundedness::UnboundedEvidence {
-                        witness_depth: witness_depth.unwrap(),
+                        witness_depth: depths[big],
                     };
                 }
                 continue 'next_d;
             }
         }
-        if witness_depth.is_none() {
-            return Boundedness::BoundedEvidence {
-                d,
-                horizon: params.horizon,
-            };
-        }
+        return Boundedness::BoundedEvidence {
+            d,
+            horizon: params.horizon,
+        };
     }
     unreachable!("loop returns for d = max_d")
 }
 
 /// Does `small` map homomorphically into `big` (optionally with root-focus
-/// fixed to root-focus)? Compiles `small`'s plan per call; enumeration
-/// loops compile once and use [`embeds_planned`].
-pub fn embeds(small: &Cactus, big: &Cactus, fix_root: bool) -> bool {
-    embeds_planned(small, &QueryPlan::compile(small.structure()), big, fix_root)
-}
-
-/// As [`embeds`], with a precompiled plan for `small.structure()`.
+/// fixed to root-focus)? `plan` is the compiled plan of `small.structure()`.
 pub fn embeds_planned(small: &Cactus, plan: &QueryPlan, big: &Cactus, fix_root: bool) -> bool {
+    telemetry::counter_add(telemetry::Counter::CactusEmbeds, 1);
     let exec = plan.on(big.structure());
     if fix_root {
         exec.fix(small.root_focus(), big.root_focus()).exists()

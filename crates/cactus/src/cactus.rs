@@ -10,7 +10,7 @@
 use sirup_core::{Node, OneCq, Pred, Structure};
 
 /// One segment of a cactus: a copy of `q` inside the cactus structure.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Segment {
     /// For each node of `q`, the corresponding cactus node. The focus maps
     /// to the gluing point (`r` for the root segment).
@@ -28,6 +28,8 @@ pub struct Segment {
 #[derive(Debug, Clone)]
 pub struct Cactus {
     q: OneCq,
+    /// `q⁻`, computed once: every bud attaches a copy of it.
+    q_minus: Structure,
     s: Structure,
     segments: Vec<Segment>,
 }
@@ -35,7 +37,7 @@ pub struct Cactus {
 impl Cactus {
     /// The initial cactus `C_G = q` (root segment only).
     pub fn root(q: &OneCq) -> Cactus {
-        let s = q.root_segment();
+        let s = q.structure().clone();
         let span = q.span();
         let seg = Segment {
             map: s.nodes().collect(),
@@ -45,6 +47,7 @@ impl Cactus {
         };
         Cactus {
             q: q.clone(),
+            q_minus: q.q_minus(),
             s,
             segments: vec![seg],
         }
@@ -87,47 +90,51 @@ impl Cactus {
     /// Apply (bud) at segment `seg`, solitary-`T` index `t_index`,
     /// returning the extended cactus. Panics if not buddable.
     pub fn bud(&self, seg: usize, t_index: usize) -> Cactus {
-        assert!(self.can_bud(seg, t_index), "({seg},{t_index}) not buddable");
         let mut c = self.clone();
-        let q = &c.q;
+        c.bud_mut(seg, t_index);
+        c
+    }
+
+    /// Apply (bud) in place: as [`Cactus::bud`], without copying the
+    /// cactus. Panics if not buddable.
+    pub fn bud_mut(&mut self, seg: usize, t_index: usize) {
+        assert!(self.can_bud(seg, t_index), "({seg},{t_index}) not buddable");
+        let (q, qm, s) = (&self.q, &self.q_minus, &mut self.s);
         let y_q = q.solitary_t()[t_index]; // the q-node being budded
-        let y = c.segments[seg].map[y_q.index()]; // its cactus node
+        let y = self.segments[seg].map[y_q.index()]; // its cactus node
 
         // Strip T, label A (rule (bud)).
-        c.s.remove_label(y, Pred::T);
-        c.s.add_label(y, Pred::A);
+        s.remove_label(y, Pred::T);
+        s.add_label(y, Pred::A);
         // Attach a fresh copy of q⁻, renaming its focus to y and restoring
         // the solitary T-labels of the new segment.
-        let qm = q.q_minus();
         let focus = q.focus();
         let mut map: Vec<Node> = Vec::with_capacity(qm.node_count());
         for v in qm.nodes() {
             if v == focus {
                 map.push(y);
             } else {
-                map.push(c.s.add_node());
+                map.push(s.add_node());
             }
         }
         for (p, v) in qm.unary_atoms() {
-            c.s.add_label(map[v.index()], p);
+            s.add_label(map[v.index()], p);
         }
         for (p, u, v) in qm.edges() {
-            c.s.add_edge(p, map[u.index()], map[v.index()]);
+            s.add_edge(p, map[u.index()], map[v.index()]);
         }
         for &t in q.solitary_t() {
-            c.s.add_label(map[t.index()], Pred::T);
+            s.add_label(map[t.index()], Pred::T);
         }
-        let depth = c.segments[seg].depth + 1;
-        let span = q.span();
-        let new_idx = c.segments.len();
-        c.segments.push(Segment {
+        let depth = self.segments[seg].depth + 1;
+        let new_idx = self.segments.len();
+        self.segments.push(Segment {
             map,
             parent: Some((seg, t_index)),
             depth,
-            buds: vec![None; span],
+            buds: vec![None; q.span()],
         });
-        c.segments[seg].buds[t_index] = Some(new_idx);
-        c
+        self.segments[seg].buds[t_index] = Some(new_idx);
     }
 
     /// The focus node of segment `i` in the cactus.

@@ -8,7 +8,7 @@
 //! enumerations carry a cap.
 
 use crate::cactus::Cactus;
-use sirup_core::OneCq;
+use sirup_core::{telemetry, OneCq};
 
 /// A cactus shape: for each solitary-`T` index, the child shape (if budded).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,10 +69,24 @@ impl Shape {
     }
 }
 
+/// Number of shapes of the given span with depth ≤ `depth`:
+/// `count(0) = 1`, `count(k) = (1 + count(k−1))^span` (each slot is either
+/// unbudded or holds a shallower shape). Saturates at `usize::MAX`.
+pub fn shape_count(span: usize, depth: u32) -> usize {
+    (0..depth).fold(1usize, |n, _| {
+        (0..span).fold(1usize, |acc, _| acc.saturating_mul(n.saturating_add(1)))
+    })
+}
+
 /// Enumerate all shapes of the given span with depth ≤ `max_depth`.
-/// Returns the shapes and whether the enumeration is complete (`false`
-/// if the cap was hit).
+/// Returns the shapes and whether the enumeration is complete. Past the
+/// cap ([`shape_count`] `> cap`) it builds nothing and returns no shapes.
 pub fn enumerate_shapes(span: usize, max_depth: u32, cap: usize) -> (Vec<Shape>, bool) {
+    // The leaf alone is never past the cap: a span-0 or depth-0
+    // enumeration is always complete.
+    if shape_count(span, max_depth) > cap.max(1) {
+        return (Vec::new(), false);
+    }
     // all = shapes of depth ≤ d, grown one level per round. Each round
     // rebuilds the set as all combinations of per-slot options (unbudded, or
     // any shape of depth ≤ d−1); options per slot are pairwise distinct, so
@@ -92,9 +106,6 @@ pub fn enumerate_shapes(span: usize, max_depth: u32, cap: usize) -> (Vec<Shape>,
             next.push(Shape {
                 children: idx.iter().map(|&i| options[i].clone()).collect(),
             });
-            if next.len() > cap {
-                return (next, false);
-            }
             // Advance the mixed-radix counter over option indices.
             let mut k = 0;
             while k < span {
@@ -114,10 +125,17 @@ pub fn enumerate_shapes(span: usize, max_depth: u32, cap: usize) -> (Vec<Shape>,
     (all, true)
 }
 
-/// Build the cactus realising `shape`.
+/// Build the cactus realising `shape`, budding in place.
 pub fn build(q: &OneCq, shape: &Shape) -> Cactus {
-    assert_eq!(shape.children.len(), q.span());
-    let mut c = Cactus::root(q);
+    grow(Cactus::root(q), shape)
+}
+
+/// Bud `shape` onto `c`, a copy of the root cactus (copies of one root
+/// share its `q` and `q⁻`).
+pub(crate) fn grow(mut c: Cactus, shape: &Shape) -> Cactus {
+    assert_eq!(c.segment_count(), 1, "grow starts from the root cactus");
+    assert_eq!(shape.children.len(), c.query().span());
+    telemetry::counter_add(telemetry::Counter::CactusBuilds, 1);
     build_into(&mut c, 0, shape);
     c
 }
@@ -125,7 +143,7 @@ pub fn build(q: &OneCq, shape: &Shape) -> Cactus {
 fn build_into(c: &mut Cactus, seg: usize, shape: &Shape) {
     for (i, child) in shape.children.iter().enumerate() {
         if let Some(ch) = child {
-            *c = c.bud(seg, i);
+            c.bud_mut(seg, i);
             let new_seg = c.segment_count() - 1;
             build_into(c, new_seg, ch);
         }
@@ -133,10 +151,13 @@ fn build_into(c: &mut Cactus, seg: usize, shape: &Shape) {
 }
 
 /// Enumerate cactuses of depth ≤ `max_depth` (cap on the number of shapes).
-/// Returns the cactuses and whether the enumeration is complete.
+/// Returns the cactuses and whether the enumeration is complete; past the
+/// cap it builds no cactus.
 pub fn enumerate_cactuses(q: &OneCq, max_depth: u32, cap: usize) -> (Vec<Cactus>, bool) {
     let (shapes, complete) = enumerate_shapes(q.span(), max_depth, cap);
-    (shapes.iter().map(|s| build(q, s)).collect(), complete)
+    let root = Cactus::root(q);
+    let cactuses = shapes.iter().map(|s| grow(root.clone(), s)).collect();
+    (cactuses, complete)
 }
 
 /// The unpruned cactus of depth `d` (every slot budded, the paper's `C_n`
@@ -177,7 +198,28 @@ mod tests {
     fn cap_is_respected() {
         let (s, complete) = enumerate_shapes(2, 3, 100);
         assert!(!complete);
-        assert!(s.len() <= 101);
+        assert!(s.is_empty());
+    }
+
+    #[test]
+    fn shape_count_matches_enumeration() {
+        for span in 0..=3 {
+            for depth in 0..=3 {
+                let n = shape_count(span, depth);
+                if n > 10_000 {
+                    continue;
+                }
+                let (shapes, complete) = enumerate_shapes(span, depth, n);
+                assert!(complete);
+                assert_eq!(shapes.len(), n, "span {span} depth {depth}");
+                // One below the count is past the cap (the leaf alone never is).
+                let (_, complete) = enumerate_shapes(span, depth, n - 1);
+                assert_eq!(complete, n == 1, "span {span} depth {depth}");
+            }
+        }
+        assert_eq!(shape_count(2, 3), 676);
+        assert_eq!(shape_count(3, 4), usize::MAX);
+        assert_eq!(shape_count(0, 9), 1);
     }
 
     #[test]
@@ -197,6 +239,47 @@ mod tests {
         let c = build(&q, &shape);
         assert_eq!(c.depth(), 3);
         assert_eq!(c.segment_count(), 4);
+    }
+
+    /// `shape` realised by the chain of public `bud` calls (each one a copy
+    /// of its receiver), checking that no call changes its receiver.
+    fn build_by_copies(mut c: Cactus, seg: usize, shape: &Shape) -> Cactus {
+        for (i, child) in shape.children.iter().enumerate() {
+            if let Some(ch) = child {
+                let before = (c.structure().clone(), c.segments().to_vec());
+                let next = c.bud(seg, i);
+                assert_eq!(c.structure(), &before.0, "bud changed its receiver");
+                assert_eq!(c.segments(), &before.1[..], "bud changed its receiver");
+                let new_seg = next.segment_count() - 1;
+                c = build_by_copies(next, new_seg, ch);
+            }
+        }
+        c
+    }
+
+    #[test]
+    fn in_place_build_equals_the_chain_of_buds() {
+        for q in [
+            "F(x), R(x,y)",
+            "F(x), R(y,x), R(y,z), T(z)",
+            "F(x), R(x,y), T(y), R(x,w), T(w), F(w)",
+            "F(x), R(x,y1), T(y1), S(x,y2), T(y2)",
+            "T(x), S(x,y), T(y), R(y,z), F(z)",
+        ] {
+            let q = OneCq::parse(q);
+            let (shapes, complete) = enumerate_shapes(q.span(), 3, 1000);
+            assert!(complete);
+            let (cactuses, _) = enumerate_cactuses(&q, 3, 1000);
+            assert_eq!(cactuses.len(), shapes.len());
+            for (shape, c) in shapes.iter().zip(&cactuses) {
+                let expected = build_by_copies(Cactus::root(&q), 0, shape);
+                for built in [c, &build(&q, shape)] {
+                    assert_eq!(built.structure(), expected.structure(), "{q}: {shape:?}");
+                    assert_eq!(built.segments(), expected.segments(), "{q}: {shape:?}");
+                    assert_eq!(built.root_focus(), expected.root_focus());
+                }
+            }
+        }
     }
 
     #[test]

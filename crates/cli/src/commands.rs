@@ -479,17 +479,16 @@ fn cmd_cactus(args: &Args) -> Result<String, CliError> {
     }
     let (cs, complete) = enumerate_cactuses(&q, depth, cap);
     let mut out = String::new();
-    writeln!(
-        out,
-        "cactuses of depth ≤ {depth}: {}{}",
-        cs.len(),
-        if complete {
-            ""
-        } else {
-            " (cap hit, incomplete)"
-        }
-    )
-    .unwrap();
+    if !complete {
+        let n = sirup_cactus::enumerate::shape_count(q.span(), depth);
+        writeln!(
+            out,
+            "cactuses of depth ≤ {depth}: {n} shapes exceed the cap {cap}; none built"
+        )
+        .unwrap();
+        return Ok(out);
+    }
+    writeln!(out, "cactuses of depth ≤ {depth}: {}", cs.len()).unwrap();
     for d in 0..=depth {
         let at: Vec<&Cactus> = cs.iter().filter(|c| c.depth() == d).collect();
         let max_nodes = at
@@ -2478,6 +2477,9 @@ request mutate cli_top @2 = +A(b)
         let q = "F(x), R(y,x), R(y,z), T(z)";
         let out = run_line(&["cactus", q, "--depth", "3"]).unwrap();
         assert!(out.contains("cactuses of depth ≤ 3: 4"));
+        let span2 = "F(x), R(x,y1), T(y1), S(x,y2), T(y2)";
+        let out = run_line(&["cactus", span2, "--depth", "3", "--cap", "600"]).unwrap();
+        assert!(out.contains("676 shapes exceed the cap 600"), "{out}");
         let dot = run_line(&["cactus", q, "--depth", "2", "--dot", "true"]).unwrap();
         assert!(dot.contains("digraph"));
         assert!(dot.contains("s0 -> s1"));

@@ -144,17 +144,6 @@ impl OneCq {
         }
         s
     }
-
-    /// The root segment with nothing budded — this is `q` itself.
-    pub fn root_segment(&self) -> Structure {
-        self.segment(Pred::F, &vec![false; self.span()])
-    }
-
-    /// The fully unbudded non-root segment `q⁻_{TT}` (for span 2 — in
-    /// general: focus relabelled `A`, all solitary `T`s kept).
-    pub fn leaf_segment(&self) -> Structure {
-        self.segment(Pred::A, &vec![false; self.span()])
-    }
 }
 
 impl fmt::Display for OneCq {
@@ -223,9 +212,10 @@ mod tests {
     #[test]
     fn segments() {
         let q = q4();
-        let root = q.root_segment();
+        // The root segment with nothing budded is `q` itself.
+        let root = q.segment(Pred::F, &[false]);
         assert_eq!(root, *q.structure());
-        let leaf = q.leaf_segment();
+        let leaf = q.segment(Pred::A, &[false]);
         assert!(leaf.has_label(q.focus(), Pred::A));
         assert!(leaf.has_label(q.solitary_t()[0], Pred::T));
         let budded = q.segment(Pred::A, &[true]);

@@ -125,6 +125,11 @@ pub enum Counter {
     IncrementalCascades,
     /// Query plans compiled (plan-cache misses).
     PlanCompiles,
+    /// Cactuses built from a shape (Prop. 2 checks and rewriting
+    /// enumerations inside plan builds).
+    CactusBuilds,
+    /// Cactus-into-cactus embedding checks run by Prop. 2 checks.
+    CactusEmbeds,
     /// Mutation batches applied to the catalog.
     MutationsApplied,
     /// Scheduler steals (tasks taken from another worker's deque).
@@ -175,6 +180,8 @@ const COUNTERS: &[(Counter, &str)] = &[
         "sirup_incremental_cascades_total",
     ),
     (Counter::PlanCompiles, "sirup_plan_compiles_total"),
+    (Counter::CactusBuilds, "sirup_cactus_builds_total"),
+    (Counter::CactusEmbeds, "sirup_cactus_embeds_total"),
     (Counter::MutationsApplied, "sirup_mutations_applied_total"),
     (Counter::SchedSteals, "sirup_scheduler_steals_total"),
     (Counter::SchedParks, "sirup_scheduler_parks_total"),

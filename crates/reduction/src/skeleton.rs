@@ -44,7 +44,7 @@ pub fn cactus_from_01tree(q: &sirup_core::OneCq, tree: &BinTree) -> Cactus {
         let (parent, bit) = parent_of(tree, v);
         let pseg = seg_of[parent];
         debug_assert_ne!(pseg, usize::MAX, "tree nodes must be parent-first");
-        c = c.bud(pseg, bit as usize);
+        c.bud_mut(pseg, bit as usize);
         seg_of[v] = c.segment_count() - 1;
     }
     c
