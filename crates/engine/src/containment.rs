@@ -13,17 +13,17 @@
 
 use crate::ucq::Ucq;
 use sirup_core::{Node, Structure};
-use sirup_hom::{find_hom_fixing, hom_exists};
+use sirup_hom::QueryPlan;
 
 /// Boolean-CQ containment: `a ⊑ b` iff `b → a` homomorphically.
 pub fn cq_contained_in(a: &Structure, b: &Structure) -> bool {
-    hom_exists(b, a)
+    QueryPlan::compile(b).on(a).exists()
 }
 
 /// Unary-CQ containment with answer variables: `(a, x) ⊑ (b, y)` iff there
 /// is a `b → a` homomorphism sending `y` to `x`.
 pub fn unary_cq_contained_in(a: &Structure, x: Node, b: &Structure, y: Node) -> bool {
-    find_hom_fixing(b, a, &[(y, x)]).is_some()
+    QueryPlan::compile(b).on(a).fix(y, x).exists()
 }
 
 /// Disjunct-wise containment of one UCQ disjunct in another (handles the

@@ -20,7 +20,7 @@ use sirup_engine::disjunctive::{
     certain_answer_dsirup, certain_answer_dsirup_planned, certain_answer_dsirup_stats,
 };
 use sirup_engine::eval::evaluate;
-use sirup_hom::{hom_exists, QueryPlan};
+use sirup_hom::QueryPlan;
 use std::collections::BTreeSet;
 
 /// A random instance over F/T/A labels and R/S edges, denser and messier
@@ -184,6 +184,7 @@ mod brute {
             .filter(|&v| !(data.has_label(v, Pred::T) && data.has_label(v, Pred::F)))
             .collect();
         assert!(a_nodes.len() <= 12, "brute force capped at 2^12 labellings");
+        let plan = QueryPlan::compile(&dsirup.cq);
         for mask in 0u32..1 << a_nodes.len() {
             let mut labelled = data.clone();
             for (i, &v) in a_nodes.iter().enumerate() {
@@ -194,7 +195,7 @@ mod brute {
                 };
                 labelled.add_label(v, label);
             }
-            if !hom_exists(&dsirup.cq, &labelled) {
+            if !plan.on(&labelled).exists() {
                 return false; // countermodel: this labelling avoids q
             }
         }

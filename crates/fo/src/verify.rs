@@ -150,12 +150,9 @@ mod tests {
         let q = bounded_cq();
         let rewriting = Ucq::boolean([q.structure().clone()]);
         let fam = [st("F(x), R(x,y), T(y)"), family()[1].clone()];
-        let n = verify_boolean_rewriting(
-            &rewriting,
-            |d| sirup_hom::hom_exists(q.structure(), d),
-            fam.iter(),
-        )
-        .expect("no disagreement");
+        let plan = sirup_hom::QueryPlan::compile(q.structure());
+        let n = verify_boolean_rewriting(&rewriting, |d| plan.on(d).exists(), fam.iter())
+            .expect("no disagreement");
         assert_eq!(n, 2);
     }
 

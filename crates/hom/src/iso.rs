@@ -104,7 +104,7 @@ mod tests {
         // Both directions have homs but sizes differ.
         let a = st("R(x,y)");
         let b = st("R(x,y), R(y,z)");
-        assert!(crate::search::hom_exists(&a, &b));
+        assert!(crate::QueryPlan::compile(&a).on(&b).exists());
         assert!(!isomorphic(&a, &b));
     }
 

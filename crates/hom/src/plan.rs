@@ -1,13 +1,12 @@
 //! Compile-once query plans for homomorphism search.
 //!
-//! [`search::HomFinder`](crate::search::HomFinder) replans on every call: it
-//! recomputes variable constraints, re-derives candidate domains, and picks
-//! its variable order dynamically (minimum-remaining-values) while searching.
-//! That planning cost is pure waste when the *pattern* is fixed and only the
-//! *target* varies — the shape of every hot loop in this workspace: a rule
-//! body checked against each fixpoint round, a UCQ disjunct against each
-//! instance, a small cactus against each enumerated big one, a d-sirup CQ
-//! against each DPLL labelling.
+//! A search that replans on every call recomputes variable constraints,
+//! re-derives candidate domains, and picks its variable order while
+//! searching. That planning cost is pure waste when the *pattern* is fixed
+//! and only the *target* varies — the shape of every hot loop in this
+//! workspace: a rule body checked against each fixpoint round, a UCQ
+//! disjunct against each instance, a small cactus against each enumerated
+//! big one, a d-sirup CQ against each DPLL labelling.
 //!
 //! A [`QueryPlan`] compiles a pattern once into:
 //!
@@ -28,9 +27,9 @@
 //! postings when attached; outward from the pins, over their
 //! neighbourhood, when the execution has pins), runs an AC-3 pass over
 //! the pattern edges, and then backtracks in the compiled order. It
-//! supports the same pinning (`fix`), exclusion (`forbid`), and
-//! injectivity modes as the legacy finder, which is kept as the
-//! differential-test oracle.
+//! supports pinning (`fix`), exclusion (`forbid`) and an injectivity
+//! mode. Its tests compare it against [`oracle`](crate::oracle), a naive
+//! enumerator that shares none of this machinery.
 
 use sirup_core::paged::NodesView;
 use sirup_core::{arena, telemetry};
@@ -520,9 +519,9 @@ impl<'a> PlanExec<'a> {
     /// Visit every homomorphism with a callback; return `false` from the
     /// callback to stop early. Returns `true` iff enumeration ran to
     /// completion. Enumeration order follows the compiled variable order
-    /// (it generally differs from the legacy finder's dynamic order; the
-    /// *set* of homomorphisms is identical). Always sequential — the
-    /// callback may be arbitrary `FnMut` state; this path is the oracle
+    /// (it generally differs from [`oracle`](crate::oracle)'s lexicographic
+    /// order; the *set* of homomorphisms is identical). Always sequential —
+    /// the callback may be arbitrary `FnMut` state; this path is the oracle
     /// the parallel paths are differentially pinned against.
     pub fn for_each(&self, mut f: impl FnMut(&[Node]) -> bool) -> bool {
         match self.prepare() {
@@ -1206,7 +1205,7 @@ impl<'a> PlanExec<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::{all_homs, HomFinder};
+    use crate::oracle::every_hom;
     use sirup_core::parse::{parse_structure, st};
     use sirup_core::{FrozenStructure, PredIndex};
 
@@ -1233,13 +1232,15 @@ mod tests {
     }
 
     #[test]
-    fn plan_agrees_with_legacy_on_fixtures() {
+    fn plan_agrees_with_oracle_on_fixtures() {
         let patterns = [
             st("F(a), R(a,b), T(b)"),
             st("R(a,b), R(b,c), T(c)"),
             st("T(a), T(b)"),
             st("S(a,b)"),
             st("R(a,a)"),
+            st("R(a,b), R(b,c), R(c,d)"),
+            st("F(a), T(a)"),
             Structure::new(),
         ];
         let targets = [
@@ -1247,20 +1248,22 @@ mod tests {
             st("R(x,y), R(y,x), T(x), T(y), R(y,z), T(z)"),
             st("A(x)"),
             st("R(x,x), T(x), F(x)"),
+            st("T(x), R(x,y), F(y)"),
+            st("R(x,y), R(y,x)"),
             Structure::new(),
         ];
         for p in &patterns {
             let plan = QueryPlan::compile(p);
             for t in &targets {
-                let legacy = sorted(all_homs(p, t, 100_000));
+                let expect = every_hom(p, t);
                 let planned = sorted(plan.on(t).find_up_to(100_000));
-                assert_eq!(legacy, planned, "pattern {p} target {t}");
+                assert_eq!(expect, planned, "pattern {p} target {t}");
                 let idx = PredIndex::new(t);
                 let indexed = sorted(
                     plan.on(Target::from(t).with_index(&idx))
                         .find_up_to(100_000),
                 );
-                assert_eq!(legacy, indexed, "indexed: pattern {p} target {t}");
+                assert_eq!(expect, indexed, "indexed: pattern {p} target {t}");
             }
         }
     }
@@ -1339,10 +1342,7 @@ mod tests {
             .count();
         assert_eq!(scans, 2);
         let t = st("T(x), R(y,z), T(z)");
-        assert_eq!(
-            sorted(plan.on(&t).find_up_to(100)),
-            sorted(all_homs(&p, &t, 100))
-        );
+        assert_eq!(sorted(plan.on(&t).find_up_to(100)), every_hom(&p, &t));
     }
 
     #[test]
@@ -1477,18 +1477,19 @@ mod tests {
     }
 
     #[test]
-    fn plan_matches_legacy_under_pins() {
+    fn plan_matches_oracle_under_pins() {
         let p = st("F(a), R(a,b), R(b,c), T(c)");
         let t = st("F(x), R(x,y), R(y,z), T(z), R(x,z), T(y), F(y)");
         let plan = QueryPlan::compile(&p);
+        let homs = every_hom(&p, &t);
         for u in p.nodes() {
             for v in t.nodes() {
-                let legacy = HomFinder::new(&p, &t).fix(u, v).exists();
+                let expect = homs.iter().any(|h| h[u.index()] == v);
                 let planned = plan.on(&t).fix(u, v).exists();
-                assert_eq!(legacy, planned, "pin n{} -> n{}", u.0, v.0);
-                let legacy_f = HomFinder::new(&p, &t).forbid(u, v).exists();
+                assert_eq!(expect, planned, "pin n{} -> n{}", u.0, v.0);
+                let expect_f = homs.iter().any(|h| h[u.index()] != v);
                 let planned_f = plan.on(&t).forbid(u, v).exists();
-                assert_eq!(legacy_f, planned_f, "forbid n{} -> n{}", u.0, v.0);
+                assert_eq!(expect_f, planned_f, "forbid n{} -> n{}", u.0, v.0);
             }
         }
     }
@@ -1623,5 +1624,60 @@ mod tests {
         let mut universe = NodeSet::empty(t.node_count());
         exec.seed_universe(&plan.constraints[pn["c"].index()], &mut universe);
         assert_eq!(domains[pn["c"].index()], universe);
+    }
+
+    #[test]
+    fn ac3_fixpoint_is_sound_and_arc_consistent() {
+        // Answers cannot show a weakened AC-3 (the joins re-check every
+        // edge), so its two contracts are checked directly: no
+        // homomorphism's value is pruned, and every value left has support
+        // along every pattern edge, in both directions. The hub target is
+        // big enough for the word-parallel revision on the view.
+        let patterns = [
+            st("F(a), R(a,b), R(b,c), T(c)"),
+            st("R(a,b), R(b,c), R(c,a)"),
+            st("R(b,a), R(b,c), T(c), A(a)"),
+            st("R(a,a), R(a,b)"),
+        ];
+        let targets = [
+            st("F(x), R(x,y), R(y,z), T(z), R(x,z), T(y), F(y), R(z,x), A(y)"),
+            two_hub_target(40),
+        ];
+        for p in &patterns {
+            let plan = QueryPlan::compile(p);
+            for t in &targets {
+                let homs = every_hom(p, t);
+                let f = FrozenStructure::freeze(t);
+                for target in [Target::from(t), Target::from(t).with_view(Some(&f))] {
+                    let exec = plan.on(target);
+                    let Some(mut d) = exec.initial_domains() else {
+                        assert!(homs.is_empty(), "seeding lost a hom: pattern {p}");
+                        continue;
+                    };
+                    if !exec.ac3(&mut d) {
+                        assert!(homs.is_empty(), "AC-3 lost a hom: pattern {p}");
+                        continue;
+                    }
+                    for h in &homs {
+                        assert!(p.nodes().all(|u| d[u.index()].contains(h[u.index()])));
+                    }
+                    for (pr, u, v) in p.edges() {
+                        let (du, dv) = (&d[u.index()], &d[v.index()]);
+                        assert!(
+                            du.iter().all(|a| dv.iter().any(|b| t.has_edge(pr, a, b))),
+                            "forward arc {pr:?}(n{}, n{}) unsupported: pattern {p}",
+                            u.0,
+                            v.0
+                        );
+                        assert!(
+                            dv.iter().all(|b| du.iter().any(|a| t.has_edge(pr, a, b))),
+                            "backward arc {pr:?}(n{}, n{}) unsupported: pattern {p}",
+                            u.0,
+                            v.0
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -1,14 +1,17 @@
 //! Differential proptests: the compiled-plan executor (`QueryPlan`) is
-//! pinned against the legacy backtracking search (`HomFinder`), which is
-//! kept exactly for this oracle role. The two engines plan very differently
-//! (static greedy order + join-driven candidates vs. dynamic MRV + forward
-//! checking), so agreement on random CQ/instance pairs — full enumeration
-//! as a *set*, existence, pins, exclusions, injectivity, index seeding — is
-//! a strong check that plan compilation loses no answers.
+//! pinned against `sirup_hom::oracle`, a naive enumerator that tries every
+//! target node for each pattern node in index order and checks each atom.
+//! The oracle shares none of the plan's machinery (static greedy order,
+//! domain seeding, AC-3, join-driven candidates), so agreement on random
+//! CQ/instance pairs — full enumeration as a *set*, existence, pins,
+//! exclusions, injectivity, index seeding — is a strong check that plan
+//! compilation loses no answers and invents none. Pins, exclusions and
+//! injectivity are filters over the oracle's complete list.
 
 use proptest::prelude::*;
 use sirup_core::{FrozenStructure, Node, NodeSet, Pred, PredIndex, Structure, Target};
-use sirup_hom::{all_homs, HomFinder, QueryPlan};
+use sirup_hom::oracle::every_hom;
+use sirup_hom::QueryPlan;
 
 /// Strategy: a random small structure with F/T/A labels and R/S edges.
 fn arb_structure(max_nodes: usize, max_edges: usize) -> impl Strategy<Value = Structure> {
@@ -102,24 +105,32 @@ fn sorted(mut homs: Vec<Vec<Node>>) -> Vec<Vec<Node>> {
     homs
 }
 
+/// Is `h` injective?
+fn is_injective(h: &[Node]) -> bool {
+    let mut image = h.to_vec();
+    image.sort();
+    image.dedup();
+    image.len() == h.len()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Full enumeration agrees as a set of homomorphisms, with and without
     /// index-seeded domains.
     #[test]
-    fn plan_enumeration_equals_legacy(
+    fn plan_enumeration_equals_oracle(
         p in arb_structure(4, 6),
         t in arb_structure(5, 10),
     ) {
         let plan = QueryPlan::compile(&p);
-        let legacy = sorted(all_homs(&p, &t, 200_000));
+        let expect = every_hom(&p, &t);
         let planned = sorted(plan.on(&t).find_up_to(200_000));
-        prop_assert_eq!(&legacy, &planned, "plain enumeration diverged");
+        prop_assert_eq!(&expect, &planned, "plain enumeration diverged");
         let idx = PredIndex::new(&t);
         let indexed = sorted(plan.on(Target::from(&t).with_index(&idx)).find_up_to(200_000));
-        prop_assert_eq!(&legacy, &indexed, "indexed enumeration diverged");
-        for h in &legacy {
+        prop_assert_eq!(&expect, &indexed, "indexed enumeration diverged");
+        for h in &expect {
             prop_assert!(p.is_hom(&t, h));
         }
     }
@@ -127,20 +138,21 @@ proptest! {
     /// Existence with pinned and forbidden assignments agrees for every
     /// (pattern node, target node) pair.
     #[test]
-    fn plan_pins_and_forbids_equal_legacy(
+    fn plan_pins_and_forbids_equal_oracle(
         p in arb_structure(3, 5),
         t in arb_structure(4, 7),
     ) {
         let plan = QueryPlan::compile(&p);
+        let homs = every_hom(&p, &t);
         for u in p.nodes() {
             for v in t.nodes() {
                 prop_assert_eq!(
-                    HomFinder::new(&p, &t).fix(u, v).exists(),
+                    homs.iter().any(|h| h[u.index()] == v),
                     plan.on(&t).fix(u, v).exists(),
                     "fix({:?}→{:?}) diverged", u, v
                 );
                 prop_assert_eq!(
-                    HomFinder::new(&p, &t).forbid(u, v).exists(),
+                    homs.iter().any(|h| h[u.index()] != v),
                     plan.on(&t).forbid(u, v).exists(),
                     "forbid({:?}→{:?}) diverged", u, v
                 );
@@ -150,14 +162,15 @@ proptest! {
 
     /// Injective enumeration agrees as a set.
     #[test]
-    fn plan_injective_equals_legacy(
+    fn plan_injective_equals_oracle(
         p in arb_structure(3, 4),
         t in arb_structure(4, 7),
     ) {
         let plan = QueryPlan::compile(&p);
-        let legacy = sorted(HomFinder::new(&p, &t).injective().find_up_to(200_000));
+        let mut expect = every_hom(&p, &t);
+        expect.retain(|h| is_injective(h));
         let planned = sorted(plan.on(&t).injective().find_up_to(200_000));
-        prop_assert_eq!(legacy, planned);
+        prop_assert_eq!(expect, planned);
     }
 
     /// A `T`/`F` label-row overlay reads exactly like a live read of the
@@ -185,7 +198,7 @@ proptest! {
         }
         let overlay = [(Pred::T, &rows[0]), (Pred::F, &rows[1])];
         let plan = QueryPlan::compile(&p);
-        let expect = sorted(all_homs(&p, &copy, 200_000));
+        let expect = every_hom(&p, &copy);
         prop_assert_eq!(&expect, &sorted(plan.on(Target::from(&copy)).find_up_to(200_000)));
         let idx = PredIndex::new(&t);
         let f = FrozenStructure::freeze(&t);
@@ -198,8 +211,8 @@ proptest! {
         }
     }
 
-    /// Compiling once and reusing across targets equals per-target legacy
-    /// searches (the compile-once contract the whole stack relies on).
+    /// Compiling once and reusing across targets equals per-target oracle
+    /// enumerations (the compile-once contract the whole stack relies on).
     #[test]
     fn one_compilation_serves_many_targets(
         p in arb_structure(3, 5),
@@ -207,16 +220,13 @@ proptest! {
     ) {
         let plan = QueryPlan::compile(&p);
         for t in &targets {
-            prop_assert_eq!(
-                sorted(all_homs(&p, t, 200_000)),
-                sorted(plan.on(t).find_up_to(200_000))
-            );
+            prop_assert_eq!(every_hom(&p, t), sorted(plan.on(t).find_up_to(200_000)));
         }
     }
 
     /// Pinned executions — a first pin swept over every target node, an
     /// optional second pin (possibly conflicting), an optional exclusion
-    /// and injectivity — enumerate the legacy finder's set, and the
+    /// and injectivity — enumerate the oracle's set, and the
     /// `find_up_to(cap)` sequence is the same on every target shape:
     /// plain, index, view, view + index, and a `T`/`F` label-row overlay
     /// live, on the view, and on the view of a copy stripped of those
@@ -224,7 +234,7 @@ proptest! {
     /// pins whose neighbourhood exceeds a universe seed, so the fall-back
     /// runs too.
     #[test]
-    fn anchored_seeding_equals_legacy_on_every_target(
+    fn anchored_seeding_equals_oracle_on_every_target(
         p in arb_pattern(),
         t in arb_hub_target(),
         pinned in 0..8u32,
@@ -250,6 +260,7 @@ proptest! {
         }
         let sf = FrozenStructure::freeze(&stripped);
         let overlay = [(Pred::T, &rows[0]), (Pred::F, &rows[1])];
+        let homs = every_hom(&p, &t);
         let shapes = [
             ("index", Target::from(&t).with_index(&idx)),
             ("view", Target::from(&t).with_view(Some(&f))),
@@ -274,17 +285,15 @@ proptest! {
                 }
                 exec.find_up_to(cap)
             };
-            let mut legacy = HomFinder::new(&p, &t);
-            for &(u, v) in &pins {
-                legacy = legacy.fix(u, v);
-            }
-            for &(u, v) in &forbid {
-                legacy = legacy.forbid(u, v);
-            }
-            if injective {
-                legacy = legacy.injective();
-            }
-            let expect = sorted(legacy.find_up_to(200_000));
+            let expect: Vec<Vec<Node>> = homs
+                .iter()
+                .filter(|h| {
+                    pins.iter().all(|&(u, v)| h[u.index()] == v)
+                        && forbid.iter().all(|&(u, v)| h[u.index()] != v)
+                        && (!injective || is_injective(h))
+                })
+                .cloned()
+                .collect();
             prop_assert_eq!(&expect, &sorted(run(Target::from(&t), 200_000)), "set diverged");
             let plain = run(Target::from(&t), cap);
             for (shape, target) in shapes {

@@ -245,8 +245,8 @@ impl Plan {
             }
             Query::Delta { cq, disjoint } => {
                 // Coring is sound here: the DPLL search consults `q` only
-                // through `hom_exists(q, ·)`, which hom-equivalence
-                // preserves.
+                // through existence checks of `q`'s plan, which
+                // hom-equivalence preserves.
                 let dsirup = DSirup {
                     cq: core_of(cq).0,
                     disjoint: *disjoint,

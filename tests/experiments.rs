@@ -150,7 +150,7 @@ mod e4_focused_unfocused {
 mod e5_q8 {
     use super::*;
     use monadic_sirups::cactus::enumerate::full_cactus;
-    use monadic_sirups::hom::HomFinder;
+    use monadic_sirups::hom::QueryPlan;
 
     #[test]
     fn q8_rewrites_at_small_depth_and_folds_into_deeper_cactuses() {
@@ -170,10 +170,11 @@ mod e5_q8 {
         assert!(d <= 2);
         // The folding hom C_d → C_i for i = 3, 4 (Example 5's phenomenon).
         let small = full_cactus(&q8, d);
+        let plan = QueryPlan::compile(small.structure());
         for i in 3..=4 {
             let big = full_cactus(&q8, i);
             assert!(
-                HomFinder::new(small.structure(), big.structure()).exists(),
+                plan.on(big.structure()).exists(),
                 "C_{d} must fold into C_{i}"
             );
         }

@@ -3,7 +3,7 @@
 
 use monadic_sirups::core::builder::GlueBuilder;
 use monadic_sirups::core::{Node, Pred, Structure};
-use monadic_sirups::hom::{all_homs, core_of, find_hom, hom_exists, is_minimal};
+use monadic_sirups::hom::{core_of, is_minimal, QueryPlan};
 use proptest::prelude::*;
 
 /// Strategy: a random small structure with F/T/A labels and R/S edges.
@@ -39,7 +39,7 @@ proptest! {
         p in arb_structure(4, 6),
         t in arb_structure(5, 10),
     ) {
-        if let Some(h) = find_hom(&p, &t) {
+        if let Some(h) = QueryPlan::compile(&p).on(&t).find() {
             prop_assert!(p.is_hom(&t, &h));
         }
     }
@@ -52,8 +52,9 @@ proptest! {
         t in arb_structure(4, 6),
         u in arb_structure(4, 6),
     ) {
-        if hom_exists(&p, &t) && hom_exists(&t, &u) {
-            prop_assert!(hom_exists(&p, &u));
+        let p_plan = QueryPlan::compile(&p);
+        if p_plan.on(&t).exists() && QueryPlan::compile(&t).on(&u).exists() {
+            prop_assert!(p_plan.on(&u).exists());
         }
     }
 
@@ -63,7 +64,7 @@ proptest! {
         let (c, retraction) = core_of(&s);
         prop_assert!(is_minimal(&c));
         prop_assert!(s.is_hom(&c, &retraction));
-        prop_assert!(hom_exists(&c, &s));
+        prop_assert!(QueryPlan::compile(&c).on(&s).exists());
         let (cc, _) = core_of(&c);
         prop_assert_eq!(cc.node_count(), c.node_count());
     }
@@ -72,7 +73,7 @@ proptest! {
     #[test]
     fn identity_endomorphism_enumerated(s in arb_structure(4, 6)) {
         let id: Vec<Node> = s.nodes().collect();
-        let homs = all_homs(&s, &s, 50_000);
+        let homs = QueryPlan::compile(&s).on(&s).find_up_to(50_000);
         prop_assert!(homs.contains(&id));
     }
 
@@ -123,8 +124,8 @@ mod hom_props {
             prop_assert!(isomorphic(&s, &s));
             if let Some(f) = find_isomorphism(&s, &t) {
                 prop_assert!(s.is_hom(&t, &f));
-                prop_assert!(hom_exists(&s, &t));
-                prop_assert!(hom_exists(&t, &s));
+                prop_assert!(QueryPlan::compile(&s).on(&t).exists());
+                prop_assert!(QueryPlan::compile(&t).on(&s).exists());
                 prop_assert!(isomorphic(&t, &s), "isomorphism must be symmetric");
             }
         }
@@ -252,7 +253,7 @@ mod fo_props {
             d in arb_structure(4, 8),
         ) {
             let phi = structure_to_cq(&p);
-            prop_assert_eq!(phi.eval_sentence(&d), hom_exists(&p, &d));
+            prop_assert_eq!(phi.eval_sentence(&d), QueryPlan::compile(&p).on(&d).exists());
         }
 
         /// UCQ → FO agrees with the Ucq evaluator on Boolean unions.
@@ -300,8 +301,11 @@ mod linear_props {
 
 mod containment_props {
     use super::*;
-    use monadic_sirups::engine::containment::{minimise_ucq, ucq_contained_in, ucq_equivalent};
+    use monadic_sirups::engine::containment::{
+        cq_contained_in, minimise_ucq, ucq_contained_in, ucq_equivalent, unary_cq_contained_in,
+    };
     use monadic_sirups::engine::ucq::Ucq;
+    use monadic_sirups::hom::oracle::every_hom;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
@@ -334,6 +338,27 @@ mod containment_props {
             let v = Ucq::boolean([p2]);
             if ucq_contained_in(&u, &v) && u.eval_boolean(&d) {
                 prop_assert!(v.eval_boolean(&d));
+            }
+        }
+
+        /// Chandra–Merlin containment agrees with the naive oracle:
+        /// `a ⊑ b` iff some hom `b → a` exists, and with answer variables
+        /// `(a, x) ⊑ (b, y)` iff some such hom sends `y` to `x`.
+        #[test]
+        fn containment_agrees_with_oracle(
+            a in arb_structure(4, 6),
+            b in arb_structure(3, 4),
+        ) {
+            let homs = every_hom(&b, &a);
+            prop_assert_eq!(cq_contained_in(&a, &b), !homs.is_empty());
+            for x in a.nodes() {
+                for y in b.nodes() {
+                    prop_assert_eq!(
+                        unary_cq_contained_in(&a, x, &b, y),
+                        homs.iter().any(|h| h[y.index()] == x),
+                        "(a, {:?}) ⊑ (b, {:?}) diverged", x, y
+                    );
+                }
             }
         }
     }
