@@ -1,7 +1,8 @@
 //! Subcommand implementations. Every command takes parsed [`Args`] and
 //! returns the report it would print, so the whole CLI is unit-testable.
 
-use crate::args::Args;
+use crate::args::Kind::{Bool, Float, Int, List, Text};
+use crate::args::{help_text, Args, Command, Flag};
 use crate::dot::{skeleton_to_dot, structure_to_dot};
 use sirup_cactus::{
     enumerate_cactuses, find_bound, is_focused_up_to, pi_rewriting, sigma_rewriting, BoundSearch,
@@ -18,13 +19,15 @@ use sirup_core::{OneCq, Structure};
 use sirup_fo::{render_sql, ucq_to_fo, SqlDialect};
 use sirup_schemaorg::SchemaOrgQuery;
 use sirup_server::{
-    AdaptiveConfig, Daemon, PlanOptions, ReplayMode, Server, ServerConfig, WireConfig,
+    AdaptiveConfig, Daemon, PlanOptions, ReplayMode, ReplayReport, Server, ServerConfig, WireConfig,
 };
 use sirup_workloads::traffic::{
     mixed_traffic, parse_workload, render_workload, QueryKind, TrafficAction, TrafficParams,
     TrafficRequest, TrafficSpec,
 };
-use sirup_workloads::wire::{replay_over_wire, WireClient};
+use sirup_workloads::wire::{
+    load_request, mutate_request, query_request, replay_over_wire, WireClient,
+};
 use std::fmt;
 use std::fmt::Write;
 
@@ -59,168 +62,216 @@ impl fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
-/// Dispatch a parsed command line.
+/// Check a parsed command line against its table entry, then run it.
 pub fn run(args: &Args) -> Result<String, CliError> {
-    match args.command.as_str() {
-        "help" | "--help" | "-h" => Ok(help_text()),
-        "parse" => cmd_parse(args),
-        "classify" => cmd_classify(args),
-        "plan" => cmd_plan(args),
-        "bound" => cmd_bound(args),
-        "rewrite" => cmd_rewrite(args),
-        "cactus" => cmd_cactus(args),
-        "dot" => cmd_dot(args),
-        "schemaorg" => cmd_schemaorg(args),
-        "program" => cmd_program(args),
-        "serve" => cmd_serve(args),
-        "replay" => cmd_replay(args),
-        "stats" => cmd_stats(args),
-        "connect" => cmd_connect(args),
-        "load" => cmd_load(args),
-        "query" => cmd_query(args),
-        "tail" => cmd_tail(args),
-        "top" => cmd_top(args),
-        "trace" => cmd_trace(args),
-        "crash-check" => cmd_crash_check(args),
-        "zoo" => Ok(cmd_zoo()),
-        other => Err(CliError::UnknownCommand(other.to_owned())),
-    }
+    let spec = args.check()?;
+    (spec.run)(args)
 }
 
-/// The `help` text.
-pub fn help_text() -> String {
-    "\
-sirupctl — analyse monadic (disjunctive) sirups  [PODS'21 reproduction]
+// Positionals and flags several table entries share.
+const CQ: &[(&str, &str)] = &[("cq", "a CQ/structure as atom text")];
+const FILE: &[(&str, &str)] = &[("file", "a .sirupload workload file")];
+const SIGMA: Flag = Flag::of(
+    "sigma",
+    Bool,
+    None,
+    "use Σ_q (goal P) instead of Π_q (goal G)",
+);
+const CAP: Flag = Flag::of("cap", Int, Some("10000"), "cactus-shape cap");
+const EMIT: Flag = Flag::of(
+    "emit",
+    Bool,
+    None,
+    "print the workload instead of running it",
+);
+const METRICS: Flag = Flag::of(
+    "metrics",
+    Bool,
+    None,
+    "append the registry's Prometheus text",
+);
+const CONNECT: Flag = Flag::of("connect", Text("ADDR"), None, "a `serve --listen` daemon");
+const SEED: Flag = Flag::of("seed", Int, Some("1"), "random seed");
 
-USAGE: sirupctl <command> [args] [--flags]
+/// The flags that configure the in-process query service, its plans and
+/// its adaptive controller (a [`ServerConfig`]), shared by every command
+/// that runs one ([`Command::service`]).
+#[rustfmt::skip]
+pub static SERVICE: &[Flag] = &[
+    Flag::of("threads", Int, Some("4"), "scheduler worker threads"),
+    Flag::of("parallelism", Int, Some("1"), "intra-request fan-out (1 = sequential requests)"),
+    Flag::of("par-threshold", Int, Some("64"), "smallest work set that is split"),
+    Flag::of("shards", Int, Some("8"), "catalog shards"),
+    Flag::of("plan-cache", Int, Some("64"), "plan-cache capacity"),
+    Flag::of("answer-cache", Int, Some("256"), "answer-cache capacity (0 disables)"),
+    Flag::of("open", Bool, None, "pace requests by their arrival offsets"),
+    Flag::of("max-depth", Int, Some("1"), "largest Prop. 2 depth a plan certifies"),
+    Flag::of("horizon", Int, None, "evidence horizon [default: --max-depth + 2]"),
+    Flag::of("cap", Int, Some("600"), "cactus-shape cap of the evidence search"),
+    Flag::of("adaptive", Bool, None, "turn the feedback controller on (answers are bit-identical)"),
+    Flag::of("promote-after", Int, Some("4"), "reads before a materialisation attaches"),
+    Flag::of("demote-after", Int, Some("2"), "writes before it detaches"),
+    Flag::of("admission-burst-us", Int, Some("0"), "per-instance token bucket (0 = admission off)"),
+    Flag::of("admission-refill-us", Int, Some("0"), "bucket refill, µs of budget per second"),
+];
 
-COMMANDS
-  parse <cq>                    validate a CQ; report shape, solitary nodes, twins
-  classify <cq>                 run the §4 deciders (Cor. 8, Thm. 9, Thm. 11)
-  plan <cq> [--sigma]           print the compiled hom-search plan of the CQ
-                                (variable order, domain constraints, estimated
-                                fan-out) and of each rule body of Π_q / Σ_q
-  bound <cq> [--max-d N] [--horizon N] [--cap N] [--sigma]
-                                Prop. 2 boundedness evidence at a finite horizon
-  rewrite <cq> --depth N [--format ucq|fo|sql] [--sigma] [--minimise]
-                                extract the candidate UCQ rewriting
-  cactus <cq> [--depth N] [--dot] [--cap N]
-                                enumerate cactuses; --dot prints the full
-                                cactus skeleton of the given depth
-  dot <structure>               Graphviz DOT of a structure
-  program <cq>                  print the programs Π_q and Σ_q (rules (5)–(7))
-  schemaorg <cq>                the Δ'_q presentation (Prop. 5) in DL-Lite syntax
-  schemaorg --traffic [--instances N] [--nodes N] [--edges N] [--requests N]
-        [--gap-us N] [--seed N] [--emit] [SERVICE FLAGS]
-                                generate the Schema.org / OBDA workload instead:
-                                random instances pushed through the Prop. 5
-                                D ↦ D′ translation (this is the
-                                workloads/obda.sirupload generator)
-  serve [--requests N] [--instances N] [--nodes N] [--edges N] [--gap-us N]
-        [--random-cqs N] [--seed N] [--mutation-ratio F] [--hot F] [--emit]
-        [--scaling] [--phases] [SERVICE FLAGS]
-                                generate a mixed workload and run it through the
-                                query service; --mutation-ratio F interleaves
-                                insert/retract traffic, --hot F skews towards a
-                                hot instance (--emit prints the workload file
-                                instead of running it); --scaling generates the
-                                parallel-scaling shape instead — one large
-                                instance (--nodes) under heavy queries (this is
-                                the workloads/large.sirupload generator);
-                                --phases generates the write-heavy → read-heavy
-                                → write-heavy shape that exercises the adaptive
-                                controller (the workloads/phases.sirupload
-                                generator; --requests N sets requests per phase)
-  serve --listen ADDR [--data-dir DIR] [--snapshot-every N] [SERVICE FLAGS]
-                                run the TCP daemon instead: bind ADDR (e.g.
-                                127.0.0.1:7407, or :0 for a free port), print
-                                `listening <addr>`, and serve wire requests
-                                until killed. --data-dir DIR makes the server
-                                durable: every acknowledged load/mutation is
-                                fsync'd to DIR/wal.log before it applies, and
-                                restart recovers the exact catalog;
-                                --snapshot-every N compacts the log after N
-                                logged mutations
-  replay <file> [--threads-sweep 1,2,4,8] [--dump-answers] [--connect ADDR]
-        [--metrics] [SERVICE FLAGS]
-                                replay a .sirupload workload file (queries and
-                                mutations); reports throughput, mutation rate,
-                                and p50/p99 latency. --threads-sweep replays
-                                once per worker count and prints a speedup
-                                table (req/s, p95); --dump-answers prints only
-                                the answer stream (for determinism diffing);
-                                --connect ADDR replays over the wire against a
-                                running daemon instead of in-process;
-                                --metrics appends the Prometheus exposition of
-                                the telemetry registry after the summary
-  stats <file> [--instance NAME] [SERVICE FLAGS]
-                                replay a workload, then dump each live instance
-                                (catalog version, materialized-predicate sizes,
-                                support-count memory), the shared scheduler's
-                                counters (tasks spawned, steals, queue depth),
-                                and the telemetry registry snapshot (request
-                                totals, cache hit/miss ratios, WAL epoch/size)
-  stats --connect ADDR          the same registry snapshot scraped from a
-                                running daemon's `metrics` verb
-
-  SERVICE FLAGS (serve, replay, stats): --threads N, --parallelism N
-    (intra-request fan-out on the shared scheduler; 1 = sequential requests),
-    --par-threshold N (min work-set size to split), --shards N,
-    --plan-cache N, --answer-cache N (0 disables), --open (pace by arrival
-    offsets), and the plan knobs --max-depth N, --horizon N, --cap N
-    (Prop. 2 rewriting-adoption evidence search)
-  ADAPTIVE FLAGS (same commands): --adaptive turns the feedback controller
-    on (off by default; answers are bit-identical either way);
-    --promote-after N / --demote-after N set the read/write-run hysteresis
-    for attaching/detaching maintained materialisations; and
-    --admission-burst-us N / --admission-refill-us N configure the
-    per-instance latency token bucket (0 = admission off) whose overflow
-    sheds queries with `error overloaded:`
-  connect <addr> <request...>   send one raw wire request (`ping`, `list`,
-                                `stats d`, `dump d`, `mutate d = +T(n1)`, ...)
-                                and print the reply
-  load <name> <atoms|@file> --connect ADDR
-                                load an instance on a running daemon from atom
-                                text (or @file containing it)
-  query <pi|sigma|delta|delta+> <instance> <cq> --connect ADDR
-                                ask a certain-answer query over the wire
-  tail <instance> --connect ADDR [--count N]
-                                subscribe to an instance's mutation stream and
-                                print each `op <inst> <seq> = <ops>` push
-                                (--count N exits after N events)
-  top --connect ADDR [--count N] [--interval-ms N]
-                                live per-(program, instance) table from the
-                                daemon's metrics — requests, serving strategies,
-                                result cardinality, p50/p99 latency, and (on an
-                                adaptive server) the current route with its
-                                reason; polls N rounds (default 1) every
-                                interval
-  trace --connect ADDR [--slow-ms N]
-                                span trees of recent requests at least N ms
-                                long, from the daemon's trace rings (plan
-                                compile, AC-3, backtracking, DPLL, semi-naive
-                                rounds, WAL appends, ... as timed children)
-  crash-check <file> [--kill-after N]
-                                durability acceptance: start a durable daemon
-                                as a child process, stream the workload's
-                                mutations, SIGKILL it mid-stream after N acks,
-                                restart on the same data dir, and diff every
-                                recovered instance against the folded-ops
-                                oracle
-  zoo                           classify the paper's Example-1 CQs q1…q5
-  help                          this text
-
-CQs and instances are comma-separated atom lists, e.g. 'F(x), R(x,y), T(y)'.
-"
-    .to_owned()
-}
+/// Every subcommand with its positionals, typed flags (defaults and help)
+/// and handler. Parsing, `help` and the typed flag reads all read this
+/// table, so a flag and its default exist in one place only.
+#[rustfmt::skip]
+pub static COMMANDS: &[Command] = &[
+    Command { name: "parse", mode: None, positionals: CQ, flags: &[], service: false, run: cmd_parse,
+        about: "validate a CQ; report shape, solitary nodes, twins" },
+    Command { name: "classify", mode: None, positionals: CQ, flags: &[], service: false, run: cmd_classify,
+        about: "run the §4 deciders (Cor. 8, Thm. 9, Thm. 11)" },
+    Command { name: "plan", mode: None, positionals: CQ, flags: &[SIGMA], service: false, run: cmd_plan,
+        about: "print the compiled hom-search plan of the CQ (variable order, domain\n\
+                constraints, estimated fan-out) and of each rule body of Π_q / Σ_q" },
+    Command { name: "bound", mode: None, positionals: CQ, service: false, run: cmd_bound,
+        about: "Prop. 2 boundedness evidence at a finite horizon",
+        flags: &[
+            Flag::of("max-d", Int, Some("2"), "largest depth d to certify"),
+            Flag::of("horizon", Int, None, "deepest cactus checked [default: --max-d + 2]"),
+            CAP,
+            SIGMA,
+        ] },
+    Command { name: "rewrite", mode: None, positionals: CQ, service: false, run: cmd_rewrite,
+        about: "extract the candidate UCQ rewriting",
+        flags: &[
+            Flag::of("depth", Int, Some("1"), "cactus depth of the rewriting"),
+            Flag::of("format", Text("ucq|fo|sql"), Some("ucq"), "output syntax"),
+            SIGMA,
+            Flag::of("minimise", Bool, None, "drop disjuncts contained in others"),
+            CAP,
+        ] },
+    Command { name: "cactus", mode: None, positionals: CQ, service: false, run: cmd_cactus,
+        about: "enumerate cactuses up to a depth",
+        flags: &[
+            Flag::of("depth", Int, Some("2"), "deepest cactus"),
+            Flag::of("dot", Bool, None, "print the full cactus skeleton of that depth as DOT"),
+            CAP,
+        ] },
+    Command { name: "dot", mode: None, positionals: &[("structure", "a structure as atom text")],
+        flags: &[], service: false, run: cmd_dot, about: "Graphviz DOT of a structure" },
+    Command { name: "program", mode: None, positionals: CQ, flags: &[], service: false, run: cmd_program,
+        about: "print the programs Π_q and Σ_q (rules (5)–(7))" },
+    Command { name: "schemaorg", mode: None, positionals: CQ, flags: &[], service: false, run: cmd_schemaorg,
+        about: "the Δ'_q presentation (Prop. 5) in DL-Lite syntax" },
+    Command { name: "schemaorg", mode: Some("traffic"), positionals: &[], service: true,
+        run: cmd_schemaorg_traffic,
+        about: "generate the Schema.org / OBDA workload instead: random instances pushed\n\
+                through the Prop. 5 D ↦ D′ translation (the workloads/obda.sirupload generator)",
+        flags: &[
+            Flag::of("traffic", Bool, None, "select this mode"),
+            Flag::of("instances", Int, Some("3"), "instances"),
+            Flag::of("nodes", Int, Some("20"), "nodes per instance"),
+            Flag::of("edges", Int, Some("36"), "edges per instance"),
+            Flag::of("requests", Int, Some("24"), "requests"),
+            Flag::of("gap-us", Int, Some("200"), "arrival gap between requests (µs)"),
+            Flag::of("seed", Int, Some("5"), "random seed"),
+            EMIT,
+            METRICS,
+        ] },
+    Command { name: "serve", mode: Some("listen"), positionals: &[], service: true,
+        run: cmd_serve_daemon,
+        about: "run the TCP daemon: bind ADDR (e.g. 127.0.0.1:7407, or :0 for a free port),\n\
+                print `listening <addr>`, and serve wire requests until killed",
+        flags: &[
+            Flag::of("listen", Text("ADDR"), None, "the address to bind"),
+            Flag::of("data-dir", Text("DIR"), None, "durable: log every write to DIR/wal.log"),
+            Flag::of("snapshot-every", Int, Some("0"), "compact the log after N logged mutations (0 = never)"),
+        ] },
+    Command { name: "serve", mode: Some("scaling"), positionals: &[], service: true,
+        run: cmd_serve_scaling,
+        about: "the parallel-scaling shape: one large instance under heavy queries\n\
+                (the workloads/large.sirupload generator)",
+        flags: &[
+            Flag::of("scaling", Bool, None, "select this mode"),
+            Flag::of("nodes", Int, Some("192"), "nodes of the instance"),
+            Flag::of("requests", Int, Some("48"), "requests"),
+            SEED,
+            EMIT,
+            METRICS,
+        ] },
+    Command { name: "serve", mode: Some("phases"), positionals: &[], service: true,
+        run: cmd_serve_phases,
+        about: "write-heavy → read-heavy → write-heavy traffic on one hot instance, for the\n\
+                adaptive controller (the workloads/phases.sirupload generator)",
+        flags: &[
+            Flag::of("phases", Bool, None, "select this mode"),
+            Flag::of("requests", Int, Some("24"), "requests per phase"),
+            SEED,
+            EMIT,
+            METRICS,
+        ] },
+    Command { name: "serve", mode: None, positionals: &[], service: true, run: cmd_serve,
+        about: "generate a mixed workload and run it through the query service",
+        flags: &[
+            Flag::of("requests", Int, Some("200"), "requests"),
+            Flag::of("instances", Int, Some("4"), "instances"),
+            Flag::of("nodes", Int, Some("24"), "nodes per instance"),
+            Flag::of("edges", Int, Some("40"), "edges per instance"),
+            Flag::of("gap-us", Int, Some("150"), "mean arrival gap between requests (µs)"),
+            Flag::of("random-cqs", Int, Some("3"), "random CQs in the query pool"),
+            Flag::of("mutation-ratio", Float, Some("0"), "share of insert/retract requests"),
+            Flag::of("hot", Float, Some("0"), "skew towards one hot instance"),
+            SEED,
+            EMIT,
+            METRICS,
+        ] },
+    Command { name: "replay", mode: Some("connect"), positionals: FILE, flags: &[CONNECT], service: false,
+        run: cmd_replay_wire, about: "replay a workload over the wire against a running daemon" },
+    Command { name: "replay", mode: None, positionals: FILE, service: true, run: cmd_replay,
+        about: "replay a .sirupload workload (queries and mutations); report throughput,\n\
+                mutation rate and p50/p99 latency",
+        flags: &[
+            Flag::of("threads-sweep", List, None, "replay once per worker count; print speedups"),
+            Flag::of("dump-answers", Bool, None, "print only the answer stream (for determinism diffs)"),
+            METRICS,
+        ] },
+    Command { name: "stats", mode: Some("connect"), positionals: &[], flags: &[CONNECT], service: false,
+        run: cmd_stats_wire,
+        about: "the registry snapshot below, scraped from a running daemon's `metrics`" },
+    Command { name: "stats", mode: None, positionals: FILE, service: true, run: cmd_stats,
+        about: "replay a workload, then dump each live instance (catalog version, sizes,\n\
+                materialisations), the scheduler's counters and the telemetry registry",
+        flags: &[Flag::of("instance", Text("NAME"), None, "dump only this instance")] },
+    Command { name: "connect", mode: None, flags: &[], service: false, run: cmd_connect,
+        positionals: &[("addr", "a daemon address"), ("request...", "a wire request (e.g. `ping`)")],
+        about: "send one raw wire request (`ping`, `list`, `dump d`, …) and print the reply" },
+    Command { name: "load", mode: None, flags: &[CONNECT], service: false, run: cmd_load,
+        positionals: &[("name", "an instance name"), ("atoms|@file", "instance atoms (or @file)")],
+        about: "load an instance on a running daemon" },
+    Command { name: "query", mode: None, flags: &[CONNECT], service: false, run: cmd_query,
+        positionals: &[("pi|sigma|delta|delta+", "a query kind"), ("instance", "an instance name"),
+                       ("cq", "a CQ as atom text")],
+        about: "ask a certain-answer query over the wire" },
+    Command { name: "tail", mode: None, service: false, run: cmd_tail,
+        positionals: &[("instance", "an instance name")],
+        about: "print each `op <inst> <seq> = <ops>` mutation event pushed by the daemon",
+        flags: &[CONNECT, Flag::of("count", Int, Some("0"), "exit after N events (0 = never)")] },
+    Command { name: "top", mode: None, positionals: &[], service: false, run: cmd_top,
+        about: "live per-(program, instance) table from the daemon's metrics",
+        flags: &[
+            CONNECT,
+            Flag::of("count", Int, Some("1"), "polling rounds"),
+            Flag::of("interval-ms", Int, Some("1000"), "pause between rounds"),
+        ] },
+    Command { name: "trace", mode: None, positionals: &[], service: false, run: cmd_trace,
+        about: "span trees of recent requests, from the daemon's trace rings",
+        flags: &[CONNECT, Flag::of("slow-ms", Int, Some("0"), "only requests at least this long")] },
+    Command { name: "crash-check", mode: None, positionals: FILE, service: false, run: cmd_crash_check,
+        about: "durability acceptance: SIGKILL a durable daemon child mid-stream, restart it\n\
+                on the same data dir, and diff every instance against the folded-ops oracle",
+        flags: &[Flag::of("kill-after", Int, Some("4"), "acknowledged mutations before the kill")] },
+    Command { name: "zoo", mode: None, positionals: &[], flags: &[], service: false, run: cmd_zoo,
+        about: "classify the paper's Example-1 CQs q1…q5" },
+    Command { name: "help", mode: None, positionals: &[], flags: &[], service: false, run: |_| Ok(help_text()),
+        about: "this text" },
+];
 
 fn structure_arg(args: &Args) -> Result<Structure, CliError> {
-    let text = args
-        .positional
-        .first()
-        .ok_or(CliError::MissingArgument("a CQ/structure as atom text"))?;
-    parse_structure(text)
+    parse_structure(&args.positional[0])
         .map(|(s, _)| s)
         .map_err(|e| CliError::BadInput(e.to_string()))
 }
@@ -230,21 +281,25 @@ fn one_cq_arg(args: &Args) -> Result<OneCq, CliError> {
     OneCq::new(s).map_err(|e| CliError::BadInput(e.to_string()))
 }
 
-fn bound_params(args: &Args) -> Result<BoundSearch, CliError> {
-    let max_d = args.flag_u32("max-d", 2).map_err(CliError::BadFlag)?;
-    let horizon = args
-        .flag_u32("horizon", max_d + 2)
-        .map_err(CliError::BadFlag)?;
-    let cap = args.flag_usize("cap", 10_000).map_err(CliError::BadFlag)?;
-    if horizon <= max_d {
+/// `--<depth>` and `--horizon`, which defaults to two more and must exceed
+/// it (`bound --max-d`, the service's `--max-depth`).
+fn depth_and_horizon(args: &Args, depth: &str) -> Result<(u32, u32), CliError> {
+    let d: u32 = args.get(depth)?;
+    let horizon = args.get_opt("horizon")?.unwrap_or(d + 2);
+    if horizon <= d {
         return Err(CliError::BadFlag(format!(
-            "--horizon ({horizon}) must exceed --max-d ({max_d})"
+            "--horizon ({horizon}) must exceed --{depth} ({d})"
         )));
     }
+    Ok((d, horizon))
+}
+
+fn bound_params(args: &Args) -> Result<BoundSearch, CliError> {
+    let (max_d, horizon) = depth_and_horizon(args, "max-d")?;
     Ok(BoundSearch {
         max_d,
         horizon,
-        cap,
+        cap: args.get("cap")?,
         sigma: args.flag_bool("sigma"),
     })
 }
@@ -407,8 +462,8 @@ fn cmd_bound(args: &Args) -> Result<String, CliError> {
 
 fn cmd_rewrite(args: &Args) -> Result<String, CliError> {
     let q = one_cq_arg(args)?;
-    let depth = args.flag_u32("depth", 1).map_err(CliError::BadFlag)?;
-    let cap = args.flag_usize("cap", 10_000).map_err(CliError::BadFlag)?;
+    let depth = args.get("depth")?;
+    let cap = args.get("cap")?;
     let sigma = args.flag_bool("sigma");
     let raw = if sigma {
         sigma_rewriting(&q, depth, cap)
@@ -445,7 +500,7 @@ fn cmd_rewrite(args: &Args) -> Result<String, CliError> {
          check with `sirupctl bound`)"
     )
     .unwrap();
-    match args.flag("format").unwrap_or("ucq") {
+    match args.get::<String>("format")?.as_str() {
         "ucq" => {
             for (i, (s, free)) in ucq.disjuncts.iter().enumerate() {
                 match free {
@@ -471,8 +526,8 @@ fn cmd_rewrite(args: &Args) -> Result<String, CliError> {
 
 fn cmd_cactus(args: &Args) -> Result<String, CliError> {
     let q = one_cq_arg(args)?;
-    let depth = args.flag_u32("depth", 2).map_err(CliError::BadFlag)?;
-    let cap = args.flag_usize("cap", 10_000).map_err(CliError::BadFlag)?;
+    let depth = args.get("depth")?;
+    let cap = args.get("cap")?;
     if args.flag_bool("dot") {
         let c = sirup_cactus::enumerate::full_cactus(&q, depth);
         return Ok(skeleton_to_dot(&c, &format!("full cactus depth {depth}")));
@@ -531,13 +586,6 @@ fn cmd_program(args: &Args) -> Result<String, CliError> {
 }
 
 fn cmd_schemaorg(args: &Args) -> Result<String, CliError> {
-    if args.flag_bool("traffic") {
-        let spec = schemaorg_traffic(args)?;
-        if args.flag_bool("emit") {
-            return Ok(render_workload(&spec));
-        }
-        return run_spec(&spec, args);
-    }
     let s = structure_arg(args)?;
     let q = SchemaOrgQuery::new(s);
     let mut out = String::new();
@@ -555,16 +603,16 @@ fn cmd_schemaorg(args: &Args) -> Result<String, CliError> {
 /// back in (exercising the disjunctive evaluator on the translated data).
 /// The bundled `workloads/obda.sirupload` is this spec at its defaults
 /// (`--emit` renders it).
-fn schemaorg_traffic(args: &Args) -> Result<TrafficSpec, CliError> {
+fn cmd_schemaorg_traffic(args: &Args) -> Result<String, CliError> {
     use sirup_core::{FactOp, Node, Pred};
     use sirup_schemaorg::to_schemaorg_instance;
     use sirup_workloads::random::random_instance;
-    let instances = args.flag_usize("instances", 3).map_err(CliError::BadFlag)?;
-    let nodes = args.flag_usize("nodes", 20).map_err(CliError::BadFlag)?;
-    let edges = args.flag_usize("edges", 36).map_err(CliError::BadFlag)?;
-    let requests = args.flag_usize("requests", 24).map_err(CliError::BadFlag)?;
-    let gap = args.flag_u32("gap-us", 200).map_err(CliError::BadFlag)? as u64;
-    let seed = args.flag_u32("seed", 5).map_err(CliError::BadFlag)? as u64;
+    let instances: usize = args.get("instances")?;
+    let nodes: usize = args.get("nodes")?;
+    let edges = args.get("edges")?;
+    let requests = args.get("requests")?;
+    let gap: u64 = args.get("gap-us")?;
+    let seed: u64 = args.get("seed")?;
     if instances == 0 {
         return Err(CliError::BadFlag(
             "--traffic needs at least one instance".to_owned(),
@@ -607,103 +655,72 @@ fn schemaorg_traffic(args: &Args) -> Result<TrafficSpec, CliError> {
             arrival_us: gap * r as u64,
         });
     }
-    Ok(spec)
+    emit_or_run(&spec, args)
 }
 
-/// Parse the shared SERVICE FLAGS into a [`ServerConfig`]; `threads`
-/// overrides the `--threads` flag when given (the `--threads-sweep` loop
-/// rebuilds a server per worker count).
-fn config_from_flags(args: &Args, threads: Option<usize>) -> Result<ServerConfig, CliError> {
-    let threads = match threads {
-        Some(t) => t,
-        None => args.flag_usize("threads", 4).map_err(CliError::BadFlag)?,
-    };
-    let parallelism = args
-        .flag_usize("parallelism", 1)
-        .map_err(CliError::BadFlag)?;
-    let par_threshold = args
-        .flag_usize("par-threshold", 64)
-        .map_err(CliError::BadFlag)?;
-    let shards = args.flag_usize("shards", 8).map_err(CliError::BadFlag)?;
-    let plan_cache = args
-        .flag_usize("plan-cache", 64)
-        .map_err(CliError::BadFlag)?;
-    let answer_cache = args
-        .flag_usize("answer-cache", 256)
-        .map_err(CliError::BadFlag)?;
-    let max_depth = args.flag_u32("max-depth", 1).map_err(CliError::BadFlag)?;
-    let horizon = args
-        .flag_u32("horizon", max_depth + 2)
-        .map_err(CliError::BadFlag)?;
-    let cap = args.flag_usize("cap", 600).map_err(CliError::BadFlag)?;
-    if horizon <= max_depth {
-        return Err(CliError::BadFlag(format!(
-            "--horizon ({horizon}) must exceed --max-depth ({max_depth})"
-        )));
-    }
-    let defaults = AdaptiveConfig::default();
-    let adaptive = AdaptiveConfig {
-        enabled: args.flag_bool("adaptive"),
-        promote_after_reads: args
-            .flag_u32("promote-after", defaults.promote_after_reads)
-            .map_err(CliError::BadFlag)?,
-        demote_after_writes: args
-            .flag_u32("demote-after", defaults.demote_after_writes)
-            .map_err(CliError::BadFlag)?,
-        admission_burst_us: args
-            .flag_usize("admission-burst-us", defaults.admission_burst_us as usize)
-            .map_err(CliError::BadFlag)? as u64,
-        admission_refill_us_per_sec: args
-            .flag_usize(
-                "admission-refill-us",
-                defaults.admission_refill_us_per_sec as usize,
-            )
-            .map_err(CliError::BadFlag)? as u64,
-    };
+/// The shared [`SERVICE`] flags as a [`ServerConfig`].
+fn config_from_flags(args: &Args) -> Result<ServerConfig, CliError> {
+    let (max_depth, horizon) = depth_and_horizon(args, "max-depth")?;
     Ok(ServerConfig {
-        threads,
-        parallelism,
-        par_threshold,
-        shards,
-        plan_cache,
-        answer_cache,
-        adaptive,
+        threads: args.get("threads")?,
+        parallelism: args.get("parallelism")?,
+        par_threshold: args.get("par-threshold")?,
+        shards: args.get("shards")?,
+        plan_cache: args.get("plan-cache")?,
+        answer_cache: args.get("answer-cache")?,
+        adaptive: AdaptiveConfig {
+            enabled: args.flag_bool("adaptive"),
+            promote_after_reads: args.get("promote-after")?,
+            demote_after_writes: args.get("demote-after")?,
+            admission_burst_us: args.get("admission-burst-us")?,
+            admission_refill_us_per_sec: args.get("admission-refill-us")?,
+        },
         plan: PlanOptions {
             max_depth,
             horizon,
-            cap,
+            cap: args.get("cap")?,
         },
     })
 }
 
-fn replay_mode(args: &Args) -> ReplayMode {
+/// `--open` paces requests by their arrival offsets; the mode's name.
+fn replay_mode(args: &Args) -> (ReplayMode, &'static str) {
     if args.flag_bool("open") {
-        ReplayMode::Open
+        (ReplayMode::Open, "open-loop")
     } else {
-        ReplayMode::Closed
+        (ReplayMode::Closed, "closed-loop")
     }
 }
 
-fn server_from_flags(args: &Args) -> Result<(Server, ReplayMode), CliError> {
-    let config = config_from_flags(args, None)?;
-    Ok((Server::new(config), replay_mode(args)))
+/// Replay `spec` on a fresh in-process server.
+fn replay(
+    spec: &TrafficSpec,
+    args: &Args,
+    config: ServerConfig,
+) -> Result<(Server, ReplayReport), CliError> {
+    let server = Server::new(config);
+    let report = server
+        .replay(spec, replay_mode(args).0)
+        .map_err(|e| CliError::Workload(e.to_string()))?;
+    Ok((server, report))
+}
+
+/// One wire request/reply round trip.
+fn ask(client: &mut WireClient, request: &str) -> Result<String, CliError> {
+    client
+        .request(request)
+        .map_err(|e| CliError::Workload(e.to_string()))
 }
 
 fn run_spec(spec: &TrafficSpec, args: &Args) -> Result<String, CliError> {
-    let (server, mode) = server_from_flags(args)?;
-    let report = server
-        .replay(spec, mode)
-        .map_err(|e| CliError::Workload(e.to_string()))?;
+    let (server, report) = replay(spec, args, config_from_flags(args)?)?;
     let mut out = String::new();
     writeln!(
         out,
         "workload  : {} instance(s), {} request(s), {} mode",
         spec.instances.len(),
         spec.requests.len(),
-        match mode {
-            ReplayMode::Closed => "closed-loop",
-            ReplayMode::Open => "open-loop",
-        }
+        replay_mode(args).1
     )
     .unwrap();
     out.push_str(&report.summary());
@@ -716,96 +733,90 @@ fn run_spec(spec: &TrafficSpec, args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
+/// `--emit` prints the generated workload; otherwise it runs in-process.
+fn emit_or_run(spec: &TrafficSpec, args: &Args) -> Result<String, CliError> {
+    if args.flag_bool("emit") {
+        return Ok(render_workload(spec));
+    }
+    run_spec(spec, args)
+}
+
+/// `serve --scaling`: one large instance under a stream of heavy queries
+/// (`--emit` generates the bundled workloads/large.sirupload).
+fn cmd_serve_scaling(args: &Args) -> Result<String, CliError> {
+    let spec = sirup_workloads::scaling_traffic(
+        args.get("nodes")?,
+        args.get("requests")?,
+        args.get("seed")?,
+    );
+    emit_or_run(&spec, args)
+}
+
+/// `serve --phases`: one hot instance under write-heavy → read-heavy →
+/// write-heavy traffic, for the adaptive controller (`--emit` generates
+/// the bundled workloads/phases.sirupload).
+fn cmd_serve_phases(args: &Args) -> Result<String, CliError> {
+    let spec = sirup_workloads::phase_traffic(args.get("requests")?, args.get("seed")?);
+    emit_or_run(&spec, args)
+}
+
 fn cmd_serve(args: &Args) -> Result<String, CliError> {
-    if let Some(listen) = args.flag("listen") {
-        return cmd_serve_daemon(args, listen);
-    }
-    if args.flag_bool("scaling") {
-        // The parallel-scaling shape: one large instance (--nodes), a
-        // stream of heavy queries. `--emit` renders it (this is how the
-        // bundled workloads/large.sirupload is generated).
-        let nodes = args.flag_usize("nodes", 192).map_err(CliError::BadFlag)?;
-        let requests = args.flag_usize("requests", 48).map_err(CliError::BadFlag)?;
-        let seed = args.flag_u32("seed", 1).map_err(CliError::BadFlag)? as u64;
-        let spec = sirup_workloads::scaling_traffic(nodes, requests, seed);
-        if args.flag_bool("emit") {
-            return Ok(render_workload(&spec));
-        }
-        return run_spec(&spec, args);
-    }
-    if args.flag_bool("phases") {
-        // The phase-shifting shape for the adaptive controller: one hot
-        // instance under write-heavy → read-heavy → write-heavy traffic.
-        // `--emit` renders it (this is how the bundled
-        // workloads/phases.sirupload is generated).
-        let per_phase = args.flag_usize("requests", 24).map_err(CliError::BadFlag)?;
-        let seed = args.flag_u32("seed", 1).map_err(CliError::BadFlag)? as u64;
-        let spec = sirup_workloads::phase_traffic(per_phase, seed);
-        if args.flag_bool("emit") {
-            return Ok(render_workload(&spec));
-        }
-        return run_spec(&spec, args);
-    }
     let params = TrafficParams {
-        instances: args.flag_usize("instances", 4).map_err(CliError::BadFlag)?,
-        instance_nodes: args.flag_usize("nodes", 24).map_err(CliError::BadFlag)?,
-        instance_edges: args.flag_usize("edges", 40).map_err(CliError::BadFlag)?,
-        requests: args
-            .flag_usize("requests", 200)
-            .map_err(CliError::BadFlag)?,
-        mean_gap_us: args.flag_u32("gap-us", 150).map_err(CliError::BadFlag)? as u64,
-        random_cqs: args
-            .flag_usize("random-cqs", 3)
-            .map_err(CliError::BadFlag)?,
-        mutation_ratio: args
-            .flag_f64("mutation-ratio", 0.0)
-            .map_err(CliError::BadFlag)?,
-        hot_weight: args.flag_f64("hot", 0.0).map_err(CliError::BadFlag)?,
+        instances: args.get("instances")?,
+        instance_nodes: args.get("nodes")?,
+        instance_edges: args.get("edges")?,
+        requests: args.get("requests")?,
+        mean_gap_us: args.get("gap-us")?,
+        random_cqs: args.get("random-cqs")?,
+        mutation_ratio: args.get("mutation-ratio")?,
+        hot_weight: args.get("hot")?,
     };
     if !(0.0..=1.0).contains(&params.mutation_ratio) || !(0.0..=1.0).contains(&params.hot_weight) {
         return Err(CliError::BadFlag(
             "--mutation-ratio and --hot expect values in [0, 1]".to_owned(),
         ));
     }
-    let seed = args.flag_u32("seed", 1).map_err(CliError::BadFlag)? as u64;
-    let spec = mixed_traffic(params, seed);
-    if args.flag_bool("emit") {
-        return Ok(render_workload(&spec));
+    emit_or_run(&mixed_traffic(params, args.get("seed")?), args)
+}
+
+/// `replay <file> --connect ADDR`: one request per frame, strictly in
+/// stream order, raw reply lines out.
+fn cmd_replay_wire(args: &Args) -> Result<String, CliError> {
+    let spec = workload_arg(args)?;
+    let addr = args.flag("connect").expect("this entry's mode flag");
+    let replies = replay_over_wire(&spec, addr)
+        .map_err(|e| CliError::Workload(format!("wire replay against {addr}: {e}")))?;
+    let mut out = String::new();
+    for (i, r) in replies.iter().enumerate() {
+        writeln!(out, "{i}: {r}").unwrap();
     }
-    run_spec(&spec, args)
+    writeln!(out, "replayed {} request(s) over the wire", replies.len()).unwrap();
+    Ok(out)
+}
+
+/// The workload file named by the first positional.
+fn workload_arg(args: &Args) -> Result<TrafficSpec, CliError> {
+    let path = &args.positional[0];
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| CliError::Workload(format!("cannot read {path}: {e}")))?;
+    parse_workload(&text).map_err(CliError::Workload)
 }
 
 fn cmd_replay(args: &Args) -> Result<String, CliError> {
-    let path = args
-        .positional
-        .first()
-        .ok_or(CliError::MissingArgument("a .sirupload workload file"))?;
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| CliError::Workload(format!("cannot read {path}: {e}")))?;
-    let spec = parse_workload(&text).map_err(CliError::Workload)?;
-    if let Some(addr) = args.flag("connect") {
-        // Replay over the wire against a running daemon: one request per
-        // frame, strictly in stream order, raw reply lines out.
-        let replies = replay_over_wire(&spec, addr)
-            .map_err(|e| CliError::Workload(format!("wire replay against {addr}: {e}")))?;
-        let mut out = String::new();
-        for (i, r) in replies.iter().enumerate() {
-            writeln!(out, "{i}: {r}").unwrap();
-        }
-        writeln!(out, "replayed {} request(s) over the wire", replies.len()).unwrap();
-        return Ok(out);
-    }
+    let spec = workload_arg(args)?;
     if let Some(list) = args.flag("threads-sweep") {
-        return cmd_threads_sweep(&spec, list, args);
+        // `Args::check` has parsed every entry as an integer.
+        let counts: Vec<usize> = list
+            .split(',')
+            .filter_map(|n| n.trim().parse().ok())
+            .collect();
+        return cmd_threads_sweep(&spec, &counts, args);
     }
     if args.flag_bool("dump-answers") {
         // Answers only, one line per request — two runs of the same
         // workload must produce identical output (the CI determinism smoke
         // diffs them), so no timings or cache-temperature noise here.
-        let (server, mode) = server_from_flags(args)?;
-        let report = server
-            .replay(&spec, mode)
-            .map_err(|e| CliError::Workload(e.to_string()))?;
+        let (_, report) = replay(&spec, args, config_from_flags(args)?)?;
         let mut out = String::new();
         for (i, a) in report.answers.iter().enumerate() {
             match a {
@@ -827,45 +838,28 @@ fn cmd_replay(args: &Args) -> Result<String, CliError> {
 /// per worker count and print a speedup table. Unless `--parallelism` is
 /// given explicitly, intra-request parallelism follows the swept worker
 /// count, so the sweep exercises the whole shared-scheduler stack.
-fn cmd_threads_sweep(spec: &TrafficSpec, list: &str, args: &Args) -> Result<String, CliError> {
-    let counts: Vec<usize> = list
-        .split(',')
-        .map(|s| {
-            s.trim().parse::<usize>().map_err(|_| {
-                CliError::BadFlag(format!(
-                    "--threads-sweep expects a list like 1,2,4,8; bad entry {s:?}"
-                ))
-            })
-        })
-        .collect::<Result<_, _>>()?;
-    if counts.is_empty() {
-        return Err(CliError::BadFlag(
-            "--threads-sweep expects at least one worker count".to_owned(),
-        ));
-    }
-    let mode = replay_mode(args);
+fn cmd_threads_sweep(
+    spec: &TrafficSpec,
+    counts: &[usize],
+    args: &Args,
+) -> Result<String, CliError> {
     let mut out = String::new();
     writeln!(
         out,
         "threads-sweep over {} request(s), {} mode:",
         spec.requests.len(),
-        match mode {
-            ReplayMode::Closed => "closed-loop",
-            ReplayMode::Open => "open-loop",
-        }
+        replay_mode(args).1
     )
     .unwrap();
     writeln!(out, "threads   req/s      p95(µs)   speedup").unwrap();
     let mut base_rps: Option<f64> = None;
-    for &t in &counts {
-        let mut config = config_from_flags(args, Some(t))?;
+    for &t in counts {
+        let mut config = config_from_flags(args)?;
+        config.threads = t;
         if args.flag("parallelism").is_none() {
             config.parallelism = t;
         }
-        let server = Server::new(config);
-        let report = server
-            .replay(spec, mode)
-            .map_err(|e| CliError::Workload(e.to_string()))?;
+        let (_, report) = replay(spec, args, config)?;
         let rps = report.throughput();
         let speedup = rps / *base_rps.get_or_insert(rps);
         writeln!(
@@ -882,20 +876,8 @@ fn cmd_threads_sweep(spec: &TrafficSpec, list: &str, args: &Args) -> Result<Stri
 /// instance — catalog version, sizes, attached materialisations with their
 /// derived-set sizes and support-count memory.
 fn cmd_stats(args: &Args) -> Result<String, CliError> {
-    if args.flag("connect").is_some() {
-        return cmd_stats_wire(args);
-    }
-    let path = args
-        .positional
-        .first()
-        .ok_or(CliError::MissingArgument("a .sirupload workload file"))?;
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| CliError::Workload(format!("cannot read {path}: {e}")))?;
-    let spec = parse_workload(&text).map_err(CliError::Workload)?;
-    let (server, mode) = server_from_flags(args)?;
-    let report = server
-        .replay(&spec, mode)
-        .map_err(|e| CliError::Workload(e.to_string()))?;
+    let spec = workload_arg(args)?;
+    let (server, report) = replay(&spec, args, config_from_flags(args)?)?;
     let filter = args.flag("instance");
     let mut out = String::new();
     writeln!(
@@ -1098,9 +1080,10 @@ fn wire_instance_line(reply: &str) -> Option<String> {
 /// success). With `--data-dir` the server is durable — acknowledged writes
 /// hit the WAL before they apply, and a restart on the same directory
 /// recovers the exact catalog.
-fn cmd_serve_daemon(args: &Args, listen: &str) -> Result<String, CliError> {
+fn cmd_serve_daemon(args: &Args) -> Result<String, CliError> {
     use std::io::Write as _;
-    let config = config_from_flags(args, None)?;
+    let listen = args.flag("listen").expect("this entry's mode flag");
+    let config = config_from_flags(args)?;
     let server = match args.flag("data-dir") {
         Some(dir) => Server::open_durable(config, dir)
             .map_err(|e| CliError::Workload(format!("cannot open data dir {dir}: {e}")))?,
@@ -1108,9 +1091,7 @@ fn cmd_serve_daemon(args: &Args, listen: &str) -> Result<String, CliError> {
     };
     let wire = WireConfig {
         listen: listen.to_owned(),
-        snapshot_every: args
-            .flag_u32("snapshot-every", 0)
-            .map_err(CliError::BadFlag)? as u64,
+        snapshot_every: args.get("snapshot-every")?,
         ..WireConfig::default()
     };
     let daemon = Daemon::start(std::sync::Arc::new(server), wire)
@@ -1135,34 +1116,17 @@ fn connect_flag(args: &Args) -> Result<WireClient, CliError> {
 
 /// `connect <addr> <request...>`: one raw request/reply round trip.
 fn cmd_connect(args: &Args) -> Result<String, CliError> {
-    let addr = args
-        .positional
-        .first()
-        .ok_or(CliError::MissingArgument("a daemon address"))?;
+    let addr = &args.positional[0];
     let request = args.positional[1..].join(" ");
-    if request.is_empty() {
-        return Err(CliError::MissingArgument(
-            "a wire request (e.g. `ping`, `stats d`, `mutate d = +T(n1)`)",
-        ));
-    }
     let mut client = WireClient::connect(addr)
         .map_err(|e| CliError::Workload(format!("cannot connect to {addr}: {e}")))?;
-    let reply = client
-        .request(&request)
-        .map_err(|e| CliError::Workload(e.to_string()))?;
+    let reply = ask(&mut client, &request)?;
     Ok(reply + "\n")
 }
 
 /// `load <name> <atoms|@file> --connect ADDR`.
 fn cmd_load(args: &Args) -> Result<String, CliError> {
-    let name = args
-        .positional
-        .first()
-        .ok_or(CliError::MissingArgument("an instance name"))?;
-    let text = args
-        .positional
-        .get(1)
-        .ok_or(CliError::MissingArgument("instance atoms (or @file)"))?;
+    let (name, text) = (&args.positional[0], &args.positional[1]);
     let text = match text.strip_prefix('@') {
         Some(path) => std::fs::read_to_string(path)
             .map_err(|e| CliError::Workload(format!("cannot read {path}: {e}")))?,
@@ -1170,45 +1134,28 @@ fn cmd_load(args: &Args) -> Result<String, CliError> {
     };
     let (data, _) = parse_structure(&text).map_err(|e| CliError::BadInput(e.to_string()))?;
     let mut client = connect_flag(args)?;
-    let reply = client
-        .request(&sirup_workloads::wire::load_request(name, &data))
-        .map_err(|e| CliError::Workload(e.to_string()))?;
+    let reply = ask(&mut client, &load_request(name, &data))?;
     Ok(reply + "\n")
 }
 
 /// `query <kind> <instance> <cq> --connect ADDR`.
 fn cmd_query(args: &Args) -> Result<String, CliError> {
-    let kind = args.positional.first().ok_or(CliError::MissingArgument(
-        "a query kind (pi|sigma|delta|delta+)",
-    ))?;
-    let instance = args
-        .positional
-        .get(1)
-        .ok_or(CliError::MissingArgument("an instance name"))?;
-    let cq_text = args
-        .positional
-        .get(2)
-        .ok_or(CliError::MissingArgument("a CQ as atom text"))?;
+    let [kind, instance, cq_text] = &args.positional[..] else {
+        unreachable!("the table declares three positionals")
+    };
     let (cq, _) = parse_structure(cq_text).map_err(|e| CliError::BadInput(e.to_string()))?;
     let mut client = connect_flag(args)?;
-    let reply = client
-        .request(&sirup_workloads::wire::query_request(kind, instance, &cq))
-        .map_err(|e| CliError::Workload(e.to_string()))?;
+    let reply = ask(&mut client, &query_request(kind, instance, &cq))?;
     Ok(reply + "\n")
 }
 
 /// `tail <instance> --connect ADDR [--count N]`: print pushed mutation
 /// events until the daemon goes away (or N events arrived).
 fn cmd_tail(args: &Args) -> Result<String, CliError> {
-    let instance = args
-        .positional
-        .first()
-        .ok_or(CliError::MissingArgument("an instance name"))?;
-    let count = args.flag_usize("count", 0).map_err(CliError::BadFlag)?;
+    let instance = &args.positional[0];
+    let count: usize = args.get("count")?;
     let mut client = connect_flag(args)?;
-    let ack = client
-        .request(&format!("tail {instance}"))
-        .map_err(|e| CliError::Workload(e.to_string()))?;
+    let ack = ask(&mut client, &format!("tail {instance}"))?;
     if !ack.starts_with("ok tail ") {
         return Err(CliError::Workload(ack));
     }
@@ -1231,9 +1178,7 @@ fn cmd_tail(args: &Args) -> Result<String, CliError> {
 
 /// Fetch the `metrics` exposition body from a connected daemon.
 fn scrape_metrics(client: &mut WireClient) -> Result<String, CliError> {
-    let reply = client
-        .request("metrics")
-        .map_err(|e| CliError::Workload(e.to_string()))?;
+    let reply = ask(client, "metrics")?;
     match reply.strip_prefix("ok metrics\n") {
         Some(body) => Ok(body.to_owned()),
         None => Err(CliError::Workload(format!(
@@ -1457,18 +1402,13 @@ fn render_top(body: &str) -> String {
 /// `top --connect ADDR [--count N] [--interval-ms N]`: poll the daemon's
 /// `metrics` verb and print the per-(program, instance) request table.
 fn cmd_top(args: &Args) -> Result<String, CliError> {
-    let rounds = args
-        .flag_usize("count", 1)
-        .map_err(CliError::BadFlag)?
-        .max(1);
-    let interval = args
-        .flag_u32("interval-ms", 1000)
-        .map_err(CliError::BadFlag)?;
+    let rounds = args.get::<usize>("count")?.max(1);
+    let interval = args.get("interval-ms")?;
     let mut client = connect_flag(args)?;
     let mut out = String::new();
     for round in 0..rounds {
         if round > 0 {
-            std::thread::sleep(std::time::Duration::from_millis(interval as u64));
+            std::thread::sleep(std::time::Duration::from_millis(interval));
         }
         out.push_str(&render_top(&scrape_metrics(&mut client)?));
     }
@@ -1508,11 +1448,9 @@ fn parse_span(line: &str) -> Option<SpanLine> {
 /// `trace --connect ADDR [--slow-ms N]`: fetch recent root spans at least
 /// N ms long and print each one's child tree, indented by span depth.
 fn cmd_trace(args: &Args) -> Result<String, CliError> {
-    let slow_ms = args.flag_u32("slow-ms", 0).map_err(CliError::BadFlag)?;
+    let slow_ms: u64 = args.get("slow-ms")?;
     let mut client = connect_flag(args)?;
-    let reply = client
-        .request(&format!("trace {}", slow_ms as u64 * 1000))
-        .map_err(|e| CliError::Workload(e.to_string()))?;
+    let reply = ask(&mut client, &format!("trace {}", slow_ms * 1000))?;
     let mut lines = reply.lines();
     let head = lines.next().unwrap_or("");
     let n: usize = head
@@ -1590,13 +1528,8 @@ fn spawn_durable_daemon(
 /// the workload prefix its recovered sequence number names — at least all
 /// acknowledged mutations (ack ⇒ fsync'd), at most what was sent.
 fn cmd_crash_check(args: &Args) -> Result<String, CliError> {
-    let path = args
-        .positional
-        .first()
-        .ok_or(CliError::MissingArgument("a .sirupload workload file"))?;
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| CliError::Workload(format!("cannot read {path}: {e}")))?;
-    let spec = parse_workload(&text).map_err(CliError::Workload)?;
+    let path = &args.positional[0];
+    let spec = workload_arg(args)?;
     let mutations: Vec<(&str, &[sirup_core::FactOp])> = spec
         .requests
         .iter()
@@ -1612,10 +1545,7 @@ fn cmd_crash_check(args: &Args) -> Result<String, CliError> {
             "{path} has no mutation requests — nothing to crash-check"
         )));
     }
-    let kill_after = args
-        .flag_usize("kill-after", 4)
-        .map_err(CliError::BadFlag)?
-        .min(mutations.len());
+    let kill_after = args.get::<usize>("kill-after")?.min(mutations.len());
     let data_dir = std::env::temp_dir().join(format!("sirup-crash-check-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&data_dir);
     std::fs::create_dir_all(&data_dir)
@@ -1628,17 +1558,13 @@ fn cmd_crash_check(args: &Args) -> Result<String, CliError> {
         let mut client = WireClient::connect_retry(&addr, std::time::Duration::from_secs(10))
             .map_err(|e| CliError::Workload(format!("cannot connect to child at {addr}: {e}")))?;
         for (name, data) in &spec.instances {
-            let reply = client
-                .request(&sirup_workloads::wire::load_request(name, data))
-                .map_err(|e| CliError::Workload(e.to_string()))?;
+            let reply = ask(&mut client, &load_request(name, data))?;
             if !reply.starts_with("ok ") {
                 return Err(CliError::Workload(format!("load {name} failed: {reply}")));
             }
         }
         for (inst, ops) in mutations.iter().take(kill_after) {
-            let reply = client
-                .request(&sirup_workloads::wire::mutate_request(inst, ops))
-                .map_err(|e| CliError::Workload(e.to_string()))?;
+            let reply = ask(&mut client, &mutate_request(inst, ops))?;
             if !reply.starts_with("answer applied ") {
                 return Err(CliError::Workload(format!("mutate {inst} failed: {reply}")));
             }
@@ -1646,7 +1572,7 @@ fn cmd_crash_check(args: &Args) -> Result<String, CliError> {
         if let Some((inst, ops)) = mutations.get(kill_after) {
             // Mid-stream: this one is in flight, unacknowledged, when the
             // SIGKILL lands — recovery may or may not include it.
-            let _ = client.send(&sirup_workloads::wire::mutate_request(inst, ops));
+            let _ = client.send(&mutate_request(inst, ops));
         }
         Ok(())
     })();
@@ -1661,9 +1587,7 @@ fn cmd_crash_check(args: &Args) -> Result<String, CliError> {
             .map_err(|e| CliError::Workload(format!("cannot reconnect at {addr}: {e}")))?;
         let mut out = String::new();
         for (name, start) in &spec.instances {
-            let dump = client
-                .request(&format!("dump {name}"))
-                .map_err(|e| CliError::Workload(e.to_string()))?;
+            let dump = ask(&mut client, &format!("dump {name}"))?;
             let (head, body) = dump.split_once('\n').ok_or_else(|| {
                 CliError::Workload(format!("malformed dump reply for {name}: {dump:?}"))
             })?;
@@ -1725,7 +1649,7 @@ fn cmd_crash_check(args: &Args) -> Result<String, CliError> {
     ))
 }
 
-fn cmd_zoo() -> String {
+fn cmd_zoo(_: &Args) -> Result<String, CliError> {
     use sirup_workloads::paper;
     let mut out = String::new();
     writeln!(
@@ -1769,7 +1693,7 @@ fn cmd_zoo() -> String {
             }
         }
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -1803,6 +1727,128 @@ mod tests {
         ] {
             assert!(h.contains(c), "help missing {c}");
         }
+    }
+
+    /// A well-formed line selecting entry `c`: its mode flag (with a value
+    /// unless Boolean) and a placeholder per positional.
+    fn line_for(c: &Command) -> Vec<String> {
+        let mut line = vec![c.name.to_owned()];
+        if let Some(mode) = c.mode.and_then(|m| c.flag(m)) {
+            line.push(format!("--{}", mode.name));
+            if mode.kind != Bool {
+                line.push("127.0.0.1:1".to_owned());
+            }
+        }
+        line.extend(c.positionals.iter().map(|_| "x".to_owned()));
+        line
+    }
+
+    /// Every flag entry `c` accepts: its own, then the shared ones.
+    fn all_flags(c: &Command) -> Vec<&'static Flag> {
+        let shared = if c.service { SERVICE } else { &[] };
+        c.flags.iter().chain(shared).collect()
+    }
+
+    #[test]
+    fn every_entry_rejects_unknown_flags_ill_typed_values_and_surplus_arguments() {
+        for c in COMMANDS {
+            let mut bogus = line_for(c);
+            bogus.extend(["--bogus-flag".to_owned(), "7".to_owned()]);
+            let err = parse_args(bogus).unwrap_err().to_string();
+            assert!(err.contains("--bogus-flag"), "{}: {err}", c.title());
+            for f in all_flags(c) {
+                if !matches!(f.kind, Int | Float | List) {
+                    continue;
+                }
+                let mut line = line_for(c);
+                line.extend([format!("--{}", f.name), "x".to_owned()]);
+                let args = parse_args(line).unwrap();
+                let expects = format!("--{} expects", f.name);
+                match run(&args) {
+                    Err(CliError::BadFlag(m)) if m.contains(&expects) => {}
+                    other => panic!("{} --{} x: {other:?}", c.title(), f.name),
+                }
+            }
+            // A surplus positional, on every fixed-arity entry.
+            if !c.positionals.last().is_some_and(|p| p.0.ends_with("...")) {
+                let mut surplus = line_for(c);
+                surplus.push("surplus".to_owned());
+                let err = parse_args(surplus).unwrap_err().to_string();
+                assert!(err.contains("\"surplus\""), "{}: {err}", c.title());
+            }
+        }
+        let q4 = "F(x), R(y,x), R(y,z), T(z)";
+        assert!(parse_args(["bound", q4, "--horizn", "9"]).is_err());
+        assert!(parse_args(["bound", "F(x)", "T(y)"]).is_err());
+    }
+
+    #[test]
+    fn help_names_every_entry_and_flag() {
+        let h = run_line(&["help"]).unwrap();
+        for c in COMMANDS {
+            assert!(
+                h.contains(&format!("  {}", c.title())),
+                "help missing {}",
+                c.title()
+            );
+            for f in all_flags(c) {
+                assert!(
+                    h.contains(&format!("--{} ", f.name)),
+                    "help missing --{}",
+                    f.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_table_is_well_formed() {
+        for c in COMMANDS {
+            let base = COMMANDS
+                .iter()
+                .filter(|d| d.name == c.name && d.mode.is_none());
+            assert_eq!(base.count(), 1, "{}: one entry without a mode", c.name);
+            if let Some(mode) = c.mode {
+                assert!(c.flags.iter().any(|f| f.name == mode), "{}", c.title());
+            }
+            let variadic = c.positionals.iter().position(|p| p.0.ends_with("..."));
+            assert!(variadic.is_none_or(|i| i + 1 == c.positionals.len()));
+            let flags = all_flags(c);
+            for (i, f) in flags.iter().enumerate() {
+                assert!(
+                    flags[..i].iter().all(|g| g.name != f.name),
+                    "--{} twice",
+                    f.name
+                );
+                assert!(f.default.is_none_or(|d| f.kind.accepts(d)), "--{}", f.name);
+                // The parser reads a flag's value before it knows the mode.
+                for d in COMMANDS.iter().filter(|d| d.name == c.name) {
+                    assert!(
+                        d.flag(f.name).is_none_or(|g| g.kind == f.kind),
+                        "--{}",
+                        f.name
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn service_flag_defaults_are_the_server_defaults() {
+        let args = parse_args(["replay", "w"]).unwrap();
+        assert_eq!(
+            format!("{:?}", config_from_flags(&args).unwrap()),
+            format!("{:?}", ServerConfig::default())
+        );
+        let daemon = parse_args(["serve", "--listen", ":0"]).unwrap();
+        let snapshot_every: u64 = daemon.get("snapshot-every").unwrap();
+        assert_eq!(snapshot_every, WireConfig::default().snapshot_every);
+    }
+
+    #[test]
+    fn bound_sigma_reads_the_cq_as_a_positional() {
+        let out = run_line(&["bound", "--sigma", "F(x), R(x,y), T(y)"]).unwrap();
+        assert!(out.contains("(Σ_q, P)"), "{out}");
     }
 
     #[test]

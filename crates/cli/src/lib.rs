@@ -5,10 +5,14 @@
 //!
 //! All command logic lives in this library ([`commands`]) and returns
 //! strings, so the binary (`src/main.rs`) is a thin shell and the whole
-//! surface is unit-testable. Argument parsing is the tiny hand-rolled
-//! [`args`] module (the offline crate set has no CLI parser, and the
-//! grammar — one subcommand, `--key value` flags, positionals — does not
-//! justify one).
+//! surface is unit-testable. Every subcommand is one entry of a static
+//! table, [`commands::COMMANDS`]: its positionals, its typed flags (kind,
+//! default, one-line help) and its handler, in the shape of a
+//! `#[derive(Subcommand)]` enum, hand-rolled because the offline crate set
+//! has no CLI parser. [`args`] parses a command line against that table,
+//! so an unknown flag, an ill-typed value or a surplus positional is an
+//! error; typed reads take their defaults from it, and `help` is generated
+//! from it.
 //!
 //! ```text
 //! sirupctl parse      'F(x), R(x,y), T(y)'
@@ -27,5 +31,5 @@ pub mod args;
 pub mod commands;
 pub mod dot;
 
-pub use args::{parse_args, Args, ArgsError};
+pub use args::{parse_args, Args};
 pub use commands::{run, CliError};

@@ -4,14 +4,7 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let args = match sirup_cli::parse_args(raw) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("sirupctl: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match sirup_cli::run(&args) {
+    match sirup_cli::parse_args(raw).and_then(|args| sirup_cli::run(&args)) {
         Ok(report) => {
             print!("{report}");
             ExitCode::SUCCESS

@@ -330,43 +330,58 @@ mod t11_trichotomy {
 
     #[test]
     fn fo_verdicts_match_prop2_on_random_single_pair_ditrees() {
+        use monadic_sirups::server::PlanOptions;
         use monadic_sirups::workloads::random::{random_ditree_cq, DitreeCqParams};
-        let mut checked = 0;
-        for seed in 0..120 {
-            let Some(q) = random_ditree_cq(
-                DitreeCqParams {
-                    nodes: 6,
-                    twin_prob: 0.4,
-                    solitary_ts: 1,
-                    s_edge_prob: 0.0,
-                },
-                seed,
-            ) else {
-                continue;
+        let plan = PlanOptions::default();
+        // (nodes, S-edge probability, Prop. 2 search, seeds, fewest checked):
+        // the original deep search on 6-node ditrees, then the query
+        // service's plan defaults on the 7-node ditrees of e2ebench's
+        // `cold_plans` programs, with and without `S` edges. Π only: Σ is
+        // outside Theorem 11's scope. At the plan defaults every seed must
+        // yield a ditree that both sides decide.
+        let cases = [
+            (6, 0.0, (2, 4, 10_000), 120, 25),
+            (7, 0.0, (plan.max_depth, plan.horizon, plan.cap), 600, 600),
+            (7, 0.3, (plan.max_depth, plan.horizon, plan.cap), 600, 600),
+        ];
+        for (nodes, s_edge_prob, (max_d, horizon, cap), seeds, least) in cases {
+            let params = DitreeCqParams {
+                nodes,
+                s_edge_prob,
+                ..DitreeCqParams::default()
             };
-            let Ok(class) = classify_trichotomy(q.structure()) else {
-                continue;
-            };
-            let brute = find_bound(
-                &q,
-                BoundSearch {
-                    max_d: 2,
-                    horizon: 4,
-                    cap: 10_000,
+            let mut checked = 0;
+            for seed in 0..seeds {
+                let Some(q) = random_ditree_cq(params, seed) else {
+                    continue;
+                };
+                let Ok(class) = classify_trichotomy(q.structure()) else {
+                    continue;
+                };
+                let search = BoundSearch {
+                    max_d,
+                    horizon,
+                    cap,
                     sigma: false,
-                },
-            );
-            match (class, &brute) {
-                (TrichotomyClass::FoRewritable, Boundedness::BoundedEvidence { .. }) => {}
-                (
-                    TrichotomyClass::LComplete | TrichotomyClass::NlComplete,
-                    Boundedness::UnboundedEvidence { .. },
-                ) => {}
-                other => panic!("seed {seed}: {other:?} (q = {})", q.structure()),
+                };
+                match (class, find_bound(&q, search)) {
+                    (TrichotomyClass::FoRewritable, Boundedness::BoundedEvidence { .. }) => {}
+                    (
+                        TrichotomyClass::LComplete | TrichotomyClass::NlComplete,
+                        Boundedness::UnboundedEvidence { .. },
+                    ) => {}
+                    other => panic!(
+                        "{nodes} nodes, S {s_edge_prob}, seed {seed}: {other:?} (q = {})",
+                        q.structure()
+                    ),
+                }
+                checked += 1;
             }
-            checked += 1;
+            assert!(
+                checked >= least,
+                "{nodes} nodes, S {s_edge_prob}: only {checked} ditrees cross-validated"
+            );
         }
-        assert!(checked >= 25, "only {checked} ditrees cross-validated");
     }
 }
 
