@@ -37,7 +37,6 @@ use sirup_workloads::traffic::{mixed_traffic, TrafficParams};
 fn server(threads: usize) -> Server {
     Server::new(ServerConfig {
         threads,
-        shards: 8,
         plan_cache: 64,
         answer_cache: 0, // measure evaluation + mutation cost, not cache hits
         ..ServerConfig::default()

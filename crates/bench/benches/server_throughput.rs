@@ -27,7 +27,6 @@ fn spec_params(requests: usize) -> TrafficParams {
 fn server(threads: usize) -> Server {
     Server::new(ServerConfig {
         threads,
-        shards: 8,
         plan_cache: 64,
         // Answer caching off: these points measure evaluation + executor
         // cost (and stay comparable with the pre-answer-cache baselines).

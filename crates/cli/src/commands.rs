@@ -101,7 +101,6 @@ pub static SERVICE: &[Flag] = &[
     Flag::of("threads", Int, Some("4"), "scheduler worker threads"),
     Flag::of("parallelism", Int, Some("1"), "intra-request fan-out (1 = sequential requests)"),
     Flag::of("par-threshold", Int, Some("64"), "smallest work set that is split"),
-    Flag::of("shards", Int, Some("8"), "catalog shards"),
     Flag::of("plan-cache", Int, Some("64"), "plan-cache capacity"),
     Flag::of("answer-cache", Int, Some("256"), "answer-cache capacity (0 disables)"),
     Flag::of("open", Bool, None, "pace requests by their arrival offsets"),
@@ -111,8 +110,6 @@ pub static SERVICE: &[Flag] = &[
     Flag::of("adaptive", Bool, None, "turn the feedback controller on (answers are bit-identical)"),
     Flag::of("promote-after", Int, Some("4"), "reads before a materialisation attaches"),
     Flag::of("demote-after", Int, Some("2"), "writes before it detaches"),
-    Flag::of("admission-burst-us", Int, Some("0"), "per-instance token bucket (0 = admission off)"),
-    Flag::of("admission-refill-us", Int, Some("0"), "bucket refill, µs of budget per second"),
 ];
 
 /// Every subcommand with its positionals, typed flags (defaults and help)
@@ -665,15 +662,12 @@ fn config_from_flags(args: &Args) -> Result<ServerConfig, CliError> {
         threads: args.get("threads")?,
         parallelism: args.get("parallelism")?,
         par_threshold: args.get("par-threshold")?,
-        shards: args.get("shards")?,
         plan_cache: args.get("plan-cache")?,
         answer_cache: args.get("answer-cache")?,
         adaptive: AdaptiveConfig {
             enabled: args.flag_bool("adaptive"),
             promote_after_reads: args.get("promote-after")?,
             demote_after_writes: args.get("demote-after")?,
-            admission_burst_us: args.get("admission-burst-us")?,
-            admission_refill_us_per_sec: args.get("admission-refill-us")?,
         },
         plan: PlanOptions {
             max_depth,
@@ -1024,8 +1018,8 @@ fn cmd_stats_wire(args: &Args) -> Result<String, CliError> {
         if let Some(names) = reply.strip_prefix("ok instances ") {
             // Sort before rendering: the daemon's `list` reply is sorted
             // today, but the per-instance lines must stay deterministic
-            // even if a future daemon enumerates its catalog shards in
-            // hash-map order.
+            // even if a future daemon enumerates its catalog in hash-map
+            // order.
             let mut names: Vec<&str> = names.split(',').filter(|n| !n.is_empty()).collect();
             names.sort_unstable();
             for name in names {
@@ -1918,12 +1912,13 @@ request sigma d @20 = F(x), R(x,y), T(y)
         assert!(out.contains("supports  :"), "{out}");
         // q = F(x),R(x,y),T(y) is unbounded ⇒ semi-naive ⇒ P extension shown.
         assert!(out.contains("P "), "{out}");
-        // Registry section: all three requests share one program key, so the
-        // batch dedup compiles the plan once, and both query answers are
-        // cold (the mutation bumps the version between them).
+        // Registry section: both queries share one program key, so the
+        // first resolve compiles the plan and the second hits it, and both
+        // query answers are cold (the mutation bumps the version between
+        // them).
         assert!(out.contains("telemetry registry:"), "{out}");
         assert!(
-            out.contains("plan cache     : 0 hit(s) / 1 miss(es)"),
+            out.contains("plan cache     : 1 hit(s) / 1 miss(es)"),
             "{out}"
         );
         assert!(
@@ -2219,19 +2214,15 @@ request mutate cli_top @2 = +A(b)
 
     #[test]
     fn adaptive_replay_moves_the_feedback_counters() {
-        // Aggressive knobs so every feedback path fires on the committed
-        // phase workload: promotion after 2 reads, and a 1 µs admission
-        // burst with no refill so the bucket drains on the first completed
-        // request. The telemetry registry is process-global and monotone,
-        // so assert deltas.
+        // Aggressive knobs so promotion fires on the committed phase
+        // workload after 2 reads. The telemetry registry is process-global
+        // and monotone, so assert deltas.
         let exposition = |out: &str, name: &str| -> u64 {
             out.lines()
                 .find_map(|l| l.strip_prefix(name)?.trim().parse().ok())
                 .unwrap_or(0)
         };
         let before = run_line(&["replay", workload_path(), "--metrics", "true"]).unwrap();
-        // Run 1: routing only — an admission bucket that sheds most of the
-        // stream would starve the read runs promotion feeds on.
         let routed = run_line(&[
             "replay",
             workload_path(),
@@ -2254,26 +2245,6 @@ request mutate cli_top @2 = +A(b)
         );
         // The route gauge explains the current assignments.
         assert!(routed.contains("sirup_adaptive_route{"), "{routed}");
-        // Run 2: a 1 µs burst with no refill drains on the first completed
-        // request, so the rest of the stream sheds.
-        let shed = run_line(&[
-            "replay",
-            workload_path(),
-            "--threads",
-            "2",
-            "--metrics",
-            "true",
-            "--adaptive",
-            "true",
-            "--admission-burst-us",
-            "1",
-        ])
-        .unwrap();
-        assert!(
-            exposition(&shed, "sirup_admission_shed_total")
-                > exposition(&routed, "sirup_admission_shed_total"),
-            "sirup_admission_shed_total did not move: {shed}"
-        );
     }
 
     fn workload_path() -> &'static str {

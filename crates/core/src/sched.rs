@@ -2,7 +2,7 @@
 //! parallelism.
 //!
 //! Every heavy evaluation path in this workspace — plan enumeration, the
-//! semi-naive fixpoint, UCQ disjuncts, the server's batch executor — runs as
+//! semi-naive fixpoint, UCQ disjuncts, a server batch's requests — runs as
 //! **splittable tasks** on one [`Scheduler`]: a fixed set of worker threads
 //! (`std::thread` — crates.io is unreachable, so no rayon) with **per-worker
 //! deques** for fine-grained subtasks, a **FIFO injector** for detached

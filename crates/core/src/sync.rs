@@ -3,7 +3,7 @@
 //! `std` mutexes poison when a holder panics, and every subsequent
 //! `lock().unwrap()` then panics too — in a long-lived daemon one
 //! panicking request would wedge every lock it ever touched (the answer
-//! cache, the mutation-ticket sequencer, the catalog shards) for the rest
+//! cache, the mutation-ticket sequencer, the catalog map) for the rest
 //! of the process. All the workspace's guarded state is either a plain
 //! value map (caches, counters) or is re-validated by its own invariants
 //! after the guard is taken (ticket numbering), so the right recovery is

@@ -145,10 +145,6 @@ pub enum Counter {
     /// evaluate-from-scratch to a maintained materialisation because its
     /// observed read run cleared the promotion threshold.
     AdaptivePromotions,
-    /// Requests shed by per-instance admission control (the token bucket
-    /// was empty, so the request was answered `Overloaded` instead of
-    /// entering the scheduler queue).
-    AdmissionShed,
     /// CSR overlay folds: a maintained read view merged the rows patched
     /// since its last fold back into fresh base arrays.
     CsrOverlayFolds,
@@ -191,7 +187,6 @@ const COUNTERS: &[(Counter, &str)] = &[
         Counter::AdaptivePromotions,
         "sirup_adaptive_promotions_total",
     ),
-    (Counter::AdmissionShed, "sirup_admission_shed_total"),
     (Counter::CsrOverlayFolds, "sirup_csr_overlay_folds_total"),
     (
         Counter::TelemetryKeysEvicted,

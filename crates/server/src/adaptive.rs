@@ -1,35 +1,26 @@
 //! Feedback-driven routing: the telemetry loop closed back into execution.
 //!
-//! PR 7's registry records per-(program, instance) request counts,
-//! cardinalities, and latency histograms; this module is the *actuator*
-//! that reads those observations (and its own lightweight cells) and
-//! changes two execution decisions:
-//!
-//! 1. **Strategy promotion/demotion** — an unbounded program starts on
-//!    semi-naive *from scratch* (no maintained state, so mutations pay no
-//!    carry-forward for it) and is **promoted** to an attached
-//!    [`MaterializedFixpoint`](sirup_engine::MaterializedFixpoint) only
-//!    once a run of [`AdaptiveConfig::promote_after_reads`] reads arrives
-//!    with no intervening write. When
-//!    [`AdaptiveConfig::demote_after_writes`] writes arrive with no
-//!    intervening read, the materialisation is **demoted** — detached from
-//!    the live instance so subsequent mutations stop paying incremental
-//!    maintenance for a program nobody is reading.
-//! 2. **Admission control** — a per-instance token bucket denominated in
-//!    *microseconds of observed work*: completed requests charge their
-//!    measured latency, and when the bucket is empty new requests are shed
-//!    with [`Answer::Overloaded`] before
-//!    they enter the scheduler queue.
+//! The controller watches each (program, instance) pair's run of reads
+//! and writes and decides one thing: whether an unbounded program keeps a
+//! maintained materialisation. Such a program starts on semi-naive *from
+//! scratch* (no maintained state, so mutations pay no carry-forward for
+//! it) and is **promoted** to an attached
+//! [`MaterializedFixpoint`](sirup_engine::MaterializedFixpoint) only once
+//! a run of [`AdaptiveConfig::promote_after_reads`] reads arrives with no
+//! intervening write. When [`AdaptiveConfig::demote_after_writes`] writes
+//! arrive with no intervening read, the materialisation is **demoted** —
+//! detached from the live instance so subsequent mutations stop paying
+//! incremental maintenance for a program nobody is reading.
 //!
 //! Routing is **answer-preserving by construction**: scratch and
 //! materialised evaluation compute the same unique fixpoint — the
-//! differential suite pins it — and admission shedding (the one visible
-//! behaviour change) ships disabled unless a bucket is configured.
+//! differential suite pins it.
 //!
 //! All state lives in small atomic cells behind one mutex-guarded map;
-//! routing decisions happen at *execution* time on the worker (a batch
+//! routing decisions happen in the run step of each request (a batch
 //! resolves its snapshots up front, so resolve-time decisions would be
-//! blind to the batch's own feedback).
+//! blind to the batch's own feedback), and every write, inline or
+//! batched, feeds [`AdaptiveController::record_write`].
 
 use crate::catalog::IndexedInstance;
 use crate::plan::{Answer, Plan, Strategy};
@@ -38,11 +29,10 @@ use sirup_core::sync;
 use sirup_core::telemetry::{counter_add, Counter};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// Knobs of the adaptive controller. `enabled: false` (the default) keeps
 /// the server byte-for-byte on its static policy: always materialise
-/// semi-naive programs, never shed.
+/// semi-naive programs.
 ///
 /// ```
 /// use sirup_server::adaptive::AdaptiveConfig;
@@ -50,7 +40,6 @@ use std::time::Instant;
 /// // The default is fully static — nothing adapts.
 /// let cfg = AdaptiveConfig::default();
 /// assert!(!cfg.enabled);
-/// assert_eq!(cfg.admission_burst_us, 0); // admission disabled
 ///
 /// // An adaptive config that promotes after 3 uninterrupted reads and
 /// // demotes after 2 uninterrupted writes.
@@ -58,7 +47,6 @@ use std::time::Instant;
 ///     enabled: true,
 ///     promote_after_reads: 3,
 ///     demote_after_writes: 2,
-///     ..AdaptiveConfig::default()
 /// };
 /// assert!(cfg.enabled);
 /// ```
@@ -72,11 +60,6 @@ pub struct AdaptiveConfig {
     /// Writes with no intervening read before a promoted program is
     /// demoted (its materialisation detached).
     pub demote_after_writes: u32,
-    /// Admission token-bucket capacity in microseconds of observed work
-    /// per instance. `0` disables admission control entirely.
-    pub admission_burst_us: u64,
-    /// Bucket refill rate, microseconds of budget per wall-clock second.
-    pub admission_refill_us_per_sec: u64,
 }
 
 impl Default for AdaptiveConfig {
@@ -85,8 +68,6 @@ impl Default for AdaptiveConfig {
             enabled: false,
             promote_after_reads: 4,
             demote_after_writes: 2,
-            admission_burst_us: 0,
-            admission_refill_us_per_sec: 0,
         }
     }
 }
@@ -100,16 +81,6 @@ struct Cell {
     writes_since_read: AtomicU32,
     /// Whether the program is currently promoted (materialised).
     promoted: AtomicBool,
-}
-
-/// Admission token bucket of one instance, in µs of observed work.
-#[derive(Debug)]
-struct Bucket {
-    /// Remaining budget; goes negative when a long request lands so heavy
-    /// requests push real debt.
-    tokens_us: f64,
-    /// Last refill instant.
-    refilled: Instant,
 }
 
 /// One row of the controller's route snapshot (rendered as
@@ -126,15 +97,13 @@ pub struct RouteInfo {
     pub why: String,
 }
 
-/// The feedback controller. One per [`Server`](crate::Server); shared with
-/// the executor's workers, which consult it at execution time.
+/// The feedback controller. One per [`Server`](crate::Server), consulted
+/// by every request's run step.
 #[derive(Debug)]
 pub struct AdaptiveController {
     config: AdaptiveConfig,
     /// `(program key, instance)` → hysteresis cell.
     cells: Mutex<FxHashMap<(String, String), Arc<Cell>>>,
-    /// instance → admission bucket.
-    buckets: Mutex<FxHashMap<String, Bucket>>,
 }
 
 impl AdaptiveController {
@@ -143,7 +112,6 @@ impl AdaptiveController {
         AdaptiveController {
             config,
             cells: Mutex::new(FxHashMap::default()),
-            buckets: Mutex::new(FxHashMap::default()),
         }
     }
 
@@ -233,53 +201,8 @@ impl AdaptiveController {
         demoted
     }
 
-    /// Admission check for one request against `instance`'s token bucket.
-    /// `true` admits. Always `true` when admission is unconfigured
-    /// (`admission_burst_us == 0`). Does not charge — completed requests
-    /// charge their *observed* latency via [`AdaptiveController::charge`],
-    /// so the bucket is fed by measurement, not estimates.
-    pub fn admit(&self, instance: &str) -> bool {
-        if !self.config.enabled || self.config.admission_burst_us == 0 {
-            return true;
-        }
-        let burst = self.config.admission_burst_us as f64;
-        let mut buckets = sync::lock(&self.buckets);
-        let bucket = buckets
-            .entry(instance.to_owned())
-            .or_insert_with(|| Bucket {
-                tokens_us: burst,
-                refilled: Instant::now(),
-            });
-        let now = Instant::now();
-        let elapsed = now.duration_since(bucket.refilled).as_secs_f64();
-        bucket.refilled = now;
-        bucket.tokens_us = (bucket.tokens_us
-            + elapsed * self.config.admission_refill_us_per_sec as f64)
-            .min(burst);
-        if bucket.tokens_us > 0.0 {
-            true
-        } else {
-            counter_add(Counter::AdmissionShed, 1);
-            false
-        }
-    }
-
-    /// Charge `instance`'s bucket for `cost_us` microseconds of completed
-    /// work. No-op when admission is unconfigured or the instance has
-    /// never been admission-checked.
-    pub fn charge(&self, instance: &str, cost_us: u64) {
-        if !self.config.enabled || self.config.admission_burst_us == 0 {
-            return;
-        }
-        let mut buckets = sync::lock(&self.buckets);
-        if let Some(bucket) = buckets.get_mut(instance) {
-            bucket.tokens_us -= cost_us as f64;
-        }
-    }
-
-    /// Execute `plan` over `inst` with adaptive routing — the one
-    /// evaluation entry point both the worker pool and the inline wire
-    /// path use: semi-naive programs route through
+    /// Execute `plan` over `inst` with adaptive routing — the evaluation
+    /// of every query's run step: semi-naive programs route through
     /// [`AdaptiveController::route_read`] (scratch until promoted).
     ///
     /// With the controller disabled this is exactly
@@ -342,15 +265,13 @@ mod tests {
             enabled: true,
             promote_after_reads: promote,
             demote_after_writes: demote,
-            ..AdaptiveConfig::default()
         })
     }
 
     #[test]
-    fn disabled_controller_always_materialises_and_admits() {
+    fn disabled_controller_always_materialises() {
         let c = AdaptiveController::new(AdaptiveConfig::default());
         assert!(c.route_read("p", "i"));
-        assert!(c.admit("i"));
         assert!(c.record_write("i").is_empty());
         assert!(c.routes().is_empty());
     }
@@ -387,20 +308,6 @@ mod tests {
                                           // `p@b` lives on a different instance.
         assert_eq!(c.record_write("a"), vec!["p".to_owned()]);
         assert!(c.record_write("b").is_empty());
-    }
-
-    #[test]
-    fn admission_sheds_when_the_bucket_is_drained() {
-        let c = AdaptiveController::new(AdaptiveConfig {
-            enabled: true,
-            admission_burst_us: 100,
-            admission_refill_us_per_sec: 0,
-            ..AdaptiveConfig::default()
-        });
-        assert!(c.admit("i"));
-        c.charge("i", 250); // one heavy request overdraws the bucket
-        assert!(!c.admit("i")); // shed until refilled (rate 0 → forever)
-        assert!(c.admit("other")); // buckets are per instance
     }
 
     #[test]

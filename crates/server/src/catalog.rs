@@ -1,4 +1,4 @@
-//! The sharded, versioned instance catalog.
+//! The versioned instance catalog.
 //!
 //! The service holds many named data instances at once. Each instance is
 //! stored *indexed*: alongside the [`Structure`] sits a prebuilt
@@ -24,25 +24,22 @@
 //! version checks on the read path.
 //!
 //! Mutations to the *same* instance are serialised in ticket order (see
-//! [`Catalog::reserve_ticket`]): the batch executor may run mutation
-//! requests on any worker thread, but their effects apply in submission
-//! order, which keeps replayed mutation streams deterministic. Mutations to
-//! different instances proceed in parallel (the expensive copy-forward work
-//! happens outside the shard lock).
+//! [`Catalog::reserve_ticket`]): a batch may run mutation requests on any
+//! worker thread, but their effects apply in submission order, which keeps
+//! replayed mutation streams deterministic. Mutations to different
+//! instances proceed in parallel (the expensive copy-forward work happens
+//! outside the map lock).
 //!
-//! The map is split into shards, each behind its own `RwLock`, so concurrent
-//! lookups from worker threads and loads from the control path contend only
-//! per shard. Shard choice hashes the instance name with the workspace's
-//! `FxHasher`.
+//! The map sits behind one `RwLock`: lookups share it, and a writer holds
+//! it only to insert or remove one `Arc`.
 
 use crate::cache::StampedLru;
 use sirup_core::csr::FREEZE_EDGE_THRESHOLD;
-use sirup_core::fx::{FxHashMap, FxHasher};
+use sirup_core::fx::FxHashMap;
 use sirup_core::sync;
 use sirup_core::telemetry;
 use sirup_core::{FactOp, FrozenStructure, ParCtx, PredIndex, Scheduler, Structure, Target};
 use sirup_engine::{MaterializationStats, MaterializedFixpoint};
-use std::hash::Hasher as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
 
@@ -271,8 +268,6 @@ pub struct MutationOutcome {
     pub seq: u64,
 }
 
-type Shard = RwLock<FxHashMap<String, Arc<IndexedInstance>>>;
-
 /// Per-instance mutation ticket state: tickets are handed out in
 /// submission order and applied strictly in that order.
 #[derive(Debug, Default)]
@@ -281,11 +276,11 @@ struct Tickets {
     applied: FxHashMap<String, u64>,
 }
 
-/// A sharded map from instance name to versioned [`IndexedInstance`]
-/// snapshots, with ticket-ordered copy-on-write mutation.
-#[derive(Debug)]
+/// A map from instance name to versioned [`IndexedInstance`] snapshots,
+/// with ticket-ordered copy-on-write mutation.
+#[derive(Debug, Default)]
 pub struct Catalog {
-    shards: Vec<Shard>,
+    instances: RwLock<FxHashMap<String, Arc<IndexedInstance>>>,
     versions: AtomicU64,
     tickets: Mutex<Tickets>,
     ticket_cv: Condvar,
@@ -297,15 +292,9 @@ pub struct Catalog {
 }
 
 impl Catalog {
-    /// A catalog with `shards` shards (at least 1).
-    pub fn new(shards: usize) -> Catalog {
-        Catalog {
-            shards: (0..shards.max(1)).map(|_| Shard::default()).collect(),
-            versions: AtomicU64::new(0),
-            tickets: Mutex::new(Tickets::default()),
-            ticket_cv: Condvar::new(),
-            mat_sched: None,
-        }
+    /// An empty catalog.
+    pub fn new() -> Catalog {
+        Catalog::default()
     }
 
     /// Forward live materialisations in parallel on `sched` during
@@ -316,12 +305,6 @@ impl Catalog {
     pub fn with_mat_parallelism(mut self, sched: Arc<Scheduler>) -> Catalog {
         self.mat_sched = Some(sched);
         self
-    }
-
-    fn shard_of(&self, name: &str) -> &Shard {
-        let mut h = FxHasher::default();
-        h.write(name.as_bytes());
-        &self.shards[(h.finish() as usize) % self.shards.len()]
     }
 
     fn next_version(&self) -> u64 {
@@ -337,7 +320,7 @@ impl Catalog {
     pub fn insert(&self, name: impl Into<String>, data: Structure) -> bool {
         let inst = IndexedInstance::with_version(name, data, self.next_version());
         let name = inst.name.clone();
-        let replaced = sync::write(self.shard_of(&name))
+        let replaced = sync::write(&self.instances)
             .insert(name.clone(), Arc::new(inst))
             .is_some();
         let mut t = sync::lock(&self.tickets);
@@ -355,7 +338,7 @@ impl Catalog {
     pub fn restore(&self, name: impl Into<String>, data: Structure, seq: u64) {
         let inst = IndexedInstance::with_state(name, data, self.next_version(), seq);
         let name = inst.name.clone();
-        sync::write(self.shard_of(&name)).insert(name.clone(), Arc::new(inst));
+        sync::write(&self.instances).insert(name.clone(), Arc::new(inst));
         let mut t = sync::lock(&self.tickets);
         t.issued.insert(name.clone(), seq);
         t.applied.insert(name, seq);
@@ -363,7 +346,7 @@ impl Catalog {
 
     /// Look up an instance by name.
     pub fn get(&self, name: &str) -> Option<Arc<IndexedInstance>> {
-        sync::read(self.shard_of(name)).get(name).cloned()
+        sync::read(&self.instances).get(name).cloned()
     }
 
     /// Reserve the next mutation ticket for `name`. Tickets must each be
@@ -413,7 +396,7 @@ impl Catalog {
     }
 
     /// Reserve a ticket and apply `ops` (the one-call path for direct
-    /// library use; the batch executor reserves at submission time).
+    /// library use; a server reserves at submission time).
     pub fn mutate(&self, name: &str, ops: &[FactOp]) -> Option<MutationOutcome> {
         let ticket = self.reserve_ticket(name);
         self.mutate_ticketed(name, ops, ticket)
@@ -421,7 +404,7 @@ impl Catalog {
 
     /// Copy-on-write application: clone the current snapshot's data, patch
     /// it, delta-update the index, carry every materialisation forward
-    /// incrementally, and swap the new snapshot in. Runs outside the shard
+    /// incrementally, and swap the new snapshot in. Runs outside the map
     /// lock except for the final swap; same-instance ordering is the ticket
     /// sequencer's job.
     fn apply_mutation(&self, name: &str, ops: &[FactOp]) -> Option<MutationOutcome> {
@@ -495,7 +478,7 @@ impl Catalog {
             cow,
             frozen,
         };
-        sync::write(self.shard_of(name)).insert(name.to_owned(), Arc::new(inst));
+        sync::write(&self.instances).insert(name.to_owned(), Arc::new(inst));
         Some(MutationOutcome { applied, seq })
     }
 
@@ -504,7 +487,7 @@ impl Catalog {
     /// leak counter entries); with tickets still outstanding the entry
     /// stays, so in-flight `mutate_ticketed` waiters keep their numbering.
     pub fn remove(&self, name: &str) -> bool {
-        let existed = sync::write(self.shard_of(name)).remove(name).is_some();
+        let existed = sync::write(&self.instances).remove(name).is_some();
         let mut t = sync::lock(&self.tickets);
         if t.issued.get(name) == t.applied.get(name) {
             t.issued.remove(name);
@@ -515,7 +498,7 @@ impl Catalog {
 
     /// Number of loaded instances.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| sync::read(s).len()).sum()
+        sync::read(&self.instances).len()
     }
 
     /// Is the catalog empty?
@@ -523,18 +506,9 @@ impl Catalog {
         self.len() == 0
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// All instance names, sorted.
     pub fn names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .shards
-            .iter()
-            .flat_map(|s| sync::read(s).keys().cloned().collect::<Vec<_>>())
-            .collect();
+        let mut names: Vec<String> = sync::read(&self.instances).keys().cloned().collect();
         names.sort_unstable();
         names
     }
@@ -548,12 +522,11 @@ mod tests {
 
     #[test]
     fn insert_get_remove() {
-        let c = Catalog::new(4);
+        let c = Catalog::new();
         assert!(c.is_empty());
         assert!(!c.insert("a", st("F(x), R(x,y), T(y)")));
         assert!(!c.insert("b", st("T(u)")));
         assert_eq!(c.len(), 2);
-        assert_eq!(c.shard_count(), 4);
         let a = c.get("a").unwrap();
         assert_eq!(a.name, "a");
         assert_eq!(a.data.size(), 3);
@@ -573,7 +546,7 @@ mod tests {
 
     #[test]
     fn mutate_swaps_a_consistent_snapshot() {
-        let c = Catalog::new(2);
+        let c = Catalog::new();
         c.insert("d", st("F(a), R(a,b), T(b)"));
         let before = c.get("d").unwrap();
         let out = c
@@ -609,7 +582,7 @@ mod tests {
 
     #[test]
     fn point_mutation_shares_almost_all_pages() {
-        let c = Catalog::new(1);
+        let c = Catalog::new();
         // A large chain instance: many pages per column.
         let mut s = Structure::with_nodes(10_000);
         for i in 0..9_999u32 {
@@ -643,7 +616,7 @@ mod tests {
         use sirup_core::OneCq;
         let q = OneCq::parse("F(x), R(x,y), T(y)");
         let sigma = sigma_q(&q);
-        let c = Catalog::new(1);
+        let c = Catalog::new();
         c.insert("d", st("T(t), A(a), R(a,t)"));
         let inst = c.get("d").unwrap();
         let mat = inst.materialization("sigma", || MaterializedFixpoint::new(&sigma, &inst.data));
@@ -662,7 +635,7 @@ mod tests {
 
     #[test]
     fn tickets_serialise_same_instance_mutations() {
-        let c = Arc::new(Catalog::new(2));
+        let c = Arc::new(Catalog::new());
         c.insert("d", st("T(a)"));
         // Reserve in order, redeem from racing threads in reverse order:
         // ticket order must still win.
@@ -692,7 +665,7 @@ mod tests {
 
     #[test]
     fn seq_is_per_instance_and_survives_restore() {
-        let c = Catalog::new(2);
+        let c = Catalog::new();
         c.insert("a", st("T(u)"));
         c.insert("b", st("T(u)"));
         // Interleave traffic: each instance counts its own mutations.
@@ -735,7 +708,7 @@ mod tests {
 
     #[test]
     fn frozen_snapshot_is_gated_and_cached() {
-        let c = Catalog::new(1);
+        let c = Catalog::new();
         // Below the freeze gate: no CSR view, and asking costs nothing.
         c.insert("small", st("F(a), R(a,b), T(b)"));
         let small = c.get("small").unwrap();
@@ -790,8 +763,8 @@ mod tests {
     }
 
     #[test]
-    fn names_cross_shards() {
-        let c = Catalog::new(3);
+    fn names_are_sorted() {
+        let c = Catalog::new();
         for i in 0..20 {
             c.insert(format!("inst{i:02}"), st("T(u)"));
         }
@@ -799,13 +772,5 @@ mod tests {
         assert_eq!(names.len(), 20);
         assert!(names.windows(2).all(|w| w[0] < w[1]));
         assert_eq!(c.len(), 20);
-    }
-
-    #[test]
-    fn single_shard_floor() {
-        let c = Catalog::new(0);
-        assert_eq!(c.shard_count(), 1);
-        c.insert("x", st("T(u)"));
-        assert!(c.get("x").is_some());
     }
 }

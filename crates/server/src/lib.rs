@@ -10,8 +10,8 @@
 //! Three layers (see `DESIGN.md`, "Service layer" and "Incremental
 //! maintenance"):
 //!
-//! * [`catalog`] — a **sharded, versioned instance catalog**: named
-//!   [`sirup_core::Structure`] snapshots behind per-shard `RwLock`s, each
+//! * [`catalog`] — a **versioned instance catalog**: named
+//!   [`sirup_core::Structure`] snapshots behind one `RwLock` map, each
 //!   stored with a prebuilt [`sirup_core::PredIndex`] and the instance's
 //!   live [`sirup_engine::MaterializedFixpoint`]s. Mutations are
 //!   copy-on-write `Arc` swaps under fresh versions: data patched, index
@@ -22,18 +22,19 @@
 //!   boundedness evidence, the UCQ rewriting, so bounded programs are
 //!   answered by rewriting instead of fixpoint (and need no maintenance at
 //!   all under mutation); for disjunctive sirups, the CQ's core;
-//! * `executor` + [`server`] — a **batch executor on the shared
-//!   work-stealing scheduler** (`sirup-core::sched`): request-level jobs
-//!   (queries *and* ticketed mutations) enter the scheduler's FIFO
-//!   injector, and — with [`server::ServerConfig::parallelism`] `> 1` —
-//!   each request splits its own evaluation (plan enumeration chunks,
-//!   semi-naive delta chunks, UCQ disjuncts, materialisation
-//!   carry-forward) into subtasks on the *same* workers. Batches are
-//!   grouped by program so one plan serves the whole group, each query
-//!   routes to the cheapest strategy (answer cache → rewriting →
-//!   materialised semi-naive → DPLL for disjunctive sirups), and the
-//!   answer cache is keyed by instance version so mutations invalidate it
-//!   by construction.
+//! * [`server`] — **one request path** on the shared work-stealing
+//!   scheduler (`sirup-core::sched`): every request is resolved
+//!   (snapshot, answer-cache probe, plan), reserved (a mutation's ticket
+//!   and WAL record), run and recorded by the same steps, inline in
+//!   [`Server::answer_one`] or as detached scheduler jobs for a batch
+//!   ([`Server::submit`]). Each query routes to the cheapest strategy
+//!   (answer cache → rewriting → materialised semi-naive → DPLL for
+//!   disjunctive sirups), the answer cache is keyed by instance version
+//!   so mutations invalidate it by construction, and — with
+//!   [`server::ServerConfig::parallelism`] `> 1` — each request splits
+//!   its own evaluation (plan enumeration chunks, semi-naive delta
+//!   chunks, UCQ disjuncts, materialisation carry-forward) into subtasks
+//!   on the *same* workers.
 //!
 //! Two service-boundary layers sit on top (see `DESIGN.md`, "Wire protocol
 //! & durability"):
@@ -78,7 +79,6 @@
 pub mod adaptive;
 mod cache;
 pub mod catalog;
-mod executor;
 pub mod metrics;
 pub mod plan;
 pub mod server;

@@ -104,23 +104,16 @@ pub enum Answer {
         /// The instance's mutation sequence number after this batch.
         seq: u64,
     },
-    /// The request was shed by per-instance admission control before it
-    /// entered the scheduler queue (the wire front-end renders this as an
-    /// `error overloaded:` reply). Only produced when the adaptive
-    /// controller's token bucket is configured and empty — never on the
-    /// default static path.
-    Overloaded,
 }
 
 impl Answer {
     /// Result cardinality for telemetry: answer-set size for `sigma`,
-    /// 0/1 for booleans, ops applied for mutations, 0 for shed requests.
+    /// 0/1 for booleans, ops applied for mutations.
     pub fn cardinality(&self) -> u64 {
         match self {
             Answer::Bool(b) => *b as u64,
             Answer::Nodes(nodes) => nodes.len() as u64,
             Answer::Applied { applied, .. } => *applied as u64,
-            Answer::Overloaded => 0,
         }
     }
 }
@@ -380,13 +373,23 @@ impl PlanCache {
     /// unrelated programs. Concurrent misses for the same key duplicate
     /// work harmlessly.
     pub fn get_or_build(&self, query: &Query, opts: &PlanOptions) -> std::sync::Arc<Plan> {
+        self.get_or_build_keyed(&query.cache_key(), query, opts)
+    }
+
+    /// [`PlanCache::get_or_build`] for a caller that already holds
+    /// `query.cache_key()` as `key`.
+    pub(crate) fn get_or_build_keyed(
+        &self,
+        key: &str,
+        query: &Query,
+        opts: &PlanOptions,
+    ) -> std::sync::Arc<Plan> {
         let _t = telemetry::timed(telemetry::Family::CacheLookup, "plan_cache_lookup");
-        let key = query.cache_key();
-        if let Some(plan) = self.lru.get(&key) {
+        if let Some(plan) = self.lru.get(key) {
             return plan;
         }
         let plan = std::sync::Arc::new(Plan::build(query.clone(), opts));
-        self.lru.insert(key, plan.clone());
+        self.lru.insert(key.to_owned(), plan.clone());
         plan
     }
 

@@ -1,15 +1,27 @@
-//! The [`Server`]: catalog + plan cache + answer cache + worker pool, and
+//! The [`Server`]: catalog + plan cache + answer cache + scheduler, and
 //! workload replay.
 //!
-//! `submit` is the batch entry point: it validates every request against the
-//! catalog, resolves one snapshot per request (reads see the catalog as of
-//! submission; mutations reserve in-order tickets), fetches (or builds) one
-//! plan per distinct program in the batch, probes the version-keyed answer
-//! cache, fans the remaining jobs out to the worker pool, and reassembles
-//! responses in request order. `replay` drives a whole [`TrafficSpec`]
-//! either closed-loop (one maximal batch — a throughput run) or open-loop
-//! (submission paced by the spec's virtual arrival offsets — a
-//! latency-under-load run) and aggregates a [`ReplayReport`].
+//! ## One request path
+//!
+//! Every request runs the same steps, whichever entry point it came
+//! through:
+//!
+//! 1. **resolve**: take the instance snapshot (an unknown instance fails
+//!    here), and for a query probe the answer cache at that version and,
+//!    on a miss, fetch or build the plan;
+//! 2. **reserve** (writes only): the mutation ticket plus, on a durable
+//!    server, the WAL record, both under one lock;
+//! 3. **run**: a query under adaptive routing, a write under its ticket
+//!    followed by the controller's demotions;
+//! 4. **record**: the per-(program, instance) telemetry row and, for an
+//!    evaluated query, the answer-cache insert.
+//!
+//! [`Server::answer_one`] runs them inline on the calling thread (the wire
+//! front-end, in-process clients). [`Server::submit`] and
+//! [`Server::replay`] resolve a whole batch first, then reserve and spawn
+//! each request as a detached job on the server's scheduler (pacing by
+//! arrival offsets in [`ReplayMode::Open`] is the only difference between
+//! the two replay modes) and reassemble responses in request order.
 //!
 //! ## Read/write semantics
 //!
@@ -22,21 +34,21 @@
 //! simply by bumping the version — stale entries can never be served.
 
 use crate::adaptive::{AdaptiveConfig, AdaptiveController};
-use crate::catalog::{Catalog, MutationOutcome};
-use crate::executor::{Completion, Job, Pool, Work};
+use crate::catalog::{Catalog, IndexedInstance};
 use crate::metrics::LatencyStats;
-use crate::plan::{Answer, PlanCache, PlanOptions, Query, Strategy};
+use crate::plan::{Answer, Plan, PlanCache, PlanOptions, Query, Strategy};
 use crate::wal::{Wal, WalRecord};
 use sirup_core::fx::FxHashMap;
 use sirup_core::telemetry;
 use sirup_core::{sync, FactOp, OneCq, ParCtx, Scheduler, Structure};
 use sirup_engine::MaterializationStats;
 use sirup_workloads::traffic::{QueryKind, TrafficAction, TrafficRequest, TrafficSpec};
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::channel;
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{channel, Sender};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Server construction knobs.
@@ -57,8 +69,6 @@ pub struct ServerConfig {
     /// `parallelism > 1` server evaluates sequentially, so small instances
     /// never pay fan-out overhead.
     pub par_threshold: usize,
-    /// Catalog shards (at least 1).
-    pub shards: usize,
     /// Plan-cache capacity (at least 1).
     pub plan_cache: usize,
     /// Answer-cache capacity (0 disables answer caching — benches that
@@ -76,7 +86,6 @@ impl Default for ServerConfig {
             threads: 4,
             parallelism: 1,
             par_threshold: 64,
-            shards: 8,
             plan_cache: 64,
             answer_cache: 256,
             plan: PlanOptions::default(),
@@ -117,6 +126,15 @@ impl Request {
         Request {
             action: Action::Mutate(ops),
             instance: instance.into(),
+        }
+    }
+
+    /// `<program> @ <instance>`: the label of the request's root trace
+    /// span.
+    fn label(&self) -> String {
+        match &self.action {
+            Action::Query(q) => format!("{} @ {}", q.cache_key(), self.instance),
+            Action::Mutate(_) => format!("mutation @ {}", self.instance),
         }
     }
 
@@ -320,19 +338,12 @@ type AnswerCache = crate::cache::StampedLru<Answer>;
 /// The concurrent certain-answer query-and-mutation service.
 pub struct Server {
     config: ServerConfig,
-    catalog: Arc<Catalog>,
+    shared: Arc<Shared>,
     plans: PlanCache,
-    answers: AnswerCache,
-    pool: Pool,
-    /// The feedback controller (inert when [`AdaptiveConfig::enabled`] is
-    /// off — every consultation short-circuits to the static policy).
-    adaptive: Arc<AdaptiveController>,
-    /// Serialises mutation-ticket reservation with the queue append (see
-    /// [`Server::enqueue`]): per instance, ticket order must equal queue
-    /// order, or a worker blocked on a predecessor ticket could starve the
-    /// pool. When the server is durable, the same critical section also
-    /// appends the WAL record, so per-instance log order equals ticket
-    /// order — the recovery fold's whole correctness argument.
+    /// Serialises mutation-ticket reservation with the WAL append and, in
+    /// a batch, with the job spawn (see `Server::spawn`), so that per
+    /// instance ticket order equals both log order — the recovery fold's
+    /// whole correctness argument — and queue order.
     mutation_order: Mutex<()>,
     /// Write-ahead durability, present on [`Server::open_durable`] servers:
     /// every catalog-shaping event (load, mutate, remove) is fsync'd to the
@@ -346,38 +357,154 @@ pub struct Server {
     since_snapshot: AtomicU64,
 }
 
-/// How one submitted request executes.
-enum Route {
-    /// Serve from the answer cache (hit at submission time).
-    Cached(Answer),
-    /// Shed by admission control: answered [`Answer::Overloaded`] without
-    /// ever touching the pool.
-    Shed,
-    /// Evaluate on the pool; remember the answer under this key (if some).
-    Evaluate(Work, Option<String>),
+/// The server state a request's run step reads, behind the one `Arc` that
+/// batch jobs share.
+struct Shared {
+    catalog: Catalog,
+    answers: AnswerCache,
+    /// The feedback controller (inert when [`AdaptiveConfig::enabled`] is
+    /// off — every consultation short-circuits to the static policy).
+    adaptive: AdaptiveController,
+    /// The work-stealing scheduler: batch jobs, connection jobs and
+    /// intra-request subtasks all run on its workers.
+    sched: Arc<Scheduler>,
+    /// The smallest work set a request splits, when `parallelism > 1`.
+    par_threshold: Option<usize>,
+}
+
+/// One request after its resolve step: what its run step reads.
+enum Resolved<'a> {
+    /// The answer cache held this query's answer at the resolved version.
+    Cached {
+        program: String,
+        inst: Arc<IndexedInstance>,
+        answer: Answer,
+    },
+    /// Evaluate `plan` over the snapshot `inst`; with the answer cache on,
+    /// remember the answer under `key`.
+    Query {
+        plan: Arc<Plan>,
+        inst: Arc<IndexedInstance>,
+        key: Option<String>,
+    },
+    /// Apply `ops` to `instance` under `ticket` (set by the reserve step).
+    Mutate {
+        instance: Cow<'a, str>,
+        ops: Cow<'a, [FactOp]>,
+        ticket: u64,
+    },
+}
+
+impl Resolved<'_> {
+    /// The same request owning its borrowed parts, to move into a job.
+    fn into_owned(self) -> Resolved<'static> {
+        match self {
+            Resolved::Cached {
+                program,
+                inst,
+                answer,
+            } => Resolved::Cached {
+                program,
+                inst,
+                answer,
+            },
+            Resolved::Query { plan, inst, key } => Resolved::Query { plan, inst, key },
+            Resolved::Mutate {
+                instance,
+                ops,
+                ticket,
+            } => Resolved::Mutate {
+                instance: Cow::Owned(instance.into_owned()),
+                ops: Cow::Owned(ops.into_owned()),
+                ticket,
+            },
+        }
+    }
+}
+
+impl Shared {
+    /// The intra-request fan-out context (`None` unless `parallelism > 1`).
+    fn par(&self) -> Option<ParCtx<'_>> {
+        self.par_threshold.map(|t| ParCtx::new(&self.sched, t))
+    }
+
+    /// The run and record steps of one resolved (and, for a write, reserved)
+    /// request: [`Server::answer_one`] calls this inline, a batch job on a
+    /// worker. A query evaluates under adaptive routing (exactly
+    /// [`Plan::answer_ctx`] with the controller off). A write applies under
+    /// its ticket, waiting for every earlier ticket of its instance, and then
+    /// detaches the materialisations its write run demoted, so later writes
+    /// stop carrying them. Every request is recorded in the per-(program,
+    /// instance) telemetry table; an evaluated answer also goes into the
+    /// answer cache.
+    fn run(&self, work: Resolved<'_>, started: Instant) -> Response {
+        let record = |program: &str, instance: &str, strategy, answer: Answer| {
+            let latency = started.elapsed();
+            telemetry::record_request(program, instance, strategy, latency, answer.cardinality());
+            Response {
+                answer,
+                strategy,
+                latency,
+            }
+        };
+        match work {
+            Resolved::Cached {
+                program,
+                inst,
+                answer,
+            } => record(&program, &inst.name, "cached", answer),
+            Resolved::Query { plan, inst, key } => {
+                let answer = self.adaptive.execute(&plan, &inst, self.par());
+                if let Some(key) = key {
+                    self.answers.insert(key, answer.clone());
+                }
+                record(plan.key(), &inst.name, plan.strategy.name(), answer)
+            }
+            Resolved::Mutate {
+                instance,
+                ops,
+                ticket,
+            } => {
+                let answer = match self.catalog.mutate_ticketed(&instance, &ops, ticket) {
+                    Some(out) => Answer::Applied {
+                        applied: out.applied,
+                        seq: out.seq,
+                    },
+                    // The instance vanished after the resolve step (a
+                    // concurrent remove); the ticket is consumed either way.
+                    None => Answer::Applied { applied: 0, seq: 0 },
+                };
+                let demoted = self.adaptive.record_write(&instance);
+                if !demoted.is_empty() {
+                    if let Some(fresh) = self.catalog.get(&instance) {
+                        for key in &demoted {
+                            fresh.detach_materialization(key);
+                        }
+                    }
+                }
+                record("mutation", &instance, "mutation", answer)
+            }
+        }
+    }
 }
 
 impl Server {
     /// Build a server (spawns the shared scheduler's workers immediately).
     pub fn new(config: ServerConfig) -> Server {
-        let adaptive = Arc::new(AdaptiveController::new(config.adaptive));
-        let hooks = config.adaptive.enabled.then(|| Arc::clone(&adaptive));
-        let pool = Pool::new(
-            config.threads,
-            config.parallelism,
-            config.par_threshold,
-            hooks,
-        );
-        let mut catalog = Catalog::new(config.shards);
+        let sched = Arc::new(Scheduler::new(config.threads));
+        let mut catalog = Catalog::new();
         if config.parallelism > 1 {
-            catalog = catalog.with_mat_parallelism(Arc::clone(pool.scheduler()));
+            catalog = catalog.with_mat_parallelism(Arc::clone(&sched));
         }
         Server {
-            catalog: Arc::new(catalog),
+            shared: Arc::new(Shared {
+                catalog,
+                answers: AnswerCache::new(config.answer_cache),
+                adaptive: AdaptiveController::new(config.adaptive),
+                sched,
+                par_threshold: (config.parallelism > 1).then_some(config.par_threshold),
+            }),
             plans: PlanCache::new(config.plan_cache),
-            answers: AnswerCache::new(config.answer_cache),
-            pool,
-            adaptive,
             mutation_order: Mutex::new(()),
             wal: None,
             snapshot_every: AtomicU64::new(0),
@@ -403,7 +530,10 @@ impl Server {
         let (wal, recovered) = Wal::open(data_dir)?;
         let mut server = Server::new(config);
         for inst in recovered {
-            server.catalog.restore(inst.name, inst.data, inst.seq);
+            server
+                .shared
+                .catalog
+                .restore(inst.name, inst.data, inst.seq);
         }
         server.wal = Some(Mutex::new(wal));
         Ok(server)
@@ -444,9 +574,12 @@ impl Server {
     pub fn snapshot_now(&self) -> std::io::Result<()> {
         let Some(wal) = &self.wal else { return Ok(()) };
         let _order = sync::lock(&self.mutation_order);
-        self.catalog.quiesce();
-        let names = self.catalog.names();
-        let insts: Vec<_> = names.iter().filter_map(|n| self.catalog.get(n)).collect();
+        self.shared.catalog.quiesce();
+        let names = self.shared.catalog.names();
+        let insts: Vec<_> = names
+            .iter()
+            .filter_map(|n| self.shared.catalog.get(n))
+            .collect();
         let entries: Vec<(String, u64, &Structure)> = insts
             .iter()
             .map(|i| (i.name.clone(), i.seq, &i.data))
@@ -458,12 +591,12 @@ impl Server {
 
     /// The shared work-stealing scheduler (connection jobs ride on it).
     pub fn scheduler(&self) -> &Arc<Scheduler> {
-        self.pool.scheduler()
+        &self.shared.sched
     }
 
     /// The instance catalog.
     pub fn catalog(&self) -> &Catalog {
-        &self.catalog
+        &self.shared.catalog
     }
 
     /// The plan cache.
@@ -473,18 +606,18 @@ impl Server {
 
     /// Answer-cache `(hits, misses)` so far.
     pub fn answer_cache_stats(&self) -> (u64, u64) {
-        self.answers.stats()
+        self.shared.answers.stats()
     }
 
     /// Worker-thread count.
     pub fn threads(&self) -> usize {
-        self.pool.threads()
+        self.shared.sched.workers()
     }
 
     /// Lifetime counters of the shared scheduler (tasks spawned, steals,
     /// queue high-water mark) — surfaced by `sirupctl stats`.
     pub fn scheduler_stats(&self) -> sirup_core::SchedStats {
-        self.pool.stats()
+        self.shared.sched.stats()
     }
 
     /// Load (or replace) a named instance. On a durable server the load is
@@ -495,7 +628,7 @@ impl Server {
         let name = name.into();
         if let Some(wal) = &self.wal {
             let _order = sync::lock(&self.mutation_order);
-            self.catalog.quiesce();
+            self.shared.catalog.quiesce();
             sync::lock(wal)
                 .append(&WalRecord::Load {
                     name: name.clone(),
@@ -503,9 +636,9 @@ impl Server {
                     ops: data.to_ops(),
                 })
                 .expect("wal append (load)");
-            self.catalog.insert(name, data)
+            self.shared.catalog.insert(name, data)
         } else {
-            self.catalog.insert(name, data)
+            self.shared.catalog.insert(name, data)
         }
     }
 
@@ -513,155 +646,109 @@ impl Server {
     pub fn remove_instance(&self, name: &str) -> bool {
         if let Some(wal) = &self.wal {
             let _order = sync::lock(&self.mutation_order);
-            self.catalog.quiesce();
+            self.shared.catalog.quiesce();
             sync::lock(wal)
                 .append(&WalRecord::Remove {
                     name: name.to_owned(),
                 })
                 .expect("wal append (remove)");
         }
-        self.catalog.remove(name)
-    }
-
-    /// Apply a mutation batch directly (outside any request batch), in
-    /// ticket order with respect to concurrent mutation requests. On a
-    /// durable server the record is fsync'd to the WAL — under the same
-    /// critical section that reserves the ticket, so per-instance log
-    /// order equals apply order — *before* the catalog changes: by the
-    /// time the caller sees the outcome, the mutation is recoverable.
-    pub fn mutate_instance(
-        &self,
-        name: &str,
-        ops: &[FactOp],
-    ) -> Result<MutationOutcome, ServerError> {
-        if self.catalog.get(name).is_none() {
-            return Err(ServerError::UnknownInstance(name.to_owned()));
-        }
-        let ticket = {
-            let _order = sync::lock(&self.mutation_order);
-            let ticket = self.catalog.reserve_ticket(name);
-            if let Some(wal) = &self.wal {
-                sync::lock(wal)
-                    .append(&WalRecord::Mutate {
-                        name: name.to_owned(),
-                        seq: ticket + 1,
-                        ops: ops.to_vec(),
-                    })
-                    .expect("wal append (mutate)");
-                self.since_snapshot.fetch_add(1, Ordering::Relaxed);
-            }
-            ticket
-        };
-        self.catalog
-            .mutate_ticketed(name, ops, ticket)
-            .ok_or_else(|| ServerError::UnknownInstance(name.to_owned()))
+        self.shared.catalog.remove(name)
     }
 
     /// Answer one request **inline on the calling thread** — the wire
     /// front-end's entry point. Connection handlers already run as
     /// detached scheduler jobs, so they must not round-trip through
     /// [`Server::submit`]'s reply channel (a worker blocking on work that
-    /// sits behind it in the injector is a deadlock); instead they
-    /// evaluate here, with intra-request parallelism still fanning out to
-    /// the other workers when configured.
+    /// sits behind it in the injector is a deadlock); instead they run the
+    /// request's steps here, with intra-request parallelism still fanning
+    /// out to the other workers when configured.
     ///
     /// Inline mutations stay deadlock-free under the ticket discipline
     /// because reservation, WAL append, and apply happen in one
     /// un-yielding step: every earlier-ticket holder is simultaneously
     /// *running* on some worker (never parked in a queue), so the wait in
     /// `mutate_ticketed` always bottoms out at the next-to-apply ticket
-    /// making progress.
+    /// making progress. On a durable server the write is fsync'd before it
+    /// applies: by the time the caller sees the outcome, it is recoverable.
     pub fn answer_one(&self, req: &Request) -> Result<Response, ServerError> {
         let started = Instant::now();
-        match &req.action {
+        let _span = telemetry::tracing_enabled().then(|| telemetry::request_span(req.label()));
+        let mut work = self.resolve(req)?;
+        drop(self.reserve(&mut work));
+        Ok(self.shared.run(work, started))
+    }
+
+    /// The resolve step of every request: take the instance snapshot
+    /// (failing on an unknown instance); for a query, probe the answer
+    /// cache at that version and, on a miss, fetch or build the plan.
+    fn resolve<'a>(&self, req: &'a Request) -> Result<Resolved<'a>, ServerError> {
+        let inst = self
+            .shared
+            .catalog
+            .get(&req.instance)
+            .ok_or_else(|| ServerError::UnknownInstance(req.instance.clone()))?;
+        let query = match &req.action {
+            Action::Query(query) => query,
             Action::Mutate(ops) => {
-                let _req_span = telemetry::tracing_enabled()
-                    .then(|| telemetry::request_span(format!("mutation @ {}", req.instance)));
-                let out = self.mutate_instance(&req.instance, ops)?;
-                let latency = started.elapsed();
-                telemetry::record_request(
-                    "mutation",
-                    &req.instance,
-                    "mutation",
-                    latency,
-                    out.applied as u64,
-                );
-                Ok(Response {
-                    answer: Answer::Applied {
-                        applied: out.applied,
-                        seq: out.seq,
-                    },
-                    strategy: "mutation",
-                    latency,
+                return Ok(Resolved::Mutate {
+                    instance: Cow::Borrowed(&req.instance),
+                    ops: Cow::Borrowed(ops),
+                    ticket: 0,
                 })
             }
-            Action::Query(query) => {
-                let inst = self
-                    .catalog
-                    .get(&req.instance)
-                    .ok_or_else(|| ServerError::UnknownInstance(req.instance.clone()))?;
-                let cache_key = query.cache_key();
-                let _req_span = telemetry::tracing_enabled()
-                    .then(|| telemetry::request_span(format!("{cache_key} @ {}", inst.name)));
-                let answer_key = self
-                    .answers
-                    .enabled()
-                    .then(|| format!("{cache_key}|{}#{}", inst.name, inst.version));
-                if let Some(key) = &answer_key {
-                    if let Some(answer) = self.answers.get(key) {
-                        self.note_cached_read(&cache_key, &inst.name);
-                        let latency = started.elapsed();
-                        telemetry::record_request(
-                            &cache_key,
-                            &inst.name,
-                            "cached",
-                            latency,
-                            answer.cardinality(),
-                        );
-                        return Ok(Response {
-                            answer,
-                            strategy: "cached",
-                            latency,
-                        });
-                    }
-                }
-                if !self.adaptive.admit(&inst.name) {
-                    let latency = started.elapsed();
-                    telemetry::record_request(&cache_key, &inst.name, "shed", latency, 0);
-                    return Ok(Response {
-                        answer: Answer::Overloaded,
-                        strategy: "shed",
-                        latency,
-                    });
-                }
-                let plan = self.plans.get_or_build(query, &self.config.plan);
-                let par = (self.config.parallelism > 1)
-                    .then(|| ParCtx::new(self.pool.scheduler(), self.config.par_threshold));
-                let answer = self.adaptive.execute(&plan, &inst, par);
-                if let Some(key) = answer_key {
-                    self.answers.insert(key, answer.clone());
-                }
-                let latency = started.elapsed();
-                self.adaptive.charge(&inst.name, latency.as_micros() as u64);
-                telemetry::record_request(
-                    &cache_key,
-                    &inst.name,
-                    plan.strategy.name(),
-                    latency,
-                    answer.cardinality(),
-                );
-                Ok(Response {
-                    answer,
-                    strategy: plan.strategy.name(),
-                    latency,
-                })
-            }
+        };
+        let program = query.cache_key();
+        let answers = &self.shared.answers;
+        let key = answers
+            .enabled()
+            .then(|| format!("{program}|{}#{}", inst.name, inst.version));
+        if let Some(answer) = key.as_deref().and_then(|k| answers.get(k)) {
+            self.note_cached_read(&program, &inst.name);
+            return Ok(Resolved::Cached {
+                program,
+                inst,
+                answer,
+            });
         }
+        let plan = self
+            .plans
+            .get_or_build_keyed(&program, query, &self.config.plan);
+        Ok(Resolved::Query { plan, inst, key })
+    }
+
+    /// The reserve step of a write: its ticket and, on a durable server,
+    /// its WAL record, both under `mutation_order`, so per-instance log
+    /// order equals ticket order. Returns the held lock (`None` for a
+    /// query): a batch spawns the write's job before releasing it (see
+    /// `Server::spawn`), [`Server::answer_one`] releases it at once.
+    fn reserve(&self, work: &mut Resolved<'_>) -> Option<MutexGuard<'_, ()>> {
+        let Resolved::Mutate {
+            instance,
+            ops,
+            ticket,
+        } = work
+        else {
+            return None;
+        };
+        let order = sync::lock(&self.mutation_order);
+        *ticket = self.shared.catalog.reserve_ticket(instance);
+        if let Some(wal) = &self.wal {
+            sync::lock(wal)
+                .append(&WalRecord::Mutate {
+                    name: instance.to_string(),
+                    seq: *ticket + 1,
+                    ops: ops.to_vec(),
+                })
+                .expect("wal append (mutate)");
+            self.since_snapshot.fetch_add(1, Ordering::Relaxed);
+        }
+        Some(order)
     }
 
     /// A point-in-time snapshot of the process-wide telemetry registry —
     /// counters, gauges, latency histograms, and the per-(program,
-    /// instance) request table fed by the executor and the wire path. The
+    /// instance) request table fed by every request's record step. The
     /// `metrics` wire verb and `replay --metrics` render this as
     /// Prometheus-style text.
     pub fn telemetry_snapshot(&self) -> sirup_core::TelemetrySnapshot {
@@ -686,7 +773,7 @@ impl Server {
     pub fn metrics_text(&self) -> String {
         let mut out = self.telemetry_snapshot().to_prometheus();
         let (ph, pm) = self.plans.stats();
-        let (ah, am) = self.answers.stats();
+        let (ah, am) = self.shared.answers.stats();
         for (name, v) in [
             ("sirup_plan_cache_hits_total", ph),
             ("sirup_plan_cache_misses_total", pm),
@@ -703,7 +790,7 @@ impl Server {
             )
             .unwrap();
         }
-        let routes = self.adaptive.routes();
+        let routes = self.shared.adaptive.routes();
         if !routes.is_empty() {
             let esc = |s: &str| {
                 s.replace('\\', "\\\\")
@@ -729,7 +816,7 @@ impl Server {
     /// The adaptive feedback controller (inert unless enabled in the
     /// config).
     pub fn adaptive(&self) -> &AdaptiveController {
-        &self.adaptive
+        &self.shared.adaptive
     }
 
     /// Feed an answer-cache hit into the adaptive read-run accounting. An
@@ -738,19 +825,19 @@ impl Server {
     /// cache — `peek` avoids skewing the hit/miss statistics. Only
     /// semi-naive programs have a promotion decision to inform.
     fn note_cached_read(&self, cache_key: &str, instance: &str) {
-        if !self.adaptive.enabled() {
+        if !self.shared.adaptive.enabled() {
             return;
         }
         if let Some(plan) = self.plans.peek(cache_key) {
             if matches!(plan.strategy, Strategy::SemiNaive { .. }) {
-                self.adaptive.note_read(cache_key, instance);
+                self.shared.adaptive.note_read(cache_key, instance);
             }
         }
     }
 
     /// Stats of one live instance.
     pub fn instance_stats(&self, name: &str) -> Option<InstanceStats> {
-        let inst = self.catalog.get(name)?;
+        let inst = self.shared.catalog.get(name)?;
         Some(InstanceStats {
             name: inst.name.clone(),
             version: inst.version,
@@ -765,178 +852,93 @@ impl Server {
         })
     }
 
-    /// Resolve every request into a [`Route`]: validate instances (whole
-    /// batch fails on the first unknown name — no partial execution),
-    /// resolve snapshots and plans, and — when `probe_cache` is set —
-    /// probe the answer cache. Mutation tickets are *not* reserved here;
-    /// [`Server::enqueue`] reserves them atomically with the queue append.
-    fn resolve(&self, requests: &[Request], probe_cache: bool) -> Result<Vec<Route>, ServerError> {
-        let mut instances = Vec::with_capacity(requests.len());
-        for r in requests {
-            instances.push(
-                self.catalog
-                    .get(&r.instance)
-                    .ok_or_else(|| ServerError::UnknownInstance(r.instance.clone()))?,
-            );
-        }
-        // One plan fetch per distinct program in the batch.
-        let mut by_key: FxHashMap<String, Arc<crate::plan::Plan>> = FxHashMap::default();
-        let routes = requests
-            .iter()
-            .zip(instances)
-            .map(|(req, inst)| match &req.action {
-                Action::Query(query) => {
-                    let cache_key = query.cache_key();
-                    let answer_key = (probe_cache && self.answers.enabled())
-                        .then(|| format!("{cache_key}|{}#{}", inst.name, inst.version));
-                    if let Some(key) = &answer_key {
-                        if let Some(answer) = self.answers.get(key) {
-                            self.note_cached_read(&cache_key, &inst.name);
-                            return Route::Cached(answer);
-                        }
-                    }
-                    // Admission control (inert unless a token bucket is
-                    // configured): shed queries *before* they reach the
-                    // scheduler queue. Mutations are never shed — they are
-                    // durable writes the client was promised ordering for.
-                    if !self.adaptive.admit(&inst.name) {
-                        return Route::Shed;
-                    }
-                    let plan = by_key
-                        .entry(cache_key)
-                        .or_insert_with(|| self.plans.get_or_build(query, &self.config.plan))
-                        .clone();
-                    Route::Evaluate(
-                        Work::Answer {
-                            plan,
-                            instance: inst,
-                        },
-                        answer_key,
-                    )
-                }
-                Action::Mutate(ops) => Route::Evaluate(
-                    Work::Mutate {
-                        catalog: Arc::clone(&self.catalog),
-                        instance: req.instance.clone(),
-                        ops: Arc::new(ops.clone()),
-                        ticket: 0, // reserved at enqueue time
-                    },
-                    None,
-                ),
-            })
-            .collect();
-        Ok(routes)
-    }
-
-    /// Append a job to the pool queue. For mutations, the ticket is
-    /// reserved *here*, under a lock covering both the reservation and the
-    /// queue append: workers redeem tickets strictly in order by blocking
-    /// in `mutate_ticketed`, which is deadlock-free only if, per instance,
-    /// tickets enter the FIFO queue in reservation order (the job holding
-    /// the next-to-apply ticket is then always dequeued — and therefore
-    /// finishable — before any job that waits on it). Reserving at
-    /// resolve time instead would let an arrival-sorted open-loop replay
-    /// or a racing second submitter enqueue tickets out of order and hang
-    /// the pool.
-    fn enqueue(&self, idx: usize, work: Work, reply: &std::sync::mpsc::Sender<Completion>) {
-        let job = |work: Work| Job {
-            idx,
-            work,
-            enqueued: Instant::now(),
-            reply: reply.clone(),
-        };
-        match work {
-            Work::Mutate {
-                catalog,
-                instance,
-                ops,
-                ..
-            } => {
-                let _order = sync::lock(&self.mutation_order);
-                let ticket = self.catalog.reserve_ticket(&instance);
-                if let Some(wal) = &self.wal {
-                    sync::lock(wal)
-                        .append(&WalRecord::Mutate {
-                            name: instance.clone(),
-                            seq: ticket + 1,
-                            ops: ops.as_ref().clone(),
-                        })
-                        .expect("wal append (batch mutate)");
-                    self.since_snapshot.fetch_add(1, Ordering::Relaxed);
-                }
-                self.pool.submit(job(Work::Mutate {
-                    catalog,
-                    instance,
-                    ops,
-                    ticket,
-                }));
-            }
-            w => self.pool.submit(job(w)),
-        }
-    }
-
-    /// Drain completions into the response slots, remembering cacheable
-    /// answers.
-    fn collect(
+    /// Spawn one resolved and reserved request as a detached job on the
+    /// scheduler; its response comes back on `reply` under `idx`, and
+    /// `label` (present while tracing) names its root trace span.
+    ///
+    /// Ticket order: a write's job is spawned while the reserve step still
+    /// holds `mutation_order`, so per instance tickets enter the
+    /// scheduler's FIFO injector in reservation order. Workers start
+    /// injector jobs strictly in FIFO order and helping threads never pop
+    /// the injector, so the job holding the next-to-apply ticket is always
+    /// started before any job that waits on it in `mutate_ticketed`, and a
+    /// blocked waiter can never starve the workers. Reserving at resolve
+    /// time instead would let an arrival-sorted paced replay or a racing
+    /// second submitter enqueue tickets out of order and hang the
+    /// scheduler.
+    fn spawn(
         &self,
-        done: std::sync::mpsc::Receiver<Completion>,
-        responses: &mut [Option<Response>],
-        keys: &mut FxHashMap<usize, String>,
+        idx: usize,
+        work: Resolved<'static>,
+        label: Option<String>,
+        reply: &Sender<(usize, Response)>,
     ) {
-        for c in done {
-            if let Some(key) = keys.remove(&c.idx) {
-                // Never cache a shed marker: `Overloaded` reflects this
-                // instant's bucket, not the query's answer at this version.
-                if c.answer != Answer::Overloaded {
-                    self.answers.insert(key, c.answer.clone());
-                }
-            }
-            responses[c.idx] = Some(Response {
-                answer: c.answer,
-                strategy: c.strategy,
-                latency: c.latency,
-            });
-        }
+        let shared = Arc::clone(&self.shared);
+        let reply = reply.clone();
+        let enqueued = Instant::now();
+        self.shared.sched.spawn(move || {
+            let _span = label.map(telemetry::request_span);
+            let response = shared.run(work, enqueued);
+            // The batch collector may have given up (a panic elsewhere); a
+            // closed reply channel is not this job's problem.
+            let _ = reply.send((idx, response));
+        });
     }
 
     /// Answer a batch. Requests are validated up front (no partial
-    /// execution on error); responses come back in request order. Requests
-    /// sharing a program share one plan fetch; queries already answered
-    /// for the resolved instance version are served from the answer cache
-    /// without touching the pool; mutations apply in request order per
-    /// instance.
+    /// execution on error); responses come back in request order. Queries
+    /// already answered for the resolved instance version are served from
+    /// the answer cache without touching the scheduler; mutations apply in
+    /// request order per instance.
     pub fn submit(&self, requests: &[Request]) -> Result<Vec<Response>, ServerError> {
-        let routes = self.resolve(requests, true)?;
+        self.submit_paced(requests, None)
+    }
+
+    /// The batch loop behind [`Server::submit`] and [`Server::replay`].
+    /// Every request is resolved before any runs, so an unknown instance
+    /// fails the whole batch, every query answers against its
+    /// submission-time snapshot, and cold plan builds happen before the
+    /// pacing clock starts. Then each request is reserved and spawned in
+    /// turn — with `arrivals`, in arrival order and not before its virtual
+    /// arrival offset (a late stream never sleeps to catch up), so
+    /// same-instance mutations apply in arrival order — while answer-cache
+    /// hits are answered inline.
+    fn submit_paced(
+        &self,
+        requests: &[Request],
+        arrivals: Option<&[u64]>,
+    ) -> Result<Vec<Response>, ServerError> {
+        let mut resolved = requests
+            .iter()
+            .map(|r| self.resolve(r).map(Some))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut order: Vec<usize> = (0..requests.len()).collect();
+        if let Some(arrivals) = arrivals {
+            order.sort_by_key(|&i| arrivals[i]);
+        }
         let mut responses: Vec<Option<Response>> = vec![None; requests.len()];
-        let mut keys: FxHashMap<usize, String> = FxHashMap::default();
-        let (reply, done) = channel::<Completion>();
-        let submitted = Instant::now();
-        for (idx, route) in routes.into_iter().enumerate() {
-            match route {
-                Route::Cached(answer) => {
-                    responses[idx] = Some(Response {
-                        answer,
-                        strategy: "cached",
-                        latency: submitted.elapsed(),
-                    });
+        let (reply, done) = channel();
+        let start = Instant::now();
+        for i in order {
+            if let Some(arrivals) = arrivals {
+                let due = Duration::from_micros(arrivals[i]);
+                if let Some(wait) = due.checked_sub(start.elapsed()) {
+                    std::thread::sleep(wait);
                 }
-                Route::Shed => {
-                    responses[idx] = Some(Response {
-                        answer: Answer::Overloaded,
-                        strategy: "shed",
-                        latency: submitted.elapsed(),
-                    });
-                }
-                Route::Evaluate(work, key) => {
-                    if let Some(key) = key {
-                        keys.insert(idx, key);
-                    }
-                    self.enqueue(idx, work, &reply);
-                }
+            }
+            let mut work = resolved[i].take().expect("each request runs once");
+            let _order = self.reserve(&mut work);
+            if let Resolved::Cached { .. } = work {
+                responses[i] = Some(self.shared.run(work, Instant::now()));
+            } else {
+                let label = telemetry::tracing_enabled().then(|| requests[i].label());
+                self.spawn(i, work.into_owned(), label, &reply);
             }
         }
         drop(reply);
-        self.collect(done, &mut responses, &mut keys);
+        for (i, response) in done {
+            responses[i] = Some(response);
+        }
         Ok(responses
             .into_iter()
             .map(|r| r.expect("every request completes"))
@@ -957,11 +959,10 @@ impl Server {
             .iter()
             .map(Request::from_traffic)
             .collect::<Result<_, _>>()?;
+        let arrivals: Vec<u64> = spec.requests.iter().map(|r| r.arrival_us).collect();
+        let paced = (mode == ReplayMode::Open).then_some(&arrivals[..]);
         let started = Instant::now();
-        let responses = match mode {
-            ReplayMode::Closed => self.submit(&requests)?,
-            ReplayMode::Open => self.submit_paced(&requests, spec)?,
-        };
+        let responses = self.submit_paced(&requests, paced)?;
         let elapsed = started.elapsed();
 
         let mut per_kind: FxHashMap<&str, usize> = FxHashMap::default();
@@ -1000,67 +1001,19 @@ impl Server {
             mutation_ops_applied,
             latency: LatencyStats::from_durations(&latencies),
             plan_cache: self.plans.stats(),
-            answer_cache: self.answers.stats(),
+            answer_cache: self.shared.answers.stats(),
             plans_resident: self.plans.len(),
             answers: responses.into_iter().map(|r| r.answer).collect(),
         })
     }
+}
 
-    /// Open-loop submission: requests enter the queue at (roughly) their
-    /// virtual arrival offsets; a late stream never sleeps to catch up.
-    /// Plans are resolved *before* the pacing clock starts, so cold plan
-    /// builds cannot distort the arrival process being measured; mutation
-    /// tickets are reserved at each job's enqueue, so same-instance
-    /// mutations apply in **arrival order** (for specs with nondecreasing
-    /// arrivals — every generated/rendered one — this equals stream
-    /// order). The answer cache is deliberately not probed: open-loop runs
-    /// measure evaluation latency under load.
-    fn submit_paced(
-        &self,
-        requests: &[Request],
-        spec: &TrafficSpec,
-    ) -> Result<Vec<Response>, ServerError> {
-        let mut routes: Vec<Option<Route>> = self
-            .resolve(requests, false)?
-            .into_iter()
-            .map(Some)
-            .collect();
-        let mut order: Vec<usize> = (0..requests.len()).collect();
-        order.sort_by_key(|&i| spec.requests[i].arrival_us);
-        let (reply, done) = channel::<Completion>();
-        let mut responses: Vec<Option<Response>> = vec![None; requests.len()];
-        let mut keys: FxHashMap<usize, String> = FxHashMap::default();
-        let start = Instant::now();
-        for &i in &order {
-            let due = Duration::from_micros(spec.requests[i].arrival_us);
-            if let Some(wait) = due.checked_sub(start.elapsed()) {
-                std::thread::sleep(wait);
-            }
-            match routes[i].take().expect("each request submits once") {
-                Route::Cached(_) => {
-                    unreachable!("resolve(probe_cache = false) never produces cached routes")
-                }
-                Route::Shed => {
-                    responses[i] = Some(Response {
-                        answer: Answer::Overloaded,
-                        strategy: "shed",
-                        latency: start.elapsed(),
-                    });
-                }
-                Route::Evaluate(work, key) => {
-                    if let Some(key) = key {
-                        keys.insert(i, key);
-                    }
-                    self.enqueue(i, work, &reply);
-                }
-            }
-        }
-        drop(reply);
-        self.collect(done, &mut responses, &mut keys);
-        Ok(responses
-            .into_iter()
-            .map(|r| r.expect("every request completes"))
-            .collect())
+impl Drop for Server {
+    /// Drain-then-join: every queued job — so every reserved mutation
+    /// ticket — completes before the workers exit, and every in-flight
+    /// request still gets its response.
+    fn drop(&mut self) {
+        self.shared.sched.shutdown();
     }
 }
 
@@ -1073,7 +1026,6 @@ mod tests {
     fn tiny_server() -> Server {
         let s = Server::new(ServerConfig {
             threads: 2,
-            shards: 2,
             plan_cache: 8,
             answer_cache: 16,
             ..ServerConfig::default()
@@ -1157,11 +1109,14 @@ mod tests {
         let s = tiny_server();
         let err = s.submit(&[pi_req("yes"), pi_req("missing")]).unwrap_err();
         assert_eq!(err, ServerError::UnknownInstance("missing".to_owned()));
-        // The failed batch reserved no tickets: a direct mutation proceeds.
-        assert!(s
-            .mutate_instance("yes", &[FactOp::AddLabel(Pred::A, Node(0))])
-            .is_ok());
-        assert!(s.mutate_instance("missing", &[]).is_err());
+        // The failed batch reserved no tickets: an inline mutation proceeds.
+        let add = Request::mutation(vec![FactOp::AddLabel(Pred::A, Node(0))], "yes");
+        assert!(s.answer_one(&add).is_ok());
+        let err = s.answer_one(&Request::mutation(vec![], "missing"));
+        assert_eq!(
+            err.unwrap_err(),
+            ServerError::UnknownInstance("missing".to_owned())
+        );
     }
 
     #[test]
@@ -1232,14 +1187,12 @@ mod tests {
         // read runs the controller feeds on are exactly the submits below.
         let adaptive = Server::new(ServerConfig {
             threads: 1,
-            shards: 2,
             plan_cache: 8,
             answer_cache: 0,
             adaptive: AdaptiveConfig {
                 enabled: true,
                 promote_after_reads: 2,
                 demote_after_writes: 2,
-                ..AdaptiveConfig::default()
             },
             ..ServerConfig::default()
         });
@@ -1247,7 +1200,6 @@ mod tests {
         // answer must match it, whichever route served.
         let oracle = Server::new(ServerConfig {
             threads: 1,
-            shards: 2,
             plan_cache: 8,
             answer_cache: 0,
             ..ServerConfig::default()
@@ -1340,5 +1292,131 @@ mod tests {
         assert_eq!(stats.unary_atoms + stats.binary_atoms, 3);
         assert_eq!(stats.materializations.len(), 1);
         assert!(s.instance_stats("missing").is_none());
+    }
+
+    /// Both entry points run the same steps: with adaptive routing on, a
+    /// read run promotes Σ_q4 and the following write run demotes it again,
+    /// whether the requests come inline or batched.
+    #[test]
+    fn inline_and_batched_write_runs_both_demote() {
+        use crate::adaptive::AdaptiveConfig;
+        let q4 = Query::SigmaAnswers(OneCq::parse("F(x), R(y,x), R(y,z), T(z)"));
+        for inline in [true, false] {
+            // No answer cache: both reads evaluate, so the second attaches.
+            let s = Server::new(ServerConfig {
+                threads: 1,
+                answer_cache: 0,
+                adaptive: AdaptiveConfig {
+                    enabled: true,
+                    promote_after_reads: 2,
+                    demote_after_writes: 1,
+                },
+                ..ServerConfig::default()
+            });
+            s.load_instance("d", st("F(u), R(v,u), R(v,w), T(w)"));
+            let send = |req: Request| {
+                if inline {
+                    s.answer_one(&req).unwrap()
+                } else {
+                    s.submit(&[req]).unwrap().remove(0)
+                }
+            };
+            let mats = || s.catalog().get("d").unwrap().materialization_count();
+            for _ in 0..2 {
+                assert_eq!(send(Request::query(q4.clone(), "d")).strategy, "semi-naive");
+            }
+            assert_eq!(mats(), 1, "two reads promote (inline: {inline})");
+            for i in 0..2 {
+                send(Request::mutation(
+                    vec![FactOp::AddLabel(Pred::A, Node(10 + i))],
+                    "d",
+                ));
+            }
+            assert_eq!(mats(), 0, "the write run demotes (inline: {inline})");
+        }
+    }
+
+    /// Answer-cache hits reach the per-(program, instance) table on both
+    /// entry points.
+    #[test]
+    fn cached_hits_are_recorded_inline_and_batched() {
+        let s = tiny_server();
+        let q4 = Query::PiGoal(OneCq::parse("F(x), R(y,x), R(y,z), T(z)"));
+        for (inline, name) in [(true, "per-key-inline"), (false, "per-key-batched")] {
+            s.load_instance(name, st("F(u), R(v,u), R(v,w), T(w)"));
+            let req = Request::query(q4.clone(), name);
+            for _ in 0..2 {
+                if inline {
+                    s.answer_one(&req).unwrap();
+                } else {
+                    s.submit(std::slice::from_ref(&req)).unwrap();
+                }
+            }
+            let row = telemetry::snapshot()
+                .keys
+                .into_iter()
+                .find(|k| k.instance == name)
+                .expect("a per-key row for the instance");
+            assert_eq!(
+                row.strategies,
+                vec![("semi-naive", 1), ("cached", 1)],
+                "inline: {inline}"
+            );
+        }
+    }
+
+    /// Dropping the server while ticketed write jobs are still queued must
+    /// neither deadlock (queued tickets drain in order, so no waiter
+    /// starves) nor lose a response.
+    #[test]
+    fn drop_with_queued_writes_drains_cleanly() {
+        let s = Server::new(ServerConfig {
+            threads: 2,
+            ..ServerConfig::default()
+        });
+        s.load_instance("d", st("T(a), A(b), R(b,a)"));
+        let shared = Arc::clone(&s.shared);
+        // Alternate removing and re-adding one label so every op is
+        // effective, all against one instance (maximal ticket contention).
+        let total = 24;
+        let reqs: Vec<Request> = (0..total)
+            .map(|i| {
+                let op = if i % 2 == 0 {
+                    FactOp::RemoveLabel(Pred::T, Node(0))
+                } else {
+                    FactOp::AddLabel(Pred::T, Node(0))
+                };
+                Request::mutation(vec![op], "d")
+            })
+            .collect();
+        let (reply, done) = channel();
+        for (idx, req) in reqs.iter().enumerate() {
+            let mut work = s.resolve(req).unwrap();
+            let _order = s.reserve(&mut work);
+            s.spawn(idx, work.into_owned(), None, &reply);
+        }
+        drop(reply);
+        // Most jobs are still queued: dropping the server drains them.
+        drop(s);
+        let mut seen: Vec<usize> = done
+            .iter()
+            .map(|(idx, r)| {
+                assert_eq!(r.strategy, "mutation");
+                let Answer::Applied { applied, seq } = r.answer else {
+                    panic!("write answered {:?}", r.answer);
+                };
+                assert_eq!((applied, seq), (1, idx as u64 + 1), "ticket order");
+                idx
+            })
+            .collect();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..total).collect::<Vec<_>>(), "lost responses");
+        // An even total ends on an add: the label is present, and the
+        // whole ticket range was redeemed, so a fresh write does not block.
+        let catalog = &shared.catalog;
+        assert!(catalog.get("d").unwrap().data.has_label(Node(0), Pred::T));
+        assert!(catalog
+            .mutate("d", &[FactOp::AddLabel(Pred::A, Node(0))])
+            .is_some());
     }
 }

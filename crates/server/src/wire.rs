@@ -56,7 +56,7 @@
 //! `peek` before yielding the worker the same way.
 //!
 //! Requests are evaluated **inline** via [`Server::answer_one`] — never
-//! round-tripped through the batch executor: a connection job blocking on
+//! round-tripped through a batch's jobs: a connection job blocking on
 //! a reply channel while the work it waits for sits *behind it* in the
 //! injector would deadlock. The scheduler's owner-never-pops-injector
 //! invariant keeps the FIFO discipline intact for the re-spawned jobs
@@ -418,7 +418,6 @@ fn render_answer(answer: &Answer) -> String {
             format!("answer nodes {}", list.join(","))
         }
         Answer::Applied { applied, seq } => format!("answer applied {applied} seq {seq}"),
-        Answer::Overloaded => "error overloaded: request shed by admission control".to_owned(),
     }
 }
 

@@ -19,7 +19,6 @@ use sirup_workloads::{d1, d2, paper};
 fn four_thread_server() -> Server {
     Server::new(ServerConfig {
         threads: 4,
-        shards: 4,
         plan_cache: 64, // all_queries() builds ~42 distinct plans; no evictions wanted here
         answer_cache: 0, // strategy-path asserts want every submit evaluated
         ..ServerConfig::default()
@@ -332,7 +331,6 @@ fn parallel_server_matches_engine() {
         threads: 4,
         parallelism: 4,
         par_threshold: 2,
-        shards: 4,
         plan_cache: 64,
         answer_cache: 0,
         ..ServerConfig::default()

@@ -29,7 +29,6 @@ use sirup_workloads::traffic::{parse_workload, TrafficAction, TrafficSpec};
 fn server(threads: usize, answer_cache: usize) -> Server {
     Server::new(ServerConfig {
         threads,
-        shards: 4,
         plan_cache: 64,
         answer_cache,
         ..ServerConfig::default()
@@ -161,7 +160,7 @@ fn open_loop_replay_applies_the_same_final_state() {
 
 /// Open-loop replay submits in arrival order, which may differ from the
 /// request-stream (ticket-reservation-at-resolve would invert ticket vs
-/// queue order here and hang the pool — the regression this test pins):
+/// queue order here and hang the scheduler — the regression this test pins):
 /// decreasing arrivals must complete and apply mutations in arrival order.
 #[test]
 fn open_loop_out_of_order_arrivals_do_not_deadlock() {
@@ -214,9 +213,12 @@ fn racing_submitters_single_worker_do_not_deadlock() {
             h.join().unwrap();
         }
     });
-    // All 40 tickets redeemed: a fresh direct mutation does not block.
+    // All 40 tickets redeemed: a fresh inline mutation does not block.
     assert!(s
-        .mutate_instance("d", &[FactOp::AddLabel(Pred::F, Node(0))])
+        .answer_one(&Request::mutation(
+            vec![FactOp::AddLabel(Pred::F, Node(0))],
+            "d"
+        ))
         .is_ok());
 }
 
@@ -340,7 +342,6 @@ fn parallel_mutation_replay_matches_engine() {
         threads: 4,
         parallelism: 4,
         par_threshold: 2,
-        shards: 4,
         plan_cache: 64,
         answer_cache: 0,
         ..ServerConfig::default()

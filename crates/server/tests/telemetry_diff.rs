@@ -15,7 +15,6 @@ use sirup_workloads::traffic::{parse_workload, TrafficSpec};
 fn replay_answers(spec: &TrafficSpec) -> Vec<String> {
     let server = Server::new(ServerConfig {
         threads: 4,
-        shards: 4,
         ..ServerConfig::default()
     });
     let report = server.replay(spec, ReplayMode::Closed).unwrap();

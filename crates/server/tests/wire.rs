@@ -291,7 +291,6 @@ fn wire_replay_matches_in_process_replay() {
                     format!("answer nodes {}", list.join(","))
                 }
                 Answer::Applied { .. } => unreachable!("query answered with Applied"),
-                Answer::Overloaded => unreachable!("adaptive admission is off in this test"),
             }
         })
         .collect();

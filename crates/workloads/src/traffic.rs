@@ -389,7 +389,7 @@ pub fn scaling_traffic(nodes: usize, requests: usize, seed: u64) -> TrafficSpec 
 /// `sirupctl serve --phases --emit` renders it (the bundled
 /// `workloads/phases.sirupload` is this spec at its committed size), and
 /// the CI adaptive smoke replays it with `--adaptive` asserting the
-/// promotion/shed counters move. Deterministic in
+/// promotion counter moves. Deterministic in
 /// `(per_phase, seed)`; arrivals are strictly nondecreasing.
 pub fn phase_traffic(per_phase: usize, seed: u64) -> TrafficSpec {
     let mut rng = StdRng::seed_from_u64(seed);

@@ -18,8 +18,9 @@
 //! * [`schemaorg`] — Prop. 5 (Schema.org / DL-Lite_bool presentations);
 //! * [`workloads`] — the paper's named objects (q1…q8, D1, D2), generators,
 //!   and the traffic/workload-file machinery;
-//! * [`server`] — the concurrent certain-answer query service (sharded
-//!   instance catalog, plan cache, batch executor).
+//! * [`server`] — the concurrent certain-answer query service (versioned
+//!   instance catalog, plan and answer caches, one request path run
+//!   inline or batched on a work-stealing scheduler).
 //!
 //! See `README.md` for a quickstart, `DESIGN.md` for the system inventory,
 //! and `EXPERIMENTS.md` for the paper-claim vs. measured index.
