@@ -51,7 +51,7 @@ fn server_mutation(c: &mut Criterion) {
     // materialisations.
     for threads in [1usize, 4] {
         let s = server(threads);
-        s.load_instance("d1", paper::d1());
+        s.load_instance("d1", paper::d1()).unwrap();
         for q in [
             Query::PiGoal(paper::q4_cq()),
             Query::SigmaAnswers(paper::q4_cq()),
@@ -125,7 +125,8 @@ fn server_mutation(c: &mut Criterion) {
     let scales = [("1x", 256usize), ("10x", 2560), ("100x", 25600)];
     for (tag, half) in scales {
         let s = server(1);
-        s.load_instance("big", bipartite_tangle(half, 2, 77));
+        s.load_instance("big", bipartite_tangle(half, 2, 77))
+            .unwrap();
         g.bench_with_input(BenchmarkId::new("32req", tag), &toggles(32), |b, reqs| {
             b.iter(|| s.submit(reqs).unwrap());
         });
@@ -136,7 +137,8 @@ fn server_mutation(c: &mut Criterion) {
     let read = Request::query(Query::PiGoal(paper::q5()), "big");
     for (tag, half) in scales {
         let s = server(1);
-        s.load_instance("big", bipartite_tangle(half, 2, 77));
+        s.load_instance("big", bipartite_tangle(half, 2, 77))
+            .unwrap();
         s.answer_one(&read).unwrap(); // plan built, CSR view frozen
         g.bench_with_input(
             BenchmarkId::new("write_read", tag),
@@ -157,7 +159,8 @@ fn server_mutation(c: &mut Criterion) {
     let sigma = Request::query(Query::SigmaAnswers(paper::q4_cq()), "big");
     for (tag, half) in scales {
         let s = server(1);
-        s.load_instance("big", bipartite_tangle(half, 2, 77));
+        s.load_instance("big", bipartite_tangle(half, 2, 77))
+            .unwrap();
         s.answer_one(&sigma).unwrap(); // materialisation attached
         g.bench_with_input(
             BenchmarkId::new("maintained", tag),

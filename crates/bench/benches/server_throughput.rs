@@ -97,7 +97,7 @@ fn server_throughput(c: &mut Criterion) {
     }
     {
         let s = server(4);
-        s.load_instance("d1", paper::d1());
+        s.load_instance("d1", paper::d1()).unwrap();
         let req = Request::query(q5.clone(), "d1");
         s.submit(std::slice::from_ref(&req)).unwrap(); // warm
         g.bench_function(BenchmarkId::from_parameter("plan_warm_fetch_q5"), |b| {

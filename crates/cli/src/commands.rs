@@ -907,7 +907,7 @@ fn cmd_stats(args: &Args) -> Result<String, CliError> {
         .unwrap();
         // Retained vs live: how much of the retained storage is versioning
         // overhead (reclaimable by a version-GC pass at most), and how much
-        // extra the cached CSR read snapshot holds on top.
+        // extra the snapshot's CSR view holds on top.
         writeln!(
             out,
             "  live      : ~{} B live facts (~{} B version overhead), csr snapshot ~{} B",

@@ -16,12 +16,12 @@
 //! of word-parallel row intersections instead of a per-node admissibility
 //! scan.
 //!
-//! **Maintained under deltas.** A view never changes once built, but
-//! [`FrozenStructure::apply`] derives the view of the mutated structure
-//! from it in O(ops), LSM-style (O'Neil et al., *The Log-Structured
-//! Merge-Tree*, 1996):
+//! **Maintained under deltas.** [`FrozenStructure::apply_all`] applies
+//! ops to a view in O(ops), LSM-style (O'Neil et al., *The
+//! Log-Structured Merge-Tree*, 1996), and a clone taken before the call
+//! keeps reading as it did:
 //!
-//! * the base CSR arrays are `Arc`-shared between the two views;
+//! * the base CSR arrays are `Arc`-shared between the clone and the result;
 //! * each adjacency row an op touches is rewritten into a small
 //!   per-(predicate, direction) overlay, guarded by a [`NodeSet`] of
 //!   patched nodes — reading an unpatched row costs one bit test on top
@@ -34,16 +34,15 @@
 //!
 //! The staleness contract: a view reads exactly like
 //! [`FrozenStructure::freeze`] of the structure **as of its build or its
-//! last `apply`** — the same contract as [`crate::index::PredIndex`]. The
-//! server catalog freezes one lazily per instance and carries it across
-//! every later mutation with `apply`; the datalog engine freezes the data
-//! once per evaluation and reads it in full mode, with the labels it
-//! derives laid over the view's rows as an overlay — see
-//! [`crate::Target::with_label_rows`]. A view is always read in full mode:
-//! its label rows are as current as its edges.
-//!
-//! Both freeze only at or above [`FREEZE_EDGE_THRESHOLD`] edges
-//! ([`FrozenStructure::freeze_if_large`]).
+//! last `apply_all`**. The server catalog freezes one per instance at load
+//! and carries it to every later snapshot by clone + `apply_all`, so every
+//! snapshot has one; the datalog engine, the DPLL search and UCQ answer
+//! sweeps freeze plain data once per evaluation (only at or above
+//! [`FREEZE_EDGE_THRESHOLD`] edges, [`FrozenStructure::freeze_if_large`])
+//! and read it in full mode, with the labels they derive laid over the
+//! view's rows as an overlay — see [`crate::Target::with_label_rows`]. A
+//! view is always read in full mode: its label rows are as current as its
+//! edges.
 
 use crate::bitset::NodeSet;
 use crate::delta::FactOp;
@@ -54,10 +53,10 @@ use crate::symbols::Pred;
 use crate::telemetry::{self, Counter};
 use std::sync::Arc;
 
-/// Self-freeze gate: below this many edges a view costs more to build
-/// than the page chases it saves, so small instances stay on live reads.
-/// Shared by the fixpoint, the DPLL search, UCQ answer sweeps and the
-/// server's per-snapshot view.
+/// Self-freeze gate: below this many edges a view built for one
+/// evaluation costs more than the page chases it saves, so small plain
+/// structures stay on live reads. Shared by the fixpoint, the DPLL search
+/// and UCQ answer sweeps; a catalog snapshot always carries its view.
 pub const FREEZE_EDGE_THRESHOLD: usize = 64;
 
 /// An overlay folds into its base once its size (patched rows plus their
@@ -76,7 +75,7 @@ struct Adj {
     offsets: Arc<[u32]>,
     /// Flat neighbour array, grouped by source node, sorted within a group.
     targets: Arc<[Node]>,
-    /// Rows rewritten by [`FrozenStructure::apply`] since the last fold;
+    /// Rows rewritten by [`FrozenStructure::apply_all`] since the last fold;
     /// behind an `Arc` so untouched adjacencies carry for a pointer bump
     /// and an unpatched one stays as compact as a bare CSR.
     patch: Option<Arc<Patch>>,
@@ -216,7 +215,7 @@ impl Adj {
 /// A cache-friendly read snapshot of a [`Structure`]: per-pred CSR
 /// adjacency in both directions, plus bitmap rows for labels and edge
 /// endpoints. Built by [`FrozenStructure::freeze`], carried across
-/// mutations by [`FrozenStructure::apply`]; see the module docs for the
+/// mutations by [`FrozenStructure::apply_all`]; see the module docs for the
 /// staleness contract.
 #[derive(Debug, Clone, Default)]
 pub struct FrozenStructure {
@@ -302,39 +301,37 @@ impl FrozenStructure {
         (s.edge_count() >= FREEZE_EDGE_THRESHOLD).then(|| FrozenStructure::freeze(s))
     }
 
-    /// The view of this view's structure after `ops` (applied in order,
-    /// with [`Structure::apply`]'s set and node-growth semantics). Reads
-    /// exactly like [`FrozenStructure::freeze`] of the mutated structure;
-    /// `self` is left untouched and shares every unwritten array and row
-    /// with the result. O(ops) apart from the amortised overlay folds.
-    pub fn apply(&self, ops: &[FactOp]) -> FrozenStructure {
-        let mut next = self.clone();
-        for &op in ops {
-            next.apply_op(op);
-        }
-        let n = next.node_count;
-        for adj in next.out.values_mut().chain(next.inn.values_mut()) {
+    /// Apply `ops` in order, with [`Structure::apply_all`]'s set and
+    /// node-growth semantics, and return how many changed the view. The
+    /// view then reads exactly like [`FrozenStructure::freeze`] of the
+    /// mutated structure. A clone taken before the call is left untouched
+    /// and shares every unwritten array and row with the result, so
+    /// carrying a view to the next snapshot is clone + `apply_all`: O(ops)
+    /// apart from the amortised overlay folds.
+    pub fn apply_all(&mut self, ops: &[FactOp]) -> usize {
+        let applied = ops.iter().filter(|&&op| self.apply_op(op)).count();
+        let n = self.node_count;
+        for adj in self.out.values_mut().chain(self.inn.values_mut()) {
             adj.maybe_fold(n);
         }
-        next
+        applied
     }
 
-    fn apply_op(&mut self, op: FactOp) {
+    /// Apply one op; `true` iff the view changed.
+    fn apply_op(&mut self, op: FactOp) -> bool {
         match op {
             FactOp::AddLabel(p, v) => {
                 self.grow(v.index() + 1);
-                set_bit(&mut self.labels, p, v, self.node_count, true);
+                set_bit(&mut self.labels, p, v, self.node_count, true)
             }
-            FactOp::RemoveLabel(p, v) => {
-                set_bit(&mut self.labels, p, v, self.node_count, false);
-            }
+            FactOp::RemoveLabel(p, v) => set_bit(&mut self.labels, p, v, self.node_count, false),
             FactOp::AddEdge(p, u, v) | FactOp::RemoveEdge(p, u, v) => {
                 let add = op.is_insert();
                 if add {
                     self.grow(u.max(v).index() + 1);
                 }
                 if self.has_edge(p, u, v) == add {
-                    return; // set semantics: a duplicate insert or absent retract
+                    return false; // set semantics: a duplicate insert or absent retract
                 }
                 let n = self.node_count;
                 if add {
@@ -346,6 +343,7 @@ impl FrozenStructure {
                 let has_inn = self.inn.entry(p).or_default().toggle(v, u, add, n);
                 set_bit(&mut self.sources, p, u, n, has_out);
                 set_bit(&mut self.sinks, p, v, n, has_inn);
+                true
             }
         }
     }
@@ -452,17 +450,21 @@ impl FrozenStructure {
 
 /// Set (`on`) or clear `v`'s bit in `p`'s row of `rows`, copying the row
 /// first only if the bit actually changes and the row is shared. A new
-/// row is dimensioned to the `n`-node universe.
-fn set_bit(rows: &mut FxHashMap<Pred, Arc<NodeSet>>, p: Pred, v: Node, n: usize, on: bool) {
+/// row is dimensioned to the `n`-node universe. Returns whether the bit
+/// changed.
+fn set_bit(rows: &mut FxHashMap<Pred, Arc<NodeSet>>, p: Pred, v: Node, n: usize, on: bool) -> bool {
     if on {
         let row = rows.entry(p).or_insert_with(|| Arc::new(NodeSet::empty(n)));
-        if !row.contains(v) {
-            Arc::make_mut(row).insert(v);
+        if row.contains(v) {
+            return false;
         }
-    } else if let Some(row) = rows.get_mut(&p) {
-        if row.contains_checked(v) {
-            Arc::make_mut(row).remove(v);
-        }
+        Arc::make_mut(row).insert(v);
+        true
+    } else if let Some(row) = rows.get_mut(&p).filter(|row| row.contains_checked(v)) {
+        Arc::make_mut(row).remove(v);
+        true
+    } else {
+        false
     }
 }
 
@@ -510,14 +512,18 @@ mod tests {
     }
 
     #[test]
-    fn apply_shares_the_base_and_leaves_the_source_view_alone() {
+    fn apply_all_shares_the_base_and_leaves_a_clone_alone() {
         let s = st("F(a), R(a,b), R(b,c), S(c,a)");
         let f = FrozenStructure::freeze(&s);
-        let g = f.apply(&[
+        let mut g = f.clone();
+        let applied = g.apply_all(&[
             FactOp::AddEdge(Pred::R, Node(0), Node(2)),
+            FactOp::AddEdge(Pred::R, Node(0), Node(2)), // duplicate: no-op
             FactOp::RemoveLabel(Pred::F, Node(0)),
-            FactOp::AddLabel(Pred::T, Node(4)), // grows the universe
+            FactOp::RemoveLabel(Pred::A, Node(0)), // absent: no-op
+            FactOp::AddLabel(Pred::T, Node(4)),    // grows the universe
         ]);
+        assert_eq!(applied, 3);
         // Untouched arrays are the same allocations, not copies (R's tiny
         // base folds at once, so only S's stays shared here).
         assert!(Arc::ptr_eq(

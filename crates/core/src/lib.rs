@@ -13,19 +13,18 @@
 //!   `F`-node) and general d-sirup CQs,
 //! * monadic datalog [`program::Program`]s and the constructors `Π_q`, `Σ_q`
 //!   and the disjunctive `Δ_q` of the paper (§2, rules (1)–(7)),
-//! * prebuilt per-predicate indexes over structures ([`index::PredIndex`]),
-//!   used by the hom engine and the query service for repeated global
-//!   per-predicate lookups,
 //! * CSR-style frozen read snapshots ([`csr::FrozenStructure`]) — contiguous
-//!   per-predicate adjacency arrays and label bitmap rows for the hot
-//!   evaluation loops, built once per catalog snapshot,
+//!   per-predicate adjacency arrays plus label and edge-endpoint bitmap
+//!   rows for the hot evaluation loops; the query service's one index per
+//!   catalog snapshot, carried across writes,
 //! * one borrowed read target per evaluation ([`target::Target`]): the
-//!   data plus its optional index, view and parallel context,
+//!   data plus its optional view and parallel context,
 //! * per-worker reusable evaluation buffers ([`arena`]) so the inner loops
 //!   of plan execution and fixpoint rounds stop allocating,
-//! * structurally-shared paged storage ([`paged`]) backing both: O(pages)
-//!   snapshot clones with page-granular copy-on-write, so the service's
-//!   snapshot-per-mutation catalog pays O(touched) per write,
+//! * structurally-shared paged storage ([`paged`]) backing structures and
+//!   view overlays: O(pages) snapshot clones with page-granular
+//!   copy-on-write, so the service's snapshot-per-mutation catalog pays
+//!   O(touched) per write,
 //! * fact-level deltas over structures ([`delta::FactOp`]) — the mutation
 //!   vocabulary shared by the incremental fixpoint maintenance, the
 //!   service-layer mutation traffic, the workload file format, and (in the
@@ -48,7 +47,6 @@ pub mod csr;
 pub mod delta;
 pub mod frame;
 pub mod fx;
-pub mod index;
 pub mod paged;
 pub mod parse;
 pub mod program;
@@ -64,7 +62,6 @@ pub use bitset::NodeSet;
 pub use cq::OneCq;
 pub use csr::FrozenStructure;
 pub use delta::FactOp;
-pub use index::PredIndex;
 pub use program::{Atom, Program, Rule, Term};
 pub use sched::{CancelToken, ParCtx, SchedStats, Scheduler};
 pub use structure::{Node, Structure};

@@ -1,35 +1,28 @@
 //! Structurally-shared paged storage with page-granular copy-on-write.
 //!
-//! The catalog's mutation path used to pay `data.clone()` + `index.clone()`
-//! per write — O(instance) no matter how small the delta. The containers
-//! here make snapshotting cheap: state is split into fixed-size pages (or
-//! sorted chunks) behind [`Arc`]s, so cloning a snapshot bumps a handful of
-//! refcounts and a point mutation copies only the page(s) it touches
-//! ([`Arc::make_mut`]). Two snapshots that differ in one fact share every
-//! other page.
+//! The catalog's mutation path used to pay `data.clone()` per write —
+//! O(instance) no matter how small the delta. The container here makes
+//! snapshotting cheap: state is split into fixed-size pages behind
+//! [`Arc`]s, so cloning a snapshot bumps a handful of refcounts and a
+//! point mutation copies only the page(s) it touches ([`Arc::make_mut`]).
+//! Two snapshots that differ in one fact share every other page.
 //!
-//! * [`PagedVec<T>`] — a dense, index-addressed vector paged in
-//!   [`PAGE_NODES`]-element pages, which are themselves grouped into
-//!   `Arc`-shared groups of [`GROUP_PAGES`] pages. The two levels matter
-//!   for write latency: with a flat page spine, cloning a snapshot still
-//!   walks one `Arc` per page — refcount traffic linear in instance size —
-//!   while grouping makes a clone O(n/2048) and a point write copy exactly
-//!   one group spine (64 pointers) plus one page. Backs
-//!   [`crate::Structure`]'s per-node records (labels + out/in adjacency,
-//!   bundled so one node's reads share one page chase).
-//! * [`Chunked<T>`] — a sorted set of entries split into bounded chunks
-//!   (the leaf level of a B+-tree, without the interior nodes: locating a
-//!   chunk binary-searches the chunk maxima), with the chunk spine behind
-//!   its own `Arc` so cloning a posting list is one refcount bump and only
-//!   a *written* list pays a spine copy. Backs [`crate::PredIndex`]'s
-//!   per-predicate posting lists.
+//! [`PagedVec<T>`] is a dense, index-addressed vector paged in
+//! [`PAGE_NODES`]-element pages, which are themselves grouped into
+//! `Arc`-shared groups of [`GROUP_PAGES`] pages. The two levels matter for
+//! write latency: with a flat page spine, cloning a snapshot still walks
+//! one `Arc` per page — refcount traffic linear in instance size — while
+//! grouping makes a clone O(n/2048) and a point write copy exactly one
+//! group spine (64 pointers) plus one page. It backs [`crate::Structure`]'s
+//! per-node records (labels + out/in adjacency, bundled so one node's
+//! reads share one page chase) and the patched rows of a CSR view's
+//! overlay ([`crate::FrozenStructure`]).
 //!
-//! Every actual page/chunk copy (a write to a page whose `Arc` is shared)
-//! bumps the `sirup_catalog_page_cow_total` counter, so the write path's
+//! Every actual page copy (a write to a page whose `Arc` is shared) bumps
+//! the `sirup_catalog_page_cow_total` counter, so the write path's
 //! allocation behaviour is observable end to end. Spine copies (pointer
 //! arrays only) are not counted — no fact bytes move.
 
-use crate::structure::Node;
 use crate::telemetry::{self, Counter};
 use std::sync::Arc;
 
@@ -46,10 +39,6 @@ const PAGE_MASK: usize = PAGE_NODES - 1;
 pub const GROUP_PAGES: usize = 64;
 const GROUP_SHIFT: usize = 6;
 const GROUP_MASK: usize = GROUP_PAGES - 1;
-
-/// Max entries per [`Chunked`] chunk; a chunk that outgrows this splits in
-/// half. Bounds the bytes one posting-list write has to copy.
-pub const CHUNK_MAX: usize = 512;
 
 /// Heap bytes retained by one element of a page (shallow-exact for the
 /// `Vec`-of-`Copy` element shapes the [`crate::Structure`] pages use).
@@ -69,8 +58,6 @@ impl<T> HeapBytes for Vec<T> {
 fn count_cow() {
     telemetry::counter_add(Counter::PageCow, 1);
 }
-
-type Chunk<T> = Arc<Vec<T>>;
 
 // ---------------------------------------------------------------------------
 // PagedVec
@@ -302,392 +289,6 @@ impl<T: std::fmt::Debug + Clone + Default> std::fmt::Debug for PagedVec<T> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Chunked sorted postings
-// ---------------------------------------------------------------------------
-
-/// An entry of a [`Chunked`] posting list: ordered by a key that is unique
-/// within the list.
-pub trait ChunkEntry: Copy {
-    /// The ordering / identity key.
-    type Key: Ord + Copy;
-    /// This entry's key.
-    fn key(&self) -> Self::Key;
-}
-
-impl ChunkEntry for Node {
-    type Key = Node;
-    #[inline]
-    fn key(&self) -> Node {
-        *self
-    }
-}
-
-impl ChunkEntry for (Node, Node) {
-    type Key = (Node, Node);
-    #[inline]
-    fn key(&self) -> (Node, Node) {
-        *self
-    }
-}
-
-/// A node with a multiplicity (how many atoms keep it in the set) — the
-/// entry shape of [`NodeCounts`].
-impl ChunkEntry for (Node, u32) {
-    type Key = Node;
-    #[inline]
-    fn key(&self) -> Node {
-        self.0
-    }
-}
-
-/// A sorted, duplicate-free (by key) list of entries split into
-/// `Arc`-shared chunks of at most [`CHUNK_MAX`] entries, with the chunk
-/// spine behind its own `Arc`. Cloning is one pointer bump regardless of
-/// list size; an insert or remove copies the spine (pointers only) plus
-/// the one chunk it lands in, so snapshots only pay for the posting lists
-/// they actually write. Non-empty chunks only (an emptied chunk is
-/// dropped); global key order across chunks.
-#[derive(Clone, Debug)]
-pub struct Chunked<T: ChunkEntry> {
-    chunks: Arc<Vec<Chunk<T>>>,
-    len: usize,
-}
-
-impl<T: ChunkEntry> Default for Chunked<T> {
-    fn default() -> Chunked<T> {
-        Chunked {
-            chunks: Arc::new(Vec::new()),
-            len: 0,
-        }
-    }
-}
-
-impl<T: ChunkEntry + PartialEq> PartialEq for Chunked<T> {
-    /// Content equality (chunk boundaries may differ between two lists
-    /// that reached the same content along different mutation paths).
-    fn eq(&self, other: &Chunked<T>) -> bool {
-        self.len == other.len && self.iter_entries().eq(other.iter_entries())
-    }
-}
-
-impl<T: ChunkEntry + Eq> Eq for Chunked<T> {}
-
-impl<T: ChunkEntry> Chunked<T> {
-    /// An empty list.
-    pub fn new() -> Chunked<T> {
-        Chunked::default()
-    }
-
-    /// Build from entries already sorted by key (duplicate-free); chunks
-    /// are filled to half of [`CHUNK_MAX`] so early inserts don't split.
-    pub fn from_sorted(entries: Vec<T>) -> Chunked<T> {
-        let len = entries.len();
-        let chunks = entries
-            .chunks(CHUNK_MAX / 2)
-            .map(|c| Arc::new(c.to_vec()))
-            .collect();
-        Chunked {
-            chunks: Arc::new(chunks),
-            len,
-        }
-    }
-
-    /// Number of entries.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Is the list empty?
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of chunks.
-    #[inline]
-    pub fn chunk_count(&self) -> usize {
-        self.chunks.len()
-    }
-
-    /// The chunk that could contain `k` if any chunk can: the first whose
-    /// max key is `>= k`. `None` when `k` is beyond every chunk.
-    fn locate(&self, k: T::Key) -> Option<usize> {
-        let ci = self
-            .chunks
-            .partition_point(|c| c.last().expect("chunks are non-empty").key() < k);
-        (ci < self.chunks.len()).then_some(ci)
-    }
-
-    /// The entry with key `k`, if present.
-    pub fn get(&self, k: T::Key) -> Option<T> {
-        let ci = self.locate(k)?;
-        let chunk = &self.chunks[ci];
-        chunk
-            .binary_search_by(|e| e.key().cmp(&k))
-            .ok()
-            .map(|pos| chunk[pos])
-    }
-
-    /// Is an entry with key `k` present?
-    #[inline]
-    pub fn contains(&self, k: T::Key) -> bool {
-        self.get(k).is_some()
-    }
-
-    /// Iterate over all entries in key order.
-    pub fn iter_entries(&self) -> impl Iterator<Item = T> + '_ {
-        self.chunks.iter().flat_map(|c| c.iter().copied())
-    }
-
-    /// Copy-on-write access to chunk `ci` of an already-unshared spine.
-    fn chunk_mut(chunks: &mut [Chunk<T>], ci: usize) -> &mut Vec<T> {
-        let chunk = &mut chunks[ci];
-        if Arc::strong_count(chunk) > 1 {
-            count_cow();
-        }
-        Arc::make_mut(chunk)
-    }
-
-    /// Insert `entry` unless its key is present. Returns `true` iff
-    /// inserted. Copies (and possibly splits) only the landing chunk; a
-    /// duplicate insert leaves all sharing intact.
-    pub fn insert(&mut self, entry: T) -> bool {
-        let k = entry.key();
-        let ci = match self.locate(k) {
-            Some(ci) => ci,
-            None if self.chunks.is_empty() => {
-                Arc::make_mut(&mut self.chunks).push(Arc::new(vec![entry]));
-                self.len += 1;
-                return true;
-            }
-            // Beyond every chunk max: append into the last chunk.
-            None => self.chunks.len() - 1,
-        };
-        // Probe before unsharing: a no-op must not copy spines or chunks.
-        let pos = match self.chunks[ci].binary_search_by(|e| e.key().cmp(&k)) {
-            Ok(_) => return false,
-            Err(pos) => pos,
-        };
-        let chunks = Arc::make_mut(&mut self.chunks);
-        let chunk = Chunked::chunk_mut(chunks, ci);
-        chunk.insert(pos, entry);
-        if chunk.len() > CHUNK_MAX {
-            let upper = chunk.split_off(CHUNK_MAX / 2);
-            chunks.insert(ci + 1, Arc::new(upper));
-        }
-        self.len += 1;
-        true
-    }
-
-    /// Remove the entry with key `k`. Returns it if it was present. An
-    /// emptied chunk is dropped from the spine.
-    pub fn remove(&mut self, k: T::Key) -> Option<T> {
-        let ci = self.locate(k)?;
-        let pos = self.chunks[ci].binary_search_by(|e| e.key().cmp(&k)).ok()?;
-        let chunks = Arc::make_mut(&mut self.chunks);
-        let chunk = Chunked::chunk_mut(chunks, ci);
-        let entry = chunk.remove(pos);
-        if chunk.is_empty() {
-            chunks.remove(ci);
-        }
-        self.len -= 1;
-        Some(entry)
-    }
-
-    /// Mutate the entry with key `k` in place (COW on its chunk), if
-    /// present. The closure must not change the entry's key.
-    pub fn update<R>(&mut self, k: T::Key, f: impl FnOnce(&mut T) -> R) -> Option<R> {
-        let ci = self.locate(k)?;
-        let pos = self.chunks[ci].binary_search_by(|e| e.key().cmp(&k)).ok()?;
-        let chunks = Arc::make_mut(&mut self.chunks);
-        let r = f(&mut Chunked::chunk_mut(chunks, ci)[pos]);
-        debug_assert!(self.chunks[ci][pos].key() == k, "update changed the key");
-        Some(r)
-    }
-
-    /// A borrowed, cheaply copyable view of the list.
-    #[inline]
-    pub fn view(&self) -> ChunkedView<'_, T> {
-        ChunkedView {
-            chunks: self.chunks.as_slice(),
-            len: self.len,
-        }
-    }
-
-    /// Chunks physically shared with `other` at the same position (a
-    /// shared spine means every chunk is shared, without walking them).
-    pub fn shared_chunks_with(&self, other: &Chunked<T>) -> usize {
-        if Arc::ptr_eq(&self.chunks, &other.chunks) {
-            return self.chunks.len();
-        }
-        self.chunks
-            .iter()
-            .zip(other.chunks.iter())
-            .filter(|(a, b)| Arc::ptr_eq(a, b))
-            .count()
-    }
-
-    /// Approximate retained heap bytes (chunk payloads + spine). O(1):
-    /// estimated from entry and chunk counts (capacity ≈ length), so the
-    /// per-mutation snapshot accounting never walks the chunks.
-    pub fn retained_bytes(&self) -> usize {
-        self.len * std::mem::size_of::<T>() + self.chunks.len() * std::mem::size_of::<Chunk<T>>()
-    }
-}
-
-/// Counted node sets: entries are `(node, multiplicity)`. Backs the index's
-/// source/sink lists, where a node stays a source while *any* of its edges
-/// under the predicate survives — the count makes retraction O(log) instead
-/// of a posting-list scan.
-pub type NodeCounts = Chunked<(Node, u32)>;
-
-impl NodeCounts {
-    /// Count one more supporting atom for `v`. Returns `true` iff `v` is
-    /// newly in the set (count 0 → 1).
-    pub fn incr(&mut self, v: Node) -> bool {
-        if self.update(v, |e| e.1 += 1).is_some() {
-            false
-        } else {
-            self.insert((v, 1))
-        }
-    }
-
-    /// Count one supporting atom of `v` gone. Returns `true` iff `v` left
-    /// the set (count 1 → 0). `v` must be present.
-    pub fn decr(&mut self, v: Node) -> bool {
-        let count = self
-            .update(v, |e| {
-                e.1 -= 1;
-                e.1
-            })
-            .expect("decr of a node not in the counted set");
-        if count == 0 {
-            self.remove(v);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Set-style insert (multiplicity pinned to 1): `true` iff `v` was
-    /// absent. Backs the label lists, which are plain sets.
-    pub fn insert_set(&mut self, v: Node) -> bool {
-        self.insert((v, 1))
-    }
-
-    /// Set-style remove: `true` iff `v` was present.
-    pub fn remove_set(&mut self, v: Node) -> bool {
-        self.remove(v).is_some()
-    }
-
-    /// The nodes of the set (a [`NodesView`] iterating `Node`s).
-    #[inline]
-    pub fn nodes(&self) -> NodesView<'_> {
-        NodesView { inner: self.view() }
-    }
-}
-
-/// A borrowed view of a [`Chunked`] list: iteration in key order, O(log)
-/// membership, cheap `Copy`. The chunked replacement for the `&[T]` slices
-/// the dense index used to hand out.
-#[derive(Clone, Copy, Debug)]
-pub struct ChunkedView<'a, T: ChunkEntry> {
-    chunks: &'a [Chunk<T>],
-    len: usize,
-}
-
-impl<T: ChunkEntry> Default for ChunkedView<'_, T> {
-    fn default() -> Self {
-        ChunkedView {
-            chunks: &[],
-            len: 0,
-        }
-    }
-}
-
-impl<'a, T: ChunkEntry> ChunkedView<'a, T> {
-    /// The empty view.
-    pub fn empty() -> ChunkedView<'a, T> {
-        ChunkedView::default()
-    }
-
-    /// Number of entries.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Is the view empty?
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Iterate over all entries in key order.
-    pub fn iter(&self) -> impl Iterator<Item = T> + 'a {
-        self.chunks.iter().flat_map(|c| c.iter().copied())
-    }
-
-    /// Is an entry with key `k` present?
-    pub fn contains(&self, k: T::Key) -> bool {
-        let ci = self
-            .chunks
-            .partition_point(|c| c.last().expect("chunks are non-empty").key() < k);
-        ci < self.chunks.len()
-            && self.chunks[ci]
-                .binary_search_by(|e| e.key().cmp(&k))
-                .is_ok()
-    }
-
-    /// All entries as one contiguous vector (tests and cold paths).
-    pub fn to_vec(&self) -> Vec<T> {
-        self.iter().collect()
-    }
-}
-
-/// A view of a [`NodeCounts`] set that exposes only the nodes.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NodesView<'a> {
-    inner: ChunkedView<'a, (Node, u32)>,
-}
-
-impl<'a> NodesView<'a> {
-    /// The empty view.
-    pub fn empty() -> NodesView<'a> {
-        NodesView::default()
-    }
-
-    /// Number of nodes in the set.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Is the set empty?
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Iterate over the nodes in increasing order.
-    pub fn iter(&self) -> impl Iterator<Item = Node> + 'a {
-        self.inner.iter().map(|(v, _)| v)
-    }
-
-    /// Is `v` in the set?
-    #[inline]
-    pub fn contains(&self, v: Node) -> bool {
-        self.inner.contains(v)
-    }
-
-    /// The nodes as one sorted vector (tests and cold paths).
-    pub fn to_vec(&self) -> Vec<Node> {
-        self.iter().collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -742,74 +343,5 @@ mod tests {
         assert_eq!(v.iter().count(), PAGE_NODES + 1);
         assert_eq!(v.get(PAGE_NODES), &[PAGE_NODES as u32]);
         assert!(v.retained_bytes() > 0);
-    }
-
-    #[test]
-    fn chunked_insert_remove_split() {
-        let mut c: Chunked<(Node, Node)> = Chunked::new();
-        // Insert descending to exercise chunk location.
-        for i in (0..2000u32).rev() {
-            assert!(c.insert((Node(i), Node(i + 1))));
-        }
-        assert!(!c.insert((Node(5), Node(6))), "duplicate key");
-        assert_eq!(c.len(), 2000);
-        assert!(c.chunk_count() >= 2000 / CHUNK_MAX);
-        let all: Vec<_> = c.view().to_vec();
-        assert!(all.windows(2).all(|w| w[0] < w[1]));
-        assert!(c.contains((Node(1999), Node(2000))));
-        assert!(c.view().contains((Node(0), Node(1))));
-        assert!(!c.contains((Node(0), Node(2))));
-        assert_eq!(c.remove((Node(7), Node(8))), Some((Node(7), Node(8))));
-        assert_eq!(c.remove((Node(7), Node(8))), None);
-        assert_eq!(c.len(), 1999);
-        // Clone shares the whole spine; one insert diverges one chunk.
-        let snap = c.clone();
-        assert_eq!(c.shared_chunks_with(&snap), c.chunk_count());
-        c.insert((Node(7), Node(8)));
-        assert!(c.shared_chunks_with(&snap) >= c.chunk_count() - 1);
-        assert_eq!(c, c.clone());
-        assert_ne!(c, snap);
-    }
-
-    #[test]
-    fn chunked_from_sorted_matches_inserts() {
-        let entries: Vec<(Node, Node)> = (0..1500u32).map(|i| (Node(i), Node(0))).collect();
-        let bulk = Chunked::from_sorted(entries.clone());
-        let mut inc = Chunked::new();
-        for &e in &entries {
-            inc.insert(e);
-        }
-        assert_eq!(bulk, inc, "content equality across chunk layouts");
-        assert_eq!(bulk.view().to_vec(), entries);
-    }
-
-    #[test]
-    fn node_counts_track_multiplicity() {
-        let mut s = NodeCounts::new();
-        assert!(s.incr(Node(3)));
-        assert!(!s.incr(Node(3)));
-        assert!(s.incr(Node(1)));
-        assert_eq!(s.nodes().to_vec(), vec![Node(1), Node(3)]);
-        assert!(!s.decr(Node(3)), "count 2 → 1 keeps membership");
-        assert!(s.decr(Node(3)), "count 1 → 0 removes");
-        assert!(!s.nodes().contains(Node(3)));
-        assert!(s.nodes().contains(Node(1)));
-        // Set-style ops pin the count to 1.
-        assert!(s.insert_set(Node(9)));
-        assert!(!s.insert_set(Node(9)));
-        assert!(s.remove_set(Node(9)));
-        assert!(!s.remove_set(Node(9)));
-        assert_eq!(s.nodes().len(), 1);
-    }
-
-    #[test]
-    fn empty_views() {
-        let v: ChunkedView<'_, (Node, Node)> = ChunkedView::empty();
-        assert!(v.is_empty());
-        assert_eq!(v.iter().count(), 0);
-        assert!(!v.contains((Node(0), Node(0))));
-        let n = NodesView::empty();
-        assert!(n.is_empty());
-        assert!(!n.contains(Node(0)));
     }
 }

@@ -299,15 +299,6 @@ impl Structure {
         self.nodes().filter(|&v| self.has_label(v, p)).collect()
     }
 
-    /// All binary atoms of predicate `p` as sorted `(u, v)` pairs. For
-    /// repeated per-predicate queries over an immutable structure, build a
-    /// [`crate::index::PredIndex`] once instead.
-    pub fn edges_by_pred(&self, p: Pred) -> Vec<(Node, Node)> {
-        self.nodes()
-            .flat_map(|u| self.out_pred(u, p).iter().map(move |&(_, v)| (u, v)))
-            .collect()
-    }
-
     /// Sorted, deduplicated list of binary predicates that occur.
     pub fn binary_preds(&self) -> Vec<Pred> {
         let mut ps: Vec<Pred> = self.edges().map(|(p, _, _)| p).collect();

@@ -2,21 +2,16 @@
 //!
 //! Every certain-answer procedure — the fixpoint of `Π_q`/`Σ_q`, the UCQ
 //! rewriting of Prop. 2, the DPLL search for `Δ_q` — reads one data
-//! instance, possibly through up to three read substrates:
-//!
-//! * the live [`Structure`] itself (always);
-//! * a [`PredIndex`] of it: label and endpoint postings that seed
-//!   candidate domains;
-//! * a [`FrozenStructure`] CSR view of it: contiguous adjacency rows and
-//!   bitmap rows for labels and edge endpoints;
-//!
+//! instance: the live [`Structure`] itself, and optionally a
+//! [`FrozenStructure`] CSR view of it (contiguous adjacency rows, and
+//! bitmap rows for labels and edge endpoints that seed candidate domains),
 //! plus an optional [`ParCtx`] that lets the hot loops split over the
-//! shared scheduler. A [`Target`] bundles the four into one borrowed
+//! shared scheduler. A [`Target`] bundles the three into one borrowed
 //! `Copy` value, so every evaluator has exactly one entry point.
 //!
-//! **The read-target contract.** Each attached substrate is a current
-//! snapshot of `data` (its node count is asserted on attach). Labels are
-//! read in one of two modes:
+//! **The read-target contract.** An attached view is a current snapshot of
+//! `data` (its node count is asserted on attach). Labels are read in one
+//! of two modes:
 //!
 //! * full mode: every label comes from the view's label rows when a view
 //!   is attached, else from the live data;
@@ -25,27 +20,24 @@
 //!   `T`/`F` bound overlays, and the derived IDB labels of the fixpoint
 //!   and of its maintained materialisation. A read of an overridden
 //!   predicate goes to its row; every other label is read as in full
-//!   mode. The index is dropped, so its postings for an overridden
-//!   predicate can never be consulted.
+//!   mode.
 //!
 //! Label reads go through [`Target::has_label`] and [`Target::label_row`],
 //! which honour the overlay; the type, not a comment, rules out a stale
 //! label read.
 
 use crate::csr::FrozenStructure;
-use crate::index::PredIndex;
 use crate::sched::ParCtx;
 use crate::structure::{Node, Structure};
 use crate::symbols::Pred;
 use crate::NodeSet;
 
-/// One evaluation's borrowed read target: the data, the optional index and
-/// CSR view of it, and the optional parallel context. See the module docs
-/// for the contract.
+/// One evaluation's borrowed read target: the data, the optional CSR view
+/// of it, and the optional parallel context. See the module docs for the
+/// contract.
 #[derive(Debug, Clone, Copy)]
 pub struct Target<'a> {
     data: &'a Structure,
-    index: Option<&'a PredIndex>,
     view: Option<&'a FrozenStructure>,
     /// Label rows that override the named predicates
     /// ([`Target::with_label_rows`]); empty for a plain target.
@@ -58,7 +50,6 @@ impl<'a> From<&'a Structure> for Target<'a> {
     fn from(data: &'a Structure) -> Target<'a> {
         Target {
             data,
-            index: None,
             view: None,
             rows: &[],
             par: None,
@@ -67,22 +58,6 @@ impl<'a> From<&'a Structure> for Target<'a> {
 }
 
 impl<'a> Target<'a> {
-    /// Seed candidate domains from `index`, a current snapshot of the data.
-    /// Ignored in overlay mode ([`Target::with_label_rows`]): the index's
-    /// postings for an overridden predicate would be stale.
-    pub fn with_index(mut self, index: &'a PredIndex) -> Self {
-        if !self.rows.is_empty() {
-            return self;
-        }
-        assert_eq!(
-            index.node_count(),
-            self.data.node_count(),
-            "PredIndex is not a snapshot of this target"
-        );
-        self.index = Some(index);
-        self
-    }
-
     /// Read adjacency **and labels** through `view`, a current snapshot of
     /// the data ("full" mode). `None` leaves the target as it is. An
     /// overlay's rows keep precedence over the view's label rows.
@@ -109,29 +84,18 @@ impl<'a> Target<'a> {
     /// by `rows` ("overlay" mode): each row must be dimensioned to the
     /// data's node count. Reads of an overridden predicate go to its row;
     /// every other label keeps its current source (the view when one is
-    /// attached, or the live data). The index is dropped. Replaces any earlier
-    /// overlay.
+    /// attached, or the live data). Replaces any earlier overlay.
     pub fn with_label_rows<'b>(self, rows: &'b [(Pred, &'b NodeSet)]) -> Target<'b>
     where
         'a: 'b,
     {
-        Target {
-            index: None,
-            rows,
-            ..self
-        }
+        Target { rows, ..self }
     }
 
     /// The data.
     #[inline]
     pub fn data(&self) -> &'a Structure {
         self.data
-    }
-
-    /// The attached index, if any.
-    #[inline]
-    pub fn index(&self) -> Option<&'a PredIndex> {
-        self.index
     }
 
     /// The attached view, if any.
@@ -184,15 +148,12 @@ mod tests {
     fn label_rows_override_named_predicates_only() {
         let d = st("R(a,b), T(b), A(a)");
         let (a, b) = (crate::Node(0), crate::Node(1));
-        let idx = PredIndex::new(&d);
         let f = FrozenStructure::freeze(&d);
         let mut t_row = NodeSet::empty(d.node_count());
         t_row.insert(a);
         let rows = [(Pred::T, &t_row)];
         for base in [Target::from(&d), Target::from(&d).with_view(Some(&f))] {
-            let o = base.with_index(&idx).with_label_rows(&rows);
-            assert!(o.index().is_none(), "an overlay drops the index");
-            assert!(o.with_index(&idx).index().is_none());
+            let o = base.with_label_rows(&rows);
             assert_eq!(o.label_row(Pred::T), Some(&t_row));
             assert!(o.has_label(a, Pred::T) && !o.has_label(b, Pred::T));
             // Other labels keep their source: the view when attached, or

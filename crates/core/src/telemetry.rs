@@ -119,7 +119,7 @@ pub enum Counter {
     /// neighbour's domain (a read of the pin's neighbourhood).
     HomAnchoredSeeds,
     /// Plan-execution domains seeded over the whole instance: bitmap-row
-    /// intersection, index postings or a node scan.
+    /// intersection or a node scan.
     HomUniverseSeeds,
     /// Incremental fact cascades applied to live materialisations.
     IncrementalCascades,
@@ -236,7 +236,8 @@ pub enum Family {
     IncrementalCascade,
     /// Mutation-ticket waits (queue discipline delay).
     TicketWait,
-    /// Catalog mutation apply (clone + index + swap).
+    /// Catalog mutation apply (data clone + patch, view carry,
+    /// materialisation carry, swap).
     MutationApply,
     /// Materialisation carry-forward during a mutation.
     MatCarry,
@@ -250,9 +251,10 @@ pub enum Family {
     FrameEncode,
     /// Frame decode (payload read + checksum verify, after the header).
     FrameDecode,
-    /// CSR read-view freeze from scratch (first read of a loaded instance).
+    /// CSR read-view freeze from scratch (an instance load or restore).
     CsrFreeze,
-    /// CSR read-view carry across a mutation (`FrozenStructure::apply`).
+    /// CSR read-view carry across a mutation (clone +
+    /// `FrozenStructure::apply_all`).
     CsrCarry,
 }
 

@@ -1,22 +1,24 @@
 //! Differential proptests for the read-optimized execution substrate.
 //!
 //! * The CSR [`FrozenStructure`] snapshot is pinned against live
-//!   `Structure` + `PredIndex` reads: random `FactOp` sequences build an
-//!   instance, a freeze of the result must agree with the live containers
-//!   on every read surface (per-pred adjacency rows, edge membership,
-//!   labels, label/source/sink bitmap rows).
+//!   `Structure` reads: random `FactOp` sequences build an instance, a
+//!   freeze of the result must agree with the live structure on every
+//!   read surface (per-pred adjacency rows, edge membership, labels,
+//!   label/source/sink bitmap rows).
 //! * The maintained view is pinned against a fresh freeze: a view carried
-//!   across a random op sequence by [`FrozenStructure::apply`] must read
-//!   exactly like `FrozenStructure::freeze` of the folded structure after
-//!   every op, across node growth and overlay folds, while the view it
-//!   was derived from keeps reading like the structure it was built from.
+//!   across a random op sequence by [`FrozenStructure::apply_all`] must
+//!   count the ops that changed it exactly as `Structure::apply_all` does
+//!   and read exactly like `FrozenStructure::freeze` of the folded
+//!   structure after every op, across node growth and overlay folds, while
+//!   a clone taken before keeps reading like the structure it was built
+//!   from.
 //! * The widened (4-words-per-step) `NodeSet` kernels are pinned against a
 //!   deliberately scalar one-bit-at-a-time oracle, including ragged tail
 //!   words and operands of different universe sizes.
 
 use proptest::prelude::*;
 use sirup_core::telemetry;
-use sirup_core::{FactOp, FrozenStructure, Node, NodeSet, Pred, PredIndex, Structure};
+use sirup_core::{FactOp, FrozenStructure, Node, NodeSet, Pred, Structure};
 
 const PREDS_U: [Pred; 3] = [Pred::F, Pred::T, Pred::A];
 const PREDS_B: [Pred; 2] = [Pred::R, Pred::S];
@@ -34,7 +36,7 @@ fn arb_op(n: u32) -> impl Strategy<Value = FactOp> {
 }
 
 /// Every read surface of a freeze of `s` must agree with live reads.
-fn assert_frozen_agrees(s: &Structure, idx: &PredIndex) {
+fn assert_frozen_agrees(s: &Structure) {
     let f = FrozenStructure::freeze(s);
     assert_eq!(f.node_count(), s.node_count());
     assert_eq!(f.edge_count(), s.edge_count());
@@ -62,16 +64,24 @@ fn assert_frozen_agrees(s: &Structure, idx: &PredIndex) {
             assert_eq!(f.has_label(u, p), s.has_label(u, p), "{p}({u:?})");
         }
     }
-    // Bitmap rows agree with the index postings (both sorted ascending).
+    // Bitmap rows hold exactly the nodes live reads find.
     for p in PREDS_U {
         let row: Vec<Node> = f.label_row(p).iter().collect();
-        assert_eq!(row, idx.nodes_with_label(p).to_vec(), "label row {p}");
+        assert_eq!(row, s.nodes_with_label(p), "label row {p}");
     }
     for p in PREDS_B {
         let sources: Vec<Node> = f.source_row(p).iter().collect();
-        assert_eq!(sources, idx.sources(p).to_vec(), "source row {p}");
+        let live: Vec<Node> = s
+            .nodes()
+            .filter(|&u| !s.out_pred(u, p).is_empty())
+            .collect();
+        assert_eq!(sources, live, "source row {p}");
         let sinks: Vec<Node> = f.sink_row(p).iter().collect();
-        assert_eq!(sinks, idx.sinks(p).to_vec(), "sink row {p}");
+        let live: Vec<Node> = s
+            .nodes()
+            .filter(|&v| !s.inn_pred(v, p).is_empty())
+            .collect();
+        assert_eq!(sinks, live, "sink row {p}");
     }
     // Out-of-universe probes are safe and empty.
     let ghost = Node(s.node_count() as u32 + 7);
@@ -240,7 +250,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random instance builds: a freeze of the result agrees with live
-    /// `Structure`/`PredIndex` reads on every surface, both at the end and
+    /// `Structure` reads on every surface, both at the end and
     /// at an interior prefix (so frozen-of-mutated states are covered, not
     /// just frozen-of-fresh-folds).
     #[test]
@@ -249,15 +259,13 @@ proptest! {
         cut in 10..50usize,
     ) {
         let mut s = Structure::new();
-        let mut idx = PredIndex::new(&s);
         for (step, &op) in ops.iter().enumerate() {
             s.apply(op);
-            idx.apply(op);
             if step == cut {
-                assert_frozen_agrees(&s, &idx);
+                assert_frozen_agrees(&s);
             }
         }
-        assert_frozen_agrees(&s, &idx);
+        assert_frozen_agrees(&s);
     }
 
 }
@@ -265,10 +273,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// A view carried by `apply` one op at a time reads exactly like a
+    /// A view carried by `apply_all` one op at a time counts the ops that
+    /// changed it as `Structure::apply_all` does and reads exactly like a
     /// fresh freeze of the folded structure after every op — through node
-    /// growth, no-op ops and several overlay folds — and the predecessor
-    /// view it was derived from is left untouched.
+    /// growth, no-op ops and several overlay folds — and the clone it was
+    /// carried from is left untouched.
     #[test]
     fn maintained_view_matches_fresh_freeze_after_every_op(
         base_ops in proptest::collection::vec(arb_op(24), 20..=60),
@@ -283,8 +292,9 @@ proptest! {
             let op = step_op(step, prev);
             prev = Some(op);
             let before = s.clone();
-            s.apply(op);
-            let next = view.apply(&[op]);
+            let applied = s.apply_all(&[op]);
+            let mut next = view.clone();
+            prop_assert_eq!(next.apply_all(&[op]), applied, "op {} {:?}: applied count", i, op);
             assert_views_agree(&next, &FrozenStructure::freeze(&s), &format!("op {i} {op:?}"));
             assert_views_agree(&view, &FrozenStructure::freeze(&before), &format!("predecessor of op {i}"));
             view = next;
@@ -294,7 +304,8 @@ proptest! {
     }
 
     /// Multi-op batches carry like the same ops one at a time: the view
-    /// after each batch reads like a fresh freeze of the folded structure.
+    /// after each batch counts the same applied ops as the structure and
+    /// reads like a fresh freeze of the folded structure.
     #[test]
     fn maintained_view_matches_fresh_freeze_across_batches(
         base_ops in proptest::collection::vec(arb_op(24), 20..=60),
@@ -305,8 +316,8 @@ proptest! {
         s.apply_all(&base_ops);
         let mut view = FrozenStructure::freeze(&s);
         for (i, chunk) in ops.chunks(batch).enumerate() {
-            s.apply_all(chunk);
-            view = view.apply(chunk);
+            let applied = s.apply_all(chunk);
+            prop_assert_eq!(view.apply_all(chunk), applied, "batch {}: applied count", i);
             assert_views_agree(&view, &FrozenStructure::freeze(&s), &format!("batch {i}"));
         }
     }

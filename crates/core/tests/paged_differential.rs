@@ -1,16 +1,15 @@
-//! Differential proptests: the paged, structurally-shared `Structure` /
-//! `PredIndex` storage is pinned against a deliberately naive dense model
-//! (plain `Vec<Vec<_>>` per-node lists, per-pred `BTreeMap` postings — the
-//! representation the storage refactor replaced). Random `FactOp` sequences
-//! of ≥100 ops are applied op by op; after every op the paged containers
-//! must agree with the dense oracle on all read surfaces (`out`/`inn`/
-//! `labels`/`edges`, index pairs/sources/sinks/labelled), and the mutated
-//! structure must equal the fold of the op prefix into a fresh structure —
-//! which also pins the canonical page layout behind derived `PartialEq`.
+//! Differential proptests: the paged, structurally-shared `Structure`
+//! storage is pinned against a deliberately naive dense model (plain
+//! `Vec<Vec<_>>` per-node lists — the representation the storage refactor
+//! replaced). Random `FactOp` sequences of ≥100 ops are applied op by op;
+//! after every op the paged structure must agree with the dense oracle on
+//! all read surfaces (`out`/`inn`/`labels`/`edges`, label and edge
+//! counts), and the mutated structure must equal the fold of the op prefix
+//! into a fresh structure — which also pins the canonical page layout
+//! behind derived `PartialEq`.
 
 use proptest::prelude::*;
-use sirup_core::{FactOp, Node, Pred, PredIndex, Structure};
-use std::collections::BTreeMap;
+use sirup_core::{FactOp, Node, Pred, Structure};
 
 const PREDS_U: [Pred; 3] = [Pred::F, Pred::T, Pred::A];
 const PREDS_B: [Pred; 2] = [Pred::R, Pred::S];
@@ -60,40 +59,6 @@ impl DenseStructure {
             }
         }
     }
-
-    /// The dense per-pred postings a `PredIndex` of this state must expose.
-    fn postings(&self) -> DensePostings {
-        let mut d = DensePostings::default();
-        for (i, ls) in self.labels.iter().enumerate() {
-            for &p in ls {
-                d.labelled.entry(p).or_default().push(Node(i as u32));
-            }
-        }
-        for (i, adj) in self.out.iter().enumerate() {
-            for &(p, v) in adj {
-                let u = Node(i as u32);
-                d.pairs.entry(p).or_default().push((u, v));
-                let srcs = d.sources.entry(p).or_default();
-                if srcs.last() != Some(&u) {
-                    srcs.push(u);
-                }
-                d.sinks.entry(p).or_default().push(v);
-            }
-        }
-        for l in d.sinks.values_mut() {
-            l.sort_unstable();
-            l.dedup();
-        }
-        d
-    }
-}
-
-#[derive(Default, PartialEq, Eq, Debug)]
-struct DensePostings {
-    pairs: BTreeMap<Pred, Vec<(Node, Node)>>,
-    sources: BTreeMap<Pred, Vec<Node>>,
-    sinks: BTreeMap<Pred, Vec<Node>>,
-    labelled: BTreeMap<Pred, Vec<Node>>,
 }
 
 fn insert_sorted<T: Ord>(list: &mut Vec<T>, x: T) -> bool {
@@ -127,9 +92,9 @@ fn arb_op(n: u32) -> impl Strategy<Value = FactOp> {
     })
 }
 
-/// Full read-surface agreement between the paged structure+index and the
-/// dense oracle.
-fn assert_agrees(step: usize, op: FactOp, s: &Structure, idx: &PredIndex, dense: &DenseStructure) {
+/// Full read-surface agreement between the paged structure and the dense
+/// oracle.
+fn assert_agrees(step: usize, op: FactOp, s: &Structure, dense: &DenseStructure) {
     assert_eq!(s.node_count(), dense.labels.len(), "step {step}: {op}");
     for i in 0..dense.labels.len() {
         let v = Node(i as u32);
@@ -137,7 +102,6 @@ fn assert_agrees(step: usize, op: FactOp, s: &Structure, idx: &PredIndex, dense:
         assert_eq!(s.out(v), dense.out[i].as_slice(), "step {step}: {op}");
         assert_eq!(s.inn(v), dense.inn[i].as_slice(), "step {step}: {op}");
     }
-    let d = dense.postings();
     let edges: Vec<(Pred, Node, Node)> = s.edges().collect();
     let dense_edges: Vec<(Pred, Node, Node)> = dense
         .out
@@ -148,55 +112,28 @@ fn assert_agrees(step: usize, op: FactOp, s: &Structure, idx: &PredIndex, dense:
     assert_eq!(edges, dense_edges, "step {step}: {op}");
     assert_eq!(
         s.label_count(),
-        d.labelled.values().map(Vec::len).sum::<usize>(),
+        dense.labels.iter().map(Vec::len).sum::<usize>(),
         "step {step}: {op}"
     );
     assert_eq!(s.edge_count(), dense_edges.len(), "step {step}: {op}");
-    for p in PREDS_B {
-        assert_eq!(
-            idx.pairs(p).to_vec(),
-            d.pairs.get(&p).cloned().unwrap_or_default(),
-            "step {step}: {op}"
-        );
-        assert_eq!(
-            idx.sources(p).to_vec(),
-            d.sources.get(&p).cloned().unwrap_or_default(),
-            "step {step}: {op}"
-        );
-        assert_eq!(
-            idx.sinks(p).to_vec(),
-            d.sinks.get(&p).cloned().unwrap_or_default(),
-            "step {step}: {op}"
-        );
-    }
-    for p in PREDS_U {
-        assert_eq!(
-            idx.nodes_with_label(p).to_vec(),
-            d.labelled.get(&p).cloned().unwrap_or_default(),
-            "step {step}: {op}"
-        );
-    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// ≥100 random ops, checked after every op: paged reads equal the
-    /// dense oracle, the applied index equals a rebuild, and the mutated
-    /// structure equals the from-scratch fold of the op prefix.
+    /// dense oracle, and the mutated structure equals the from-scratch fold
+    /// of the op prefix.
     #[test]
     fn paged_storage_matches_dense_oracle(
         ops in proptest::collection::vec(arb_op(24), 100..=160),
     ) {
         let mut s = Structure::new();
-        let mut idx = PredIndex::new(&s);
         let mut dense = DenseStructure::default();
         for (step, &op) in ops.iter().enumerate() {
             let changed_s = s.apply(op);
-            let changed_i = idx.apply(op);
             prop_assert_eq!(changed_s, dense.apply(op), "step {}: {}", step, op);
-            prop_assert_eq!(changed_s, changed_i, "step {}: {}", step, op);
-            assert_agrees(step, op, &s, &idx, &dense);
+            assert_agrees(step, op, &s, &dense);
             // Folded snapshot: replaying the prefix from scratch lands on
             // an equal structure — same content AND same canonical page
             // layout (derived PartialEq compares page-wise).

@@ -53,10 +53,10 @@ pub fn certain_answer_dsirup_stats(dsirup: &DSirup, data: &Structure) -> (bool, 
 /// clears the freeze gate). A branch step flips bits in them. Every bound
 /// check reads the view in full mode for edges and all other labels, so
 /// the root's lower-bound check, which settles most reads, costs what a
-/// plain hom check on the data costs. The index is never read. With a
-/// parallel context, the DPLL branching itself stays sequential (its
-/// prunes depend on the branch order); the per-branch bound checks — the
-/// hot inner loop on large instances — fan their root domains out.
+/// plain hom check on the data costs. With a parallel context, the DPLL
+/// branching itself stays sequential (its prunes depend on the branch
+/// order); the per-branch bound checks — the hot inner loop on large
+/// instances — fan their root domains out.
 pub fn certain_answer_dsirup_planned<'a>(
     dsirup: &DSirup,
     plan: &QueryPlan,

@@ -159,11 +159,10 @@ impl CompiledProgram {
     /// freeze gate) serves adjacency and the EDB labels for the whole
     /// evaluation, since neither changes. The overlay is rebuilt after each
     /// derivation, so a later candidate of the same sweep sees it. The
-    /// index and the view's label rows seed each unary-headed rule's
-    /// candidates: only nodes carrying every *EDB* label its body places on
-    /// the head variable. EDB labels are invariant during evaluation, so
-    /// the seeding is exact and the result identical to a plain
-    /// evaluation's.
+    /// view's label rows seed each unary-headed rule's candidates: only
+    /// nodes carrying every *EDB* label its body places on the head
+    /// variable. EDB labels are invariant during evaluation, so the
+    /// seeding is exact and the result identical to a plain evaluation's.
     ///
     /// With a parallel context, each semi-naive round partitions a rule's
     /// candidate set across the scheduler's workers (above the context's
@@ -189,9 +188,9 @@ impl CompiledProgram {
         let mut nullary: Vec<Pred> = Vec::new();
         // Per-rule candidate seeds: nodes carrying every EDB label the body
         // places on the head variable (`None` = all nodes), as a bitmap
-        // with its cardinality. Read off the index postings or, failing
-        // that, the view's label rows (both snapshots of the base data, and
-        // EDB labels never change during evaluation — the seeding is exact).
+        // with its cardinality. Read off the target's label rows (the
+        // view's, a snapshot of the base data; EDB labels never change
+        // during evaluation, so the seeding is exact).
         let seeds: Vec<Option<(NodeSet, usize)>> = self
             .rules
             .iter()
@@ -199,20 +198,9 @@ impl CompiledProgram {
                 c.head_node?;
                 let (&first, rest) = c.head_edb_labels.split_first()?;
                 let mut set = NodeSet::empty(n);
-                match t.index() {
-                    Some(idx) => {
-                        for a in idx.nodes_with_label(first).iter() {
-                            if rest.iter().all(|&l| idx.has_label(a, l)) {
-                                set.insert(a);
-                            }
-                        }
-                    }
-                    None => {
-                        set.copy_from(t.label_row(first)?);
-                        for &l in rest {
-                            set.intersect_with(t.label_row(l)?);
-                        }
-                    }
+                set.copy_from(t.label_row(first)?);
+                for &l in rest {
+                    set.intersect_with(t.label_row(l)?);
                 }
                 let len = set.len();
                 Some((set, len))

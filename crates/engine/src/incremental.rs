@@ -171,7 +171,7 @@ impl MaterializedFixpoint {
     /// Materialise an already-compiled program over the target's data,
     /// reusing its rule-body plans for both the initial fixpoint and all
     /// later delta replays. The initial fixpoint is
-    /// [`CompiledProgram::evaluate`] over `target` (index seeding, view and
+    /// [`CompiledProgram::evaluate`] over `target` (view seeding and
     /// parallel context as attached); the maintained closure is the same
     /// either way.
     pub fn from_compiled<'a>(

@@ -7,15 +7,13 @@
 //! * [`brute`]: certain answers of a d-sirup by enumerating **all**
 //!   `T`/`F`-labellings of the `A`-nodes, checked against the DPLL-style
 //!   [`certain_answer_dsirup`] and, on every read-target shape (forced CSR
-//!   view, index, parallel context) and on instances above the 64-edge
+//!   view, parallel context) and on instances above the 64-edge
 //!   freeze gate, [`certain_answer_dsirup_planned`].
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sirup_core::program::{pi_q, sigma_q, DSirup, Program};
-use sirup_core::{
-    FrozenStructure, Node, OneCq, ParCtx, Pred, PredIndex, Scheduler, Structure, Target,
-};
+use sirup_core::{FrozenStructure, Node, OneCq, ParCtx, Pred, Scheduler, Structure, Target};
 use sirup_engine::disjunctive::{
     certain_answer_dsirup, certain_answer_dsirup_planned, certain_answer_dsirup_stats,
 };
@@ -268,29 +266,20 @@ mod brute {
     }
 
     /// `certain_answer_dsirup_planned` on every read-target shape of `d` —
-    /// live, forced CSR view, view + index, view + index + parallel
-    /// context, index only — must agree with brute force.
+    /// live, forced CSR view, view + parallel context — must agree with
+    /// brute force.
     fn check_every_target(dsirup: &DSirup, d: &Structure, sched: &Scheduler, what: &str) -> bool {
         let expect = brute_force_dsirup(dsirup, d);
         let plan = QueryPlan::compile(&dsirup.cq);
         let f = FrozenStructure::freeze(d);
-        let idx = PredIndex::new(d);
         let par = Some(ParCtx::new(sched, 2));
         let targets = [
             ("live", Target::from(d)),
             ("view", Target::from(d).with_view(Some(&f))),
             (
-                "view+index",
-                Target::from(d).with_view(Some(&f)).with_index(&idx),
+                "view+par",
+                Target::from(d).with_view(Some(&f)).with_par(par),
             ),
-            (
-                "view+index+par",
-                Target::from(d)
-                    .with_view(Some(&f))
-                    .with_index(&idx)
-                    .with_par(par),
-            ),
-            ("index", Target::from(d).with_index(&idx)),
         ];
         for (shape, t) in targets {
             assert_eq!(
@@ -303,7 +292,7 @@ mod brute {
     }
 
     /// Below the freeze gate a view is never attached unless forced: force
-    /// one (with and without an index and a parallel context).
+    /// one (with and without a parallel context).
     #[test]
     fn dpll_matches_brute_force_on_forced_views() {
         let sched = Scheduler::new(2);

@@ -1,12 +1,12 @@
 //! Read-target differential: every evaluator answers identically through
-//! every shape of [`Target`] — plain, index, view, index + view, each with
-//! and without a `ParCtx` (threshold 2) — on fixtures that sit on both
-//! sides of the 64-edge freeze gate.
+//! every shape of [`Target`] — plain and view, each with and without a
+//! `ParCtx` (threshold 2) — on fixtures that sit on both sides of the
+//! 64-edge freeze gate.
 //!
 //! The chain fixtures run `Π_q`/`Σ_q` of q4, whose recursive rule (7)
 //! needs the derived label `P` on a *non-head* body variable. A fixpoint
 //! or DPLL search that read its label-mutating working copy through the
-//! base data's index postings or view label rows would never see `P` and
+//! base data's view label rows would never see `P` and
 //! stop after one link, so the chains are also checked against their
 //! known closure, not only against the plain target (which itself freezes
 //! a view at 64 edges).
@@ -14,9 +14,7 @@
 use sirup_core::csr::FREEZE_EDGE_THRESHOLD;
 use sirup_core::parse::{parse_structure, st};
 use sirup_core::program::{pi_q, sigma_q, DSirup, Program};
-use sirup_core::{
-    FrozenStructure, Node, OneCq, ParCtx, Pred, PredIndex, Scheduler, Structure, Target,
-};
+use sirup_core::{FrozenStructure, Node, OneCq, ParCtx, Pred, Scheduler, Structure, Target};
 use sirup_engine::disjunctive::certain_answer_dsirup_planned;
 use sirup_engine::{CompiledProgram, CompiledUcq, Evaluation, MaterializedFixpoint, Ucq};
 use sirup_hom::QueryPlan;
@@ -55,22 +53,16 @@ fn chain(edges: usize) -> (Structure, Vec<Node>) {
     (s, cs)
 }
 
-/// The eight target shapes over `data`, with a label for failures.
+/// The four target shapes over `data`, with a label for failures.
 fn shapes<'a>(
     data: &'a Structure,
-    index: &'a PredIndex,
     view: &'a FrozenStructure,
     ctx: ParCtx<'a>,
 ) -> Vec<(String, Target<'a>)> {
     let mut out = Vec::new();
     for par in [None, Some(ctx)] {
         let plain = Target::from(data).with_par(par);
-        for (name, t) in [
-            ("plain", plain),
-            ("index", plain.with_index(index)),
-            ("view", plain.with_view(Some(view))),
-            ("index+view", plain.with_index(index).with_view(Some(view))),
-        ] {
+        for (name, t) in [("plain", plain), ("view", plain.with_view(Some(view)))] {
             out.push((
                 format!("{name}{}", if par.is_some() { "+par" } else { "" }),
                 t,
@@ -121,10 +113,9 @@ fn suite() -> Suite {
 /// with the plain sequential target.
 fn check_all_shapes(data: &Structure, fixture: &str, sched: &Scheduler) {
     let s = suite();
-    let index = PredIndex::new(data);
     let view = FrozenStructure::freeze(data);
     let ctx = ParCtx::new(sched, 2);
-    let targets = shapes(data, &index, &view, ctx);
+    let targets = shapes(data, &view, ctx);
 
     for (pname, program) in &s.programs {
         let compiled = CompiledProgram::new(program);

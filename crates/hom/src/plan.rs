@@ -23,15 +23,14 @@
 //!   already-assigned neighbour instead of scanned from the whole domain.
 //!
 //! Execution ([`QueryPlan::on`]) reads one [`Target`]: it seeds dense
-//! [`NodeSet`] bitset domains (from the view's bitmap rows or the index's
-//! postings when attached; outward from the pins, over their
+//! [`NodeSet`] bitset domains (from the view's bitmap rows when one is
+//! attached, else by a scan; outward from the pins, over their
 //! neighbourhood, when the execution has pins), runs an AC-3 pass over
 //! the pattern edges, and then backtracks in the compiled order. It
 //! supports pinning (`fix`), exclusion (`forbid`) and an injectivity
 //! mode. Its tests compare it against [`oracle`](crate::oracle), a naive
 //! enumerator that shares none of this machinery.
 
-use sirup_core::paged::NodesView;
 use sirup_core::{arena, telemetry};
 use sirup_core::{CancelToken, Node, NodeSet, Pred, Structure, Target};
 use std::fmt;
@@ -735,30 +734,6 @@ impl<'a> PlanExec<'a> {
         self.target.has_label(t, l)
     }
 
-    /// Smallest index-backed candidate list for pattern node `u`, if an
-    /// index is attached and `u` is constrained at all. An overlay target
-    /// carries no index, so the postings of an overridden predicate are
-    /// never read.
-    fn seed_candidates(&self, c: &VarConstraint) -> Option<NodesView<'a>> {
-        let idx = self.target.index()?;
-        let mut best: Option<NodesView<'a>> = None;
-        let mut consider = |list: NodesView<'a>| {
-            if best.is_none_or(|b| list.len() < b.len()) {
-                best = Some(list);
-            }
-        };
-        for &l in &c.labels {
-            consider(idx.nodes_with_label(l));
-        }
-        for &p in &c.preds_out {
-            consider(idx.sources(p));
-        }
-        for &p in &c.preds_in {
-            consider(idx.sinks(p));
-        }
-        best
-    }
-
     /// Per-node candidate domains after unary/degree filtering and pinning.
     /// `None` means some domain is empty (no homomorphism exists). The
     /// returned buffers come from the worker's scratch arena; callers
@@ -818,39 +793,27 @@ impl<'a> PlanExec<'a> {
     }
 
     /// Seed `dom` with every admissible node of the instance: the view's
-    /// bitmap rows when they apply, else the index's shortest postings
-    /// list, else a scan of all nodes.
+    /// bitmap rows when one is attached, else a scan of all nodes.
     fn seed_universe(&self, c: &VarConstraint, dom: &mut NodeSet) {
         if self.seed_domain_rows(c, dom) {
             return;
         }
-        match self.seed_candidates(c) {
-            Some(seed) => {
-                for t in seed.iter() {
-                    if self.admissible(c, t) {
-                        dom.insert(t);
-                    }
-                }
-            }
-            None => {
-                for t in self.data().nodes() {
-                    if self.admissible(c, t) {
-                        dom.insert(t);
-                    }
-                }
+        for t in self.data().nodes() {
+            if self.admissible(c, t) {
+                dom.insert(t);
             }
         }
     }
 
     /// What [`PlanExec::seed_universe`] reads to seed `c`: bitmap-row
-    /// words, the shortest postings list, or every node.
+    /// words, or every node.
     fn universe_cost(&self, c: &VarConstraint) -> usize {
         let nt = self.data().node_count();
         if self.target.view().is_some() {
             let rows = c.preds_out.len() + c.preds_in.len() + c.labels.len();
             return rows.max(1) * nt.div_ceil(64);
         }
-        self.seed_candidates(c).map_or(nt, |seed| seed.len())
+        nt
     }
 
     /// Seed a pinned execution's domains outward from its pins.
@@ -979,8 +942,8 @@ impl<'a> PlanExec<'a> {
 
     /// Try to seed a domain by intersecting the view's bitmap rows — the
     /// word-parallel path that replaces the per-node admissibility scan.
-    /// Returns `false` when no view is attached (then the caller falls back
-    /// to seed/scan). Label rows come from the target: an overlay's rows,
+    /// Returns `false` when no view is attached (then the caller scans).
+    /// Label rows come from the target: an overlay's rows,
     /// else the view's, which cover every label.
     fn seed_domain_rows(&self, c: &VarConstraint, dom: &mut NodeSet) -> bool {
         let Some(f) = self.target.view() else {
@@ -1207,7 +1170,7 @@ mod tests {
     use super::*;
     use crate::oracle::every_hom;
     use sirup_core::parse::{parse_structure, st};
-    use sirup_core::{FrozenStructure, PredIndex};
+    use sirup_core::FrozenStructure;
 
     fn sorted(mut homs: Vec<Vec<Node>>) -> Vec<Vec<Node>> {
         homs.sort();
@@ -1258,12 +1221,12 @@ mod tests {
                 let expect = every_hom(p, t);
                 let planned = sorted(plan.on(t).find_up_to(100_000));
                 assert_eq!(expect, planned, "pattern {p} target {t}");
-                let idx = PredIndex::new(t);
-                let indexed = sorted(
-                    plan.on(Target::from(t).with_index(&idx))
+                let f = FrozenStructure::freeze(t);
+                let viewed = sorted(
+                    plan.on(Target::from(t).with_view(Some(&f)))
                         .find_up_to(100_000),
                 );
-                assert_eq!(expect, indexed, "indexed: pattern {p} target {t}");
+                assert_eq!(expect, viewed, "view: pattern {p} target {t}");
             }
         }
     }
@@ -1467,16 +1430,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "snapshot")]
-    fn stale_index_is_rejected() {
-        let t = st("R(x,y)");
-        let idx = PredIndex::new(&t);
-        let bigger = st("R(x,y), R(y,z)");
-        let plan = QueryPlan::compile(&st("R(a,b)"));
-        let _ = plan.on(Target::from(&bigger).with_index(&idx)).exists();
-    }
-
-    #[test]
     fn plan_matches_oracle_under_pins() {
         let p = st("F(a), R(a,b), R(b,c), T(c)");
         let t = st("F(x), R(x,y), R(y,z), T(z), R(x,z), T(y), F(y)");
@@ -1561,14 +1514,12 @@ mod tests {
         for p in &patterns {
             let plan = QueryPlan::compile(p);
             for t in &targets {
-                let idx = PredIndex::new(t);
                 let f = FrozenStructure::freeze(t);
                 let (stripped, rows) = strip_tf(t);
                 let sf = FrozenStructure::freeze(&stripped);
                 let overlay = [(Pred::T, &rows[0]), (Pred::F, &rows[1])];
                 let shapes = [
                     Target::from(t),
-                    Target::from(t).with_index(&idx),
                     Target::from(t).with_view(Some(&f)),
                     Target::from(&stripped)
                         .with_view(Some(&sf))

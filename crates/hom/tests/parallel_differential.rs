@@ -7,7 +7,7 @@
 //! what makes parallel answers deterministic all the way up the stack.
 
 use proptest::prelude::*;
-use sirup_core::{Node, ParCtx, Pred, PredIndex, Scheduler, Structure, Target};
+use sirup_core::{FrozenStructure, Node, ParCtx, Pred, Scheduler, Structure, Target};
 use sirup_hom::QueryPlan;
 use std::sync::OnceLock;
 
@@ -57,7 +57,7 @@ proptest! {
 
     /// Parallel enumeration reproduces the sequential sequence exactly —
     /// same homomorphisms, same order — at every worker count, plain and
-    /// index-seeded.
+    /// seeded from a view's rows.
     #[test]
     fn parallel_enumeration_is_bit_identical(
         p in arb_structure(4, 6),
@@ -65,7 +65,7 @@ proptest! {
     ) {
         let plan = QueryPlan::compile(&p);
         let sequential = plan.on(&t).find_up_to(200_000);
-        let idx = PredIndex::new(&t);
+        let f = FrozenStructure::freeze(&t);
         for sched in schedulers() {
             let ctx = ParCtx::new(sched, THRESHOLD);
             let parallel = plan.on(Target::from(&t).with_par(Some(ctx))).find_up_to(200_000);
@@ -73,10 +73,10 @@ proptest! {
                 &sequential, &parallel,
                 "parallel enumeration diverged at {} workers", sched.workers()
             );
-            let indexed = plan.on(Target::from(&t).with_index(&idx).with_par(Some(ctx))).find_up_to(200_000);
+            let viewed = plan.on(Target::from(&t).with_view(Some(&f)).with_par(Some(ctx))).find_up_to(200_000);
             prop_assert_eq!(
-                &sequential, &indexed,
-                "indexed parallel enumeration diverged at {} workers", sched.workers()
+                &sequential, &viewed,
+                "view-seeded parallel enumeration diverged at {} workers", sched.workers()
             );
         }
     }

@@ -4,12 +4,12 @@
 //! The oracle shares none of the plan's machinery (static greedy order,
 //! domain seeding, AC-3, join-driven candidates), so agreement on random
 //! CQ/instance pairs — full enumeration as a *set*, existence, pins,
-//! exclusions, injectivity, index seeding — is a strong check that plan
+//! exclusions, injectivity, view-row seeding — is a strong check that plan
 //! compilation loses no answers and invents none. Pins, exclusions and
 //! injectivity are filters over the oracle's complete list.
 
 use proptest::prelude::*;
-use sirup_core::{FrozenStructure, Node, NodeSet, Pred, PredIndex, Structure, Target};
+use sirup_core::{FrozenStructure, Node, NodeSet, Pred, Structure, Target};
 use sirup_hom::oracle::every_hom;
 use sirup_hom::QueryPlan;
 
@@ -117,7 +117,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Full enumeration agrees as a set of homomorphisms, with and without
-    /// index-seeded domains.
+    /// domains seeded from a view's rows.
     #[test]
     fn plan_enumeration_equals_oracle(
         p in arb_structure(4, 6),
@@ -127,9 +127,9 @@ proptest! {
         let expect = every_hom(&p, &t);
         let planned = sorted(plan.on(&t).find_up_to(200_000));
         prop_assert_eq!(&expect, &planned, "plain enumeration diverged");
-        let idx = PredIndex::new(&t);
-        let indexed = sorted(plan.on(Target::from(&t).with_index(&idx)).find_up_to(200_000));
-        prop_assert_eq!(&expect, &indexed, "indexed enumeration diverged");
+        let f = FrozenStructure::freeze(&t);
+        let viewed = sorted(plan.on(Target::from(&t).with_view(Some(&f))).find_up_to(200_000));
+        prop_assert_eq!(&expect, &viewed, "view-seeded enumeration diverged");
         for h in &expect {
             prop_assert!(p.is_hom(&t, h));
         }
@@ -175,8 +175,7 @@ proptest! {
 
     /// A `T`/`F` label-row overlay reads exactly like a live read of the
     /// copy of the data whose `T`/`F` labels are those rows — live and
-    /// through a forced CSR view, with an index attached first (the overlay
-    /// drops it).
+    /// through a forced CSR view.
     #[test]
     fn label_row_overlay_equals_relabelled_copy(
         p in arb_structure(3, 5),
@@ -200,11 +199,10 @@ proptest! {
         let plan = QueryPlan::compile(&p);
         let expect = every_hom(&p, &copy);
         prop_assert_eq!(&expect, &sorted(plan.on(Target::from(&copy)).find_up_to(200_000)));
-        let idx = PredIndex::new(&t);
         let f = FrozenStructure::freeze(&t);
         for (shape, base) in [
-            ("live", Target::from(&t).with_index(&idx)),
-            ("view", Target::from(&t).with_index(&idx).with_view(Some(&f))),
+            ("live", Target::from(&t)),
+            ("view", Target::from(&t).with_view(Some(&f))),
         ] {
             let got = sorted(plan.on(base.with_label_rows(&overlay)).find_up_to(200_000));
             prop_assert_eq!(&expect, &got, "{} overlay diverged", shape);
@@ -228,7 +226,7 @@ proptest! {
     /// optional second pin (possibly conflicting), an optional exclusion
     /// and injectivity — enumerate the oracle's set, and the
     /// `find_up_to(cap)` sequence is the same on every target shape:
-    /// plain, index, view, view + index, and a `T`/`F` label-row overlay
+    /// plain, view, and a `T`/`F` label-row overlay
     /// live, on the view, and on the view of a copy stripped of those
     /// labels. Hub targets make
     /// pins whose neighbourhood exceeds a universe seed, so the fall-back
@@ -247,7 +245,6 @@ proptest! {
         let pick = |&(u, v): &(u32, u32)| (Node(u % np), Node(v % nt));
         let forbid: Vec<(Node, Node)> = raw_forbid.iter().map(pick).collect();
         let plan = QueryPlan::compile(&p);
-        let idx = PredIndex::new(&t);
         let f = FrozenStructure::freeze(&t);
         // `t` without its `T`/`F` labels: the rows restore them on its view.
         let mut stripped = t.clone();
@@ -262,9 +259,7 @@ proptest! {
         let overlay = [(Pred::T, &rows[0]), (Pred::F, &rows[1])];
         let homs = every_hom(&p, &t);
         let shapes = [
-            ("index", Target::from(&t).with_index(&idx)),
             ("view", Target::from(&t).with_view(Some(&f))),
-            ("view+index", Target::from(&t).with_index(&idx).with_view(Some(&f))),
             ("stripped view + label rows", Target::from(&stripped).with_view(Some(&sf)).with_label_rows(&overlay)),
             ("label rows", Target::from(&t).with_view(Some(&f)).with_label_rows(&overlay)),
             ("live label rows", Target::from(&t).with_label_rows(&overlay)),

@@ -1,25 +1,25 @@
 //! The versioned instance catalog.
 //!
 //! The service holds many named data instances at once. Each instance is
-//! stored *indexed*: alongside the [`Structure`] sits a prebuilt
-//! [`PredIndex`] so every evaluation strategy reads per-predicate edge and
-//! label lists as sorted slices instead of rescanning adjacency, plus the
-//! instance's **live materialisations** — one incrementally maintained
+//! stored *indexed*: alongside the [`Structure`] sits its CSR view
+//! ([`FrozenStructure`], frozen at load), the one index every evaluation
+//! strategy reads — per-predicate adjacency rows and label/endpoint bitmap
+//! rows that seed candidate domains — plus the instance's **live
+//! materialisations**: one incrementally maintained
 //! [`MaterializedFixpoint`] per semi-naive program that has queried it.
 //!
 //! Instances are **immutable snapshots**: a mutation builds a new
-//! [`IndexedInstance`] — data snapshot-cloned and patched, index updated by
-//! [`PredIndex::apply`] deltas (not rebuilt), the CSR read view (once one
-//! is built) carried by [`FrozenStructure::apply`] deltas, every
+//! [`IndexedInstance`] — data snapshot-cloned and patched, the view
+//! carried by clone + [`FrozenStructure::apply_all`] (not re-frozen), every
 //! materialisation carried forward by *incremental* maintenance (not
 //! re-evaluated) — under a fresh catalog-wide version, and swaps the `Arc`
-//! (copy-on-write). The structure and the index store their lists in
-//! `Arc`-shared pages (`sirup_core::paged`) and the view shares its base
-//! arrays, so the "clone" is O(pages) pointer bumps and
-//! patching dirties only the pages the ops touch: a point write is
-//! O(touched) end to end, flat in instance size, and consecutive versions
-//! physically share all untouched storage ([`CowStats`] measures how
-//! much). In-flight readers keep the snapshot they resolved: data, index,
+//! (copy-on-write). The structure stores its records in `Arc`-shared
+//! pages (`sirup_core::paged`) and the view shares its base arrays and
+//! untouched rows, so the "clone" is O(pages) pointer bumps and patching
+//! dirties only the pages the ops touch: a point write is O(touched) end
+//! to end, flat in instance size, and consecutive versions physically
+//! share all untouched storage ([`CowStats`] measures how much of the
+//! data). In-flight readers keep the snapshot they resolved: data, view
 //! and materialisations are mutually consistent by construction, with no
 //! version checks on the read path.
 //!
@@ -34,14 +34,13 @@
 //! it only to insert or remove one `Arc`.
 
 use crate::cache::StampedLru;
-use sirup_core::csr::FREEZE_EDGE_THRESHOLD;
 use sirup_core::fx::FxHashMap;
 use sirup_core::sync;
 use sirup_core::telemetry;
-use sirup_core::{FactOp, FrozenStructure, ParCtx, PredIndex, Scheduler, Structure, Target};
+use sirup_core::{FactOp, FrozenStructure, ParCtx, Scheduler, Structure, Target};
 use sirup_engine::{MaterializationStats, MaterializedFixpoint};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 
 /// Most live materialisations one instance retains (LRU beyond this):
 /// every mutation carries each attached materialisation forward, so an
@@ -49,17 +48,18 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
 /// would make per-op mutation cost and memory grow without bound.
 const MAX_LIVE_MATERIALIZATIONS: usize = 32;
 
-/// Structural-sharing statistics of one snapshot, measured against the
-/// version it was mutated from (all-zero sharing for a fresh load: there
-/// is no predecessor to share with).
+/// Structural-sharing statistics of one snapshot's data, measured against
+/// the version it was mutated from (all-zero sharing for a fresh load:
+/// there is no predecessor to share with). The CSR view is reported on
+/// its own ([`IndexedInstance::frozen_bytes`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CowStats {
-    /// Storage pages (structure) + posting chunks (index) in the snapshot.
+    /// Storage pages of the structure in the snapshot.
     pub pages: usize,
     /// Of those, how many are physically shared (same allocation) with the
     /// predecessor snapshot — O(touched) writes keep this near `pages`.
     pub shared_pages: usize,
-    /// Approximate heap bytes retained by data + index. Shared pages count
+    /// Approximate heap bytes retained by the data. Shared pages count
     /// fully: this is "bytes reachable from this snapshot", of which
     /// roughly `shared_ratio()` cost nothing new.
     pub retained_bytes: usize,
@@ -67,19 +67,19 @@ pub struct CowStats {
 
 impl CowStats {
     /// Measure a snapshot with no predecessor (fresh load / recovery).
-    fn fresh(data: &Structure, index: &PredIndex) -> CowStats {
+    fn fresh(data: &Structure) -> CowStats {
         CowStats {
-            pages: data.page_count() + index.chunk_count(),
+            pages: data.page_count(),
             shared_pages: 0,
-            retained_bytes: data.retained_bytes() + index.retained_bytes(),
+            retained_bytes: data.retained_bytes(),
         }
     }
 
     /// Measure a mutated snapshot against the version it came from.
-    fn against(data: &Structure, index: &PredIndex, old: &IndexedInstance) -> CowStats {
+    fn against(data: &Structure, old: &IndexedInstance) -> CowStats {
         CowStats {
-            shared_pages: data.shared_pages_with(&old.data) + index.shared_chunks_with(&old.index),
-            ..CowStats::fresh(data, index)
+            shared_pages: data.shared_pages_with(&old.data),
+            ..CowStats::fresh(data)
         }
     }
 
@@ -99,17 +99,21 @@ impl CowStats {
     }
 }
 
-/// A named, immutable snapshot of a data instance: the structure, its
-/// prebuilt per-predicate index, and the live materialisations attached to
-/// this version.
+/// A named, immutable snapshot of a data instance: the structure, its CSR
+/// view, and the live materialisations attached to this version.
 #[derive(Debug)]
 pub struct IndexedInstance {
     /// Catalog name.
     pub name: String,
     /// The data instance.
     pub data: Structure,
-    /// Per-predicate index snapshot of `data`.
-    pub index: PredIndex,
+    /// The CSR read view of `data` (see [`sirup_core::csr`]): contiguous
+    /// per-predicate adjacency plus label and endpoint bitmap rows, shared
+    /// by every strategy that evaluates against this version. Frozen at
+    /// load; every mutation carries the predecessor's view forward with
+    /// [`FrozenStructure::apply_all`], so it always reads exactly like a
+    /// fresh freeze of this version's `data`.
+    pub index: FrozenStructure,
     /// Catalog-wide version of this snapshot (strictly increases across
     /// loads and mutations of any instance; a reload always changes it).
     /// Used for cache keying — never reported to clients.
@@ -125,19 +129,9 @@ pub struct IndexedInstance {
     /// mutations. Each is immutable once built (mutation clones it); the
     /// set is LRU-bounded by [`MAX_LIVE_MATERIALIZATIONS`].
     mats: StampedLru<Arc<MaterializedFixpoint>>,
-    /// Structural sharing of this snapshot with the version it was mutated
-    /// from (zero sharing after a fresh load).
+    /// Structural sharing of this snapshot's data with the version it was
+    /// mutated from (zero sharing after a fresh load).
     pub cow: CowStats,
-    /// CSR read view of `data` (see [`sirup_core::csr::FrozenStructure`]):
-    /// contiguous per-predicate adjacency plus label bitmap rows, shared by
-    /// every strategy that evaluates against this version, and only for
-    /// instances above the freeze gate. A loaded or restored
-    /// instance freezes it on first use; from then on every mutation
-    /// carries the predecessor's view forward with
-    /// [`FrozenStructure::apply`] and stores it pre-filled, so reads after
-    /// a write never re-freeze. Either way the view reads exactly like a
-    /// fresh freeze of this version's `data`.
-    frozen: OnceLock<Option<FrozenStructure>>,
 }
 
 impl IndexedInstance {
@@ -154,61 +148,46 @@ impl IndexedInstance {
     }
 
     /// Index `data` under `name` at an explicit version and mutation
-    /// sequence (the recovery path re-creates instances mid-sequence).
+    /// sequence (the recovery path re-creates instances mid-sequence):
+    /// freezes its view.
     pub fn with_state(
         name: impl Into<String>,
         data: Structure,
         version: u64,
         seq: u64,
     ) -> IndexedInstance {
-        let index = PredIndex::new(&data);
-        let cow = CowStats::fresh(&data, &index);
+        let index = {
+            let _t = telemetry::timed(telemetry::Family::CsrFreeze, "csr_freeze");
+            FrozenStructure::freeze(&data)
+        };
         IndexedInstance {
             name: name.into(),
+            cow: CowStats::fresh(&data),
             data,
             index,
             version,
             seq,
             mats: StampedLru::new(MAX_LIVE_MATERIALIZATIONS),
-            cow,
-            frozen: OnceLock::new(),
         }
     }
 
-    /// The CSR read view of this version's data: the one a mutation
-    /// carried forward, else built on first use. Returns `None` for
-    /// instances below the freeze gate (where building costs more
-    /// than it saves). Concurrent first builds race; `OnceLock` keeps the
-    /// first and drops the rest, which is sound because both are frozen
-    /// from the same immutable data.
+    /// The CSR read view of this version's data. Always `Some`: every
+    /// snapshot carries its view.
     pub fn frozen(&self) -> Option<&FrozenStructure> {
-        self.frozen
-            .get_or_init(|| {
-                // Time only an actual freeze, not a gated-out `None`.
-                let _t = (self.data.edge_count() >= FREEZE_EDGE_THRESHOLD)
-                    .then(|| telemetry::timed(telemetry::Family::CsrFreeze, "csr_freeze"));
-                FrozenStructure::freeze_if_large(&self.data)
-            })
-            .as_ref()
+        Some(&self.index)
     }
 
-    /// The read target of this version: data, index and CSR view
-    /// ([`IndexedInstance::frozen`], so this may build the view), with
-    /// `par` attached.
+    /// The read target of this version: data and CSR view, with `par`
+    /// attached.
     pub fn target<'a>(&'a self, par: Option<ParCtx<'a>>) -> Target<'a> {
         Target::from(&self.data)
-            .with_index(&self.index)
-            .with_view(self.frozen())
+            .with_view(Some(&self.index))
             .with_par(par)
     }
 
-    /// Heap bytes held by the CSR read view, if one has been built or
-    /// carried (0 otherwise — querying this never forces a build).
+    /// Heap bytes held by the CSR read view.
     pub fn frozen_bytes(&self) -> usize {
-        self.frozen
-            .get()
-            .and_then(|f| f.as_ref())
-            .map_or(0, |f| f.retained_bytes())
+        self.index.retained_bytes()
     }
 
     /// The materialisation for `key`, building it with `build` on first
@@ -402,8 +381,8 @@ impl Catalog {
         self.mutate_ticketed(name, ops, ticket)
     }
 
-    /// Copy-on-write application: clone the current snapshot's data, patch
-    /// it, delta-update the index, carry every materialisation forward
+    /// Copy-on-write application: clone the current snapshot's data and
+    /// view and apply the ops to both, carry every materialisation forward
     /// incrementally, and swap the new snapshot in. Runs outside the map
     /// lock except for the final swap; same-instance ordering is the ticket
     /// sequencer's job.
@@ -414,8 +393,11 @@ impl Catalog {
         let mut data = old.data.clone();
         let applied = data.apply_all(ops);
         let mut index = old.index.clone();
-        let index_applied = index.apply_all(ops);
-        debug_assert_eq!(applied, index_applied, "index deltas diverged from data");
+        let view_applied = {
+            let _t = telemetry::timed(telemetry::Family::CsrCarry, "csr_carry");
+            index.apply_all(ops)
+        };
+        debug_assert_eq!(applied, view_applied, "carried view diverged from data");
         let mats = StampedLru::new(MAX_LIVE_MATERIALIZATIONS);
         let entries = old.mats.entries();
         let mat_t = (!entries.is_empty())
@@ -448,23 +430,7 @@ impl Catalog {
             }
         }
         drop(mat_t);
-        // Carry a built read view forward (dropped below the freeze gate,
-        // where `frozen()` promises `None`); otherwise the new snapshot
-        // freezes lazily, like a fresh load.
-        let frozen = OnceLock::new();
-        if let Some(Some(view)) = old.frozen.get() {
-            if data.edge_count() >= FREEZE_EDGE_THRESHOLD {
-                let _t = telemetry::timed(telemetry::Family::CsrCarry, "csr_carry");
-                let next = view.apply(ops);
-                debug_assert_eq!(
-                    (next.node_count(), next.edge_count()),
-                    (data.node_count(), data.edge_count()),
-                    "carried view diverged from data"
-                );
-                let _ = frozen.set(Some(next));
-            }
-        }
-        let cow = CowStats::against(&data, &index, &old);
+        let cow = CowStats::against(&data, &old);
         telemetry::gauge_set(telemetry::Gauge::CatalogBytesShared, cow.shared_bytes());
         let version = self.next_version();
         let seq = old.seq + 1;
@@ -476,7 +442,6 @@ impl Catalog {
             seq,
             mats,
             cow,
-            frozen,
         };
         sync::write(&self.instances).insert(name.to_owned(), Arc::new(inst));
         Some(MutationOutcome { applied, seq })
@@ -566,10 +531,11 @@ mod tests {
         assert!(after.version > before.version);
         assert!(after.data.has_label(Node(1), Pred::A));
         assert_eq!(after.data.edge_count(), 0);
-        // Index was delta-updated, not stale.
-        assert!(after.index.pairs(Pred::R).is_empty());
+        // The view was carried, not left stale.
+        assert_eq!(after.index.edge_count(), 0);
+        assert!(after.index.out(Pred::R, Node(0)).is_empty());
         assert_eq!(
-            after.index.nodes_with_label(Pred::A).to_vec(),
+            after.index.label_row(Pred::A).iter().collect::<Vec<_>>(),
             vec![Node(1)]
         );
         // The pre-mutation snapshot is untouched.
@@ -598,8 +564,8 @@ mod tests {
         c.mutate("big", &[FactOp::AddLabel(Pred::T, Node(5_000))])
             .unwrap();
         let after = c.get("big").unwrap();
-        // One touched label page (plus the T posting list) out of hundreds:
-        // the acceptance bar is >90% shared after a point write.
+        // One touched label page out of hundreds: the acceptance bar is
+        // >90% shared after a point write.
         assert!(after.cow.pages > 100);
         assert!(
             after.cow.shared_ratio() > 0.9,
@@ -706,60 +672,81 @@ mod tests {
         c.quiesce(); // no tickets outstanding: returns immediately
     }
 
-    #[test]
-    fn frozen_snapshot_is_gated_and_cached() {
-        let c = Catalog::new();
-        // Below the freeze gate: no CSR view, and asking costs nothing.
-        c.insert("small", st("F(a), R(a,b), T(b)"));
-        let small = c.get("small").unwrap();
-        assert!(small.frozen().is_none());
-        assert_eq!(small.frozen_bytes(), 0);
-        // Above the gate: built lazily, once, and consistent with the data.
-        let edges = FREEZE_EDGE_THRESHOLD as u32 + 2;
+    /// `inst`'s view reads exactly like a fresh freeze of its data.
+    fn assert_view_is_fresh(inst: &IndexedInstance, what: &str) {
+        let view = inst.frozen().expect("every snapshot carries a view");
+        let fresh = FrozenStructure::freeze(&inst.data);
+        let n = fresh.node_count();
+        assert_eq!(view.node_count(), n, "{what}: node count");
+        assert_eq!(view.edge_count(), fresh.edge_count(), "{what}: edge count");
+        for p in [Pred::F, Pred::T, Pred::A] {
+            assert_eq!(view.label_row(p), fresh.label_row(p), "{what}: {p} row");
+        }
+        for p in [Pred::R, Pred::S] {
+            assert_eq!(
+                view.source_row(p),
+                fresh.source_row(p),
+                "{what}: {p} sources"
+            );
+            assert_eq!(view.sink_row(p), fresh.sink_row(p), "{what}: {p} sinks");
+            for u in (0..n as u32 + 1).map(Node) {
+                assert_eq!(view.out(p, u), fresh.out(p, u), "{what}: out {p} {u:?}");
+                assert_eq!(view.inn(p, u), fresh.inn(p, u), "{what}: inn {p} {u:?}");
+            }
+        }
+        assert_eq!(inst.frozen_bytes(), view.retained_bytes(), "{what}: bytes");
+    }
+
+    /// An `R`-chain with `edges` edges, `F` at its start.
+    fn chain(edges: u32) -> Structure {
         let mut s = Structure::with_nodes(edges as usize + 1);
         for i in 0..edges {
             s.add_edge(Pred::R, Node(i), Node(i + 1));
         }
         s.add_label(Node(0), Pred::F);
-        c.insert("big", s);
-        let big = c.get("big").unwrap();
-        assert_eq!(big.frozen_bytes(), 0, "no build before first use");
-        let f = big.frozen().expect("above the freeze gate");
-        assert_eq!(f.edge_count(), edges as usize);
-        assert!(f.has_label(Node(0), Pred::F));
-        assert_eq!(f.out(Pred::R, Node(7)), &[Node(8)]);
-        assert!(std::ptr::eq(f, big.frozen().unwrap()), "built once");
-        assert!(big.frozen_bytes() > 0);
-        // A mutation carries the built view forward eagerly: the new
-        // snapshot holds it before its first read, and it matches a fresh
-        // freeze of the mutated data.
-        c.mutate("big", &[FactOp::AddEdge(Pred::S, Node(3), Node(9))])
-            .unwrap();
-        let next = c.get("big").unwrap();
-        assert!(next.frozen_bytes() > 0, "carried, not frozen lazily");
-        let f2 = next.frozen().unwrap();
-        assert_eq!(f2.out(Pred::S, Node(3)), &[Node(9)]);
-        assert_eq!(f2.edge_count(), next.data.edge_count());
-        assert!(f.out(Pred::S, Node(3)).is_empty(), "old view untouched");
-        // The carry continues across snapshots nobody read.
-        c.mutate("big", &[FactOp::RemoveEdge(Pred::R, Node(0), Node(1))])
-            .unwrap();
-        c.mutate("big", &[FactOp::AddLabel(Pred::T, Node(5))])
-            .unwrap();
-        let later = c.get("big").unwrap();
-        assert!(later.frozen_bytes() > 0);
-        let f3 = later.frozen().unwrap();
-        assert!(f3.out(Pred::R, Node(0)).is_empty());
-        assert!(f3.has_label(Node(5), Pred::T));
-        // Dropping below the gate drops the view: `frozen()` is `None`.
-        let shrink: Vec<FactOp> = (1..edges)
+        s
+    }
+
+    #[test]
+    fn every_snapshot_carries_a_view() {
+        let c = Catalog::new();
+        // From load on, on both sides of the engine's 64-edge freeze gate.
+        for edges in [0, 3, 63, 64, 66] {
+            let name = format!("chain{edges}");
+            c.insert(name.as_str(), chain(edges));
+            let inst = c.get(&name).unwrap();
+            assert!(inst.frozen_bytes() > 0, "{name}: view frozen at load");
+            assert_view_is_fresh(&inst, &name);
+        }
+        c.restore("restored", chain(5), 3);
+        assert_view_is_fresh(&c.get("restored").unwrap(), "restored");
+        // Mutations that cross 64 edges upward and back down, and grow the
+        // node count: each snapshot carries its predecessor's view.
+        let grow: Vec<FactOp> = (63..70)
+            .map(|i| FactOp::AddEdge(Pred::R, Node(i), Node(i + 1)))
+            .chain([FactOp::AddLabel(Pred::T, Node(80))])
+            .collect();
+        let shrink: Vec<FactOp> = (0..10)
             .map(|i| FactOp::RemoveEdge(Pred::R, Node(i), Node(i + 1)))
             .collect();
-        c.mutate("big", &shrink).unwrap();
-        let below = c.get("big").unwrap();
-        assert!(below.data.edge_count() < FREEZE_EDGE_THRESHOLD);
-        assert_eq!(below.frozen_bytes(), 0);
-        assert!(below.frozen().is_none());
+        let regrow: Vec<FactOp> = (0..10)
+            .map(|i| FactOp::AddEdge(Pred::R, Node(i), Node(i + 1)))
+            .collect();
+        let before = c.get("chain63").unwrap();
+        // Edge counts: 64, 70, 60, 70, 60.
+        let steps = [&grow[..1], &grow[1..], &shrink, &regrow, &shrink];
+        for (step, ops) in steps.into_iter().enumerate() {
+            c.mutate("chain63", ops).unwrap();
+            let inst = c.get("chain63").unwrap();
+            assert_eq!(inst.data.edge_count(), [64, 70, 60, 70, 60][step]);
+            assert_view_is_fresh(&inst, &format!("chain63 after step {step}"));
+        }
+        let after = c.get("chain63").unwrap();
+        assert_eq!(after.data.node_count(), 81, "the node count grew");
+        assert!(after.index.has_label(Node(80), Pred::T));
+        // The first snapshot's view is untouched by the carries.
+        assert_view_is_fresh(&before, "chain63 at load");
+        assert_eq!(before.index.edge_count(), 63);
     }
 
     #[test]

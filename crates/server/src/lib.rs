@@ -12,11 +12,12 @@
 //!
 //! * [`catalog`] — a **versioned instance catalog**: named
 //!   [`sirup_core::Structure`] snapshots behind one `RwLock` map, each
-//!   stored with a prebuilt [`sirup_core::PredIndex`] and the instance's
-//!   live [`sirup_engine::MaterializedFixpoint`]s. Mutations are
-//!   copy-on-write `Arc` swaps under fresh versions: data patched, index
-//!   delta-updated, materialisations carried forward *incrementally*
-//!   (delta rules + DRed), same-instance order fixed by tickets;
+//!   stored with its CSR view ([`sirup_core::FrozenStructure`], frozen at
+//!   load) and the instance's live [`sirup_engine::MaterializedFixpoint`]s.
+//!   Mutations are copy-on-write `Arc` swaps under fresh versions: data
+//!   patched, view carried by clone + `apply_all`, materialisations
+//!   carried forward *incrementally* (delta rules + DRed), same-instance
+//!   order fixed by tickets;
 //! * [`plan`] — a **plan cache**: an LRU of per-program [`plan::Plan`]s
 //!   memoising the compiled search of the chosen strategy — given Prop. 2
 //!   boundedness evidence, the UCQ rewriting, so bounded programs are
@@ -62,7 +63,7 @@
 //! use sirup_core::{parse::st, FactOp, Node, OneCq, Pred};
 //!
 //! let server = Server::with_defaults();
-//! server.load_instance("d", st("F(u), R(u,v), T(v)"));
+//! server.load_instance("d", st("F(u), R(u,v), T(v)")).unwrap();
 //! let req = Request::query(Query::PiGoal(OneCq::parse("F(x), R(x,y), T(y)")), "d");
 //! let resp = server.submit(std::slice::from_ref(&req)).unwrap();
 //! assert_eq!(resp[0].answer, Answer::Bool(true));
@@ -91,7 +92,7 @@ pub use metrics::LatencyStats;
 pub use plan::{Answer, Plan, PlanCache, PlanOptions, Query, Strategy};
 pub use server::{
     Action, InstanceStats, ReplayMode, ReplayReport, Request, Response, Server, ServerConfig,
-    ServerError,
+    ServerError, MAX_NODES,
 };
 pub use wal::{RecoveredInstance, Wal, WalRecord};
 pub use wire::{Daemon, TailEvent, WireConfig};

@@ -16,10 +16,10 @@
 //! Strategy routing, cheapest first:
 //!
 //! 1. **Rewriting** — bounded `Π`/`Σ` queries are answered by evaluating the
-//!    depth-`d` UCQ rewriting against the instance's prebuilt index; no
+//!    depth-`d` UCQ rewriting against the instance's CSR view; no
 //!    fixpoint at all.
 //! 2. **Semi-naive** — unbounded (or unproven) `Π`/`Σ` queries run the
-//!    `sirup-engine` fixpoint, candidate-seeded from the index.
+//!    `sirup-engine` fixpoint, candidate-seeded from the view's label rows.
 //! 3. **DPLL** — disjunctive sirups run the labelling search over the *core*
 //!    of `q` (hom-equivalent, so certain answers are unchanged — often
 //!    strictly smaller, which shrinks every hom check in the search).
@@ -34,7 +34,7 @@ use crate::catalog::IndexedInstance;
 use sirup_cactus::{find_bound, pi_rewriting, sigma_rewriting, BoundSearch, Boundedness};
 use sirup_core::program::{pi_q, sigma_q, DSirup};
 use sirup_core::telemetry;
-use sirup_core::{Node, OneCq, Pred, Structure, Target};
+use sirup_core::{Node, OneCq, Pred, Structure};
 use sirup_engine::containment::minimise_ucq;
 use sirup_engine::ucq::CompiledUcq;
 use sirup_engine::{disjunctive, CompiledProgram};
@@ -261,8 +261,8 @@ impl Plan {
     /// Strategy interaction with the live-instance machinery:
     ///
     /// * **Rewriting** (bounded programs) answers straight from the
-    ///   snapshot's read target ([`IndexedInstance::target`]: data, index
-    ///   and, above the freeze gate, the CSR view) — the mutation fast
+    ///   snapshot's read target ([`IndexedInstance::target`]: data and
+    ///   CSR view) — the mutation fast
     ///   path: rewritten programs need no fixpoint, so mutations never pay
     ///   maintenance for them and a fresh snapshot answers correctly with
     ///   zero extra work.
@@ -271,7 +271,7 @@ impl Plan {
     ///   carried forward *incrementally* by catalog mutations, so repeated
     ///   reads are lookups instead of fixpoint runs.
     /// * **DPLL** searches the labellings of the snapshot's data directly,
-    ///   reading adjacency through the snapshot's CSR view when it has one.
+    ///   reading adjacency through the snapshot's CSR view.
     ///
     /// An optional [`ParCtx`](sirup_core::ParCtx) adds **intra-request
     /// parallelism**: it splits the strategy's heavy loops —
@@ -302,11 +302,10 @@ impl Plan {
         par: Option<sirup_core::ParCtx<'_>>,
         materialise: bool,
     ) -> Answer {
-        // Every direct-evaluation path reads through the snapshot's cached
-        // CSR view (built lazily, `None` below the freeze gate). The
-        // instance is immutable, so full mode — labels included — is sound
-        // everywhere; the materialised path maintains its own fixpoint
-        // state and does not consult the frozen view.
+        // Every direct-evaluation path reads through the snapshot's CSR
+        // view. The instance is immutable, so full mode — labels included
+        // — is sound everywhere; the materialised path reads the view only
+        // to build its fixpoint and then maintains its own state.
         match (&self.strategy, &self.query) {
             (Strategy::Rewriting { compiled, .. }, Query::PiGoal(_)) => {
                 Answer::Bool(compiled.eval_boolean(inst.target(par)))
@@ -342,13 +341,9 @@ impl Plan {
         inst: &IndexedInstance,
         par: Option<sirup_core::ParCtx<'_>>,
     ) -> std::sync::Arc<sirup_engine::MaterializedFixpoint> {
-        // The build reads the data and index only: it freezes its own view
-        // rather than forcing the catalog's.
+        // The build reads the snapshot's target, view included.
         inst.materialization(&self.cache_key, || {
-            let target = Target::from(&inst.data)
-                .with_index(&inst.index)
-                .with_par(par);
-            sirup_engine::MaterializedFixpoint::from_compiled(program.clone(), target)
+            sirup_engine::MaterializedFixpoint::from_compiled(program.clone(), inst.target(par))
         })
     }
 }

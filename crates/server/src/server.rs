@@ -51,6 +51,21 @@ use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
+/// Most nodes one instance may hold. Larger loads are refused before
+/// anything is built or logged: every snapshot carries a CSR view with an
+/// n-bit row per label and edge endpoint, and the WAL records node counts
+/// as `u32`.
+pub const MAX_NODES: usize = 1 << 24;
+
+/// `nodes` as the WAL records it, or an error above [`MAX_NODES`] (which
+/// also keeps the count inside `u32`).
+fn logged_node_count(nodes: usize) -> Result<u32, ServerError> {
+    u32::try_from(nodes)
+        .ok()
+        .filter(|&n| n as usize <= MAX_NODES)
+        .ok_or(ServerError::TooManyNodes(nodes))
+}
+
 /// Server construction knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
@@ -185,6 +200,8 @@ pub enum ServerError {
     UnknownInstance(String),
     /// A `pi`/`sigma` request whose CQ is not a 1-CQ.
     BadQuery(String),
+    /// A load whose instance has more than [`MAX_NODES`] nodes.
+    TooManyNodes(usize),
 }
 
 impl std::fmt::Display for ServerError {
@@ -192,6 +209,9 @@ impl std::fmt::Display for ServerError {
         match self {
             ServerError::UnknownInstance(n) => write!(f, "unknown instance {n:?}"),
             ServerError::BadQuery(m) => write!(f, "bad query: {m}"),
+            ServerError::TooManyNodes(n) => {
+                write!(f, "{n} nodes is above the limit of {MAX_NODES}")
+            }
         }
     }
 }
@@ -315,15 +335,14 @@ pub struct InstanceStats {
     pub unary_atoms: usize,
     /// Binary atoms.
     pub binary_atoms: usize,
-    /// Structural sharing of the live snapshot with the version it was
-    /// mutated from (zero shared pages right after a load).
+    /// Structural sharing of the live snapshot's data with the version it
+    /// was mutated from (zero shared pages right after a load).
     pub cow: crate::catalog::CowStats,
     /// Bytes the live facts would occupy stored flat (no page granularity,
     /// no copy-on-write retention). `cow.retained_bytes - live_bytes` is
     /// the versioning overhead a version-GC pass could reclaim at most.
     pub live_bytes: usize,
-    /// Heap bytes of the snapshot's cached CSR read view, 0 if none has
-    /// been built (small instance, or no query has touched this version).
+    /// Heap bytes of the snapshot's CSR read view (every snapshot has one).
     pub frozen_bytes: usize,
     /// Per-program materialisation stats, sorted by program key.
     pub materializations: Vec<(String, MaterializationStats)>,
@@ -624,21 +643,28 @@ impl Server {
     /// logged first: the critical section waits for in-flight mutations to
     /// the whole catalog to apply (a load resets the instance's mutation
     /// sequence, so logged-but-unapplied mutations must not straddle it).
-    pub fn load_instance(&self, name: impl Into<String>, data: Structure) -> bool {
+    /// Returns whether an instance was replaced; an instance above
+    /// [`MAX_NODES`] nodes is refused, neither logged nor loaded.
+    pub fn load_instance(
+        &self,
+        name: impl Into<String>,
+        data: Structure,
+    ) -> Result<bool, ServerError> {
         let name = name.into();
+        let nodes = logged_node_count(data.node_count())?;
         if let Some(wal) = &self.wal {
             let _order = sync::lock(&self.mutation_order);
             self.shared.catalog.quiesce();
             sync::lock(wal)
                 .append(&WalRecord::Load {
                     name: name.clone(),
-                    nodes: data.node_count() as u32,
+                    nodes,
                     ops: data.to_ops(),
                 })
                 .expect("wal append (load)");
-            self.shared.catalog.insert(name, data)
+            Ok(self.shared.catalog.insert(name, data))
         } else {
-            self.shared.catalog.insert(name, data)
+            Ok(self.shared.catalog.insert(name, data))
         }
     }
 
@@ -952,7 +978,7 @@ impl Server {
         mode: ReplayMode,
     ) -> Result<ReplayReport, ServerError> {
         for (name, data) in &spec.instances {
-            self.load_instance(name.clone(), data.clone());
+            self.load_instance(name.clone(), data.clone())?;
         }
         let requests: Vec<Request> = spec
             .requests
@@ -1023,6 +1049,15 @@ mod tests {
     use sirup_core::parse::st;
     use sirup_core::{Node, Pred};
 
+    #[test]
+    fn logged_node_counts_are_checked_not_truncated() {
+        assert_eq!(logged_node_count(0), Ok(0));
+        assert_eq!(logged_node_count(MAX_NODES), Ok(MAX_NODES as u32));
+        for n in [MAX_NODES + 1, 1 << 32, usize::MAX] {
+            assert_eq!(logged_node_count(n), Err(ServerError::TooManyNodes(n)));
+        }
+    }
+
     fn tiny_server() -> Server {
         let s = Server::new(ServerConfig {
             threads: 2,
@@ -1030,8 +1065,8 @@ mod tests {
             answer_cache: 16,
             ..ServerConfig::default()
         });
-        s.load_instance("yes", st("F(u), R(u,v), T(v)"));
-        s.load_instance("no", st("F(u), R(v,u), T(v)"));
+        s.load_instance("yes", st("F(u), R(u,v), T(v)")).unwrap();
+        s.load_instance("no", st("F(u), R(v,u), T(v)")).unwrap();
         s
     }
 
@@ -1205,8 +1240,8 @@ mod tests {
             ..ServerConfig::default()
         });
         let data = st("F(u), R(v,u), R(v,w), T(w)");
-        adaptive.load_instance("d", data.clone());
-        oracle.load_instance("d", data);
+        adaptive.load_instance("d", data.clone()).unwrap();
+        oracle.load_instance("d", data).unwrap();
         // q4 is unbounded: the semi-naive strategy, where routing matters.
         let read = || {
             Request::query(
@@ -1313,7 +1348,8 @@ mod tests {
                 },
                 ..ServerConfig::default()
             });
-            s.load_instance("d", st("F(u), R(v,u), R(v,w), T(w)"));
+            s.load_instance("d", st("F(u), R(v,u), R(v,w), T(w)"))
+                .unwrap();
             let send = |req: Request| {
                 if inline {
                     s.answer_one(&req).unwrap()
@@ -1343,7 +1379,8 @@ mod tests {
         let s = tiny_server();
         let q4 = Query::PiGoal(OneCq::parse("F(x), R(y,x), R(y,z), T(z)"));
         for (inline, name) in [(true, "per-key-inline"), (false, "per-key-batched")] {
-            s.load_instance(name, st("F(u), R(v,u), R(v,w), T(w)"));
+            s.load_instance(name, st("F(u), R(v,u), R(v,w), T(w)"))
+                .unwrap();
             let req = Request::query(q4.clone(), name);
             for _ in 0..2 {
                 if inline {
@@ -1374,7 +1411,7 @@ mod tests {
             threads: 2,
             ..ServerConfig::default()
         });
-        s.load_instance("d", st("T(a), A(b), R(b,a)"));
+        s.load_instance("d", st("T(a), A(b), R(b,a)")).unwrap();
         let shared = Arc::clone(&s.shared);
         // Alternate removing and re-adding one label so every op is
         // effective, all against one instance (maximal ticket contention).

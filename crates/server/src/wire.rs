@@ -43,7 +43,8 @@
 //! Node names on the wire are **canonical**: `n<i>` maps to node index `i`
 //! verbatim (the `load` verb carries an explicit node count so trailing
 //! isolated nodes survive), which keeps client, server, WAL, and oracle in
-//! the same coordinate system.
+//! the same coordinate system. Node counts above [`MAX_NODES`] and node
+//! indices at or past it are refused before anything is built or logged.
 //!
 //! ## Scheduling model
 //!
@@ -66,7 +67,7 @@
 //! keeps serving.
 
 use crate::plan::{Answer, Query};
-use crate::server::{Action, Request, Server};
+use crate::server::{Action, Request, Server, ServerError, MAX_NODES};
 use sirup_core::delta::parse_op;
 use sirup_core::fx::FxHashMap;
 use sirup_core::parse::parse_structure;
@@ -377,12 +378,19 @@ enum Handled {
     },
 }
 
-/// Canonical wire node names: `n<i>` is node index `i`, nothing else.
+/// Canonical wire node names: `n<i>` is node index `i`, nothing else, and
+/// `i` is below [`MAX_NODES`].
 fn strict_node(name: &str) -> Result<Node, String> {
-    name.strip_prefix('n')
+    let i = name
+        .strip_prefix('n')
         .and_then(|d| d.parse::<u32>().ok())
-        .map(Node)
-        .ok_or_else(|| format!("node name {name:?} must be canonical n<i>"))
+        .ok_or_else(|| format!("node name {name:?} must be canonical n<i>"))?;
+    if i as usize >= MAX_NODES {
+        return Err(format!(
+            "node {name} is past the limit of {MAX_NODES} nodes"
+        ));
+    }
+    Ok(Node(i))
 }
 
 /// Parse a comma-separated op list in canonical node names.
@@ -472,6 +480,9 @@ fn handle_request(server: &Server, tails: &TailRegistry, text: &str) -> Result<H
                 .next()
                 .and_then(|w| w.parse().ok())
                 .ok_or("load needs a node count")?;
+            if nodes > MAX_NODES {
+                return Err(format!("load {name}: {}", ServerError::TooManyNodes(nodes)));
+            }
             let mut ops = Vec::new();
             for line in rest.unwrap_or("").lines() {
                 let line = line.trim();
@@ -491,7 +502,9 @@ fn handle_request(server: &Server, tails: &TailRegistry, text: &str) -> Result<H
                     data.node_count() - 1
                 ));
             }
-            server.load_instance(name.to_owned(), data);
+            server
+                .load_instance(name.to_owned(), data)
+                .map_err(|e| format!("load {name}: {e}"))?;
             Ok(Handled::Reply(format!(
                 "ok loaded {name} nodes {nodes} atoms {atoms}"
             )))

@@ -107,7 +107,7 @@ fn batched_answers_match_engine_cold_and_warm() {
     let server = four_thread_server();
     let instances = test_instances();
     for (name, data) in &instances {
-        server.load_instance(name.clone(), data.clone());
+        server.load_instance(name.clone(), data.clone()).unwrap();
     }
     let mut requests = Vec::new();
     let mut expected = Vec::new();
@@ -151,7 +151,7 @@ fn rewriting_served_path_matches_engine() {
     let server = four_thread_server();
     let instances = test_instances();
     for (name, data) in &instances {
-        server.load_instance(name.clone(), data.clone());
+        server.load_instance(name.clone(), data.clone()).unwrap();
     }
     for q in [paper::q5(), paper::q7()] {
         for query in [Query::PiGoal(q.clone()), Query::SigmaAnswers(q.clone())] {
@@ -189,7 +189,7 @@ fn unbounded_queries_stay_on_the_fixpoint_path() {
     let server = four_thread_server();
     let instances = test_instances();
     for (name, data) in &instances {
-        server.load_instance(name.clone(), data.clone());
+        server.load_instance(name.clone(), data.clone()).unwrap();
     }
     for query in [
         Query::PiGoal(paper::q4_cq()),
@@ -337,7 +337,7 @@ fn parallel_server_matches_engine() {
     });
     let instances = test_instances();
     for (name, data) in &instances {
-        server.load_instance(name.clone(), data.clone());
+        server.load_instance(name.clone(), data.clone()).unwrap();
     }
     let mut requests = Vec::new();
     let mut expected = Vec::new();

@@ -192,7 +192,7 @@ request mutate d @100 = -T(t)
 #[test]
 fn racing_submitters_single_worker_do_not_deadlock() {
     let s = server(1, 0);
-    s.load_instance("d", sirup_core::parse::st("T(t)"));
+    s.load_instance("d", sirup_core::parse::st("T(t)")).unwrap();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..4)
             .map(|i| {
@@ -231,7 +231,7 @@ fn racing_submitters_single_worker_do_not_deadlock() {
 fn served_answers_track_a_long_mutation_stream() {
     let mut rng = StdRng::seed_from_u64(99);
     let s = server(2, 16);
-    s.load_instance("live", paper::d1());
+    s.load_instance("live", paper::d1()).unwrap();
     let queries = battery();
     // Warm the materialisations once so maintenance (not rebuild) is on
     // trial below.
@@ -286,7 +286,7 @@ fn served_answers_track_a_long_mutation_stream() {
 fn concurrent_readers_see_snapshot_consistent_answers() {
     let s = server(4, 0);
     let (d, n) = sirup_core::parse::parse_structure("T(t), A(a), R(a,t), A(b), R(b,a)").unwrap();
-    s.load_instance("live", d);
+    s.load_instance("live", d).unwrap();
     let q = Query::SigmaAnswers(OneCq::parse("F(x), R(x,y), T(y)"));
     // The stream toggles T(t): the closure alternates between {P(t),P(a),P(b)}
     // and {} — any snapshot a reader sees must answer one of the two.

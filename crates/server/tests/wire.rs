@@ -8,7 +8,9 @@
 
 use sirup_core::parse::st;
 use sirup_core::{FactOp, Node, OneCq, Pred, Structure};
-use sirup_server::{Answer, Daemon, Query, Request, Server, ServerConfig, WireConfig};
+use sirup_server::{
+    Answer, Daemon, Query, Request, Server, ServerConfig, Wal, WireConfig, MAX_NODES,
+};
 use sirup_workloads::wire::{load_request, replay_over_wire, WireClient};
 use sirup_workloads::{mixed_traffic, QueryKind, TrafficAction, TrafficParams};
 use std::path::PathBuf;
@@ -208,7 +210,7 @@ fn snapshot_compaction_is_transparent_to_recovery() {
     let dir = tmpdir("snap");
     {
         let server = Server::open_durable(ServerConfig::default(), &dir).unwrap();
-        server.load_instance("d", st("F(u), R(u,v), T(v)"));
+        server.load_instance("d", st("F(u), R(u,v), T(v)")).unwrap();
         let d = daemon(server);
         let mut c = client(&d);
         c.request("mutate d = +T(n0)").unwrap();
@@ -252,7 +254,7 @@ fn wire_replay_matches_in_process_replay() {
 
     let oracle = Server::with_defaults();
     for (name, data) in &spec.instances {
-        oracle.load_instance(name.clone(), data.clone());
+        oracle.load_instance(name.clone(), data.clone()).unwrap();
     }
     let rendered: Vec<String> = spec
         .requests
@@ -404,4 +406,42 @@ fn load_rejects_out_of_range_nodes_and_retracts() {
     let data = st("F(u), R(u,v), T(v)");
     let reply = c.request(&load_request("d", &data)).unwrap();
     assert_eq!(reply, "ok loaded d nodes 2 atoms 3");
+}
+
+/// Node counts above `MAX_NODES`, and node names at or past it, are
+/// refused before anything is built or logged; the daemon keeps serving,
+/// and a reopened WAL holds only what was acknowledged.
+#[test]
+fn oversized_node_counts_and_names_are_refused_and_never_logged() {
+    let dir = tmpdir("oversized");
+    {
+        let server = Server::open_durable(ServerConfig::default(), &dir).unwrap();
+        let d = daemon(server);
+        let mut c = client(&d);
+        assert_eq!(
+            c.request("load a 2\n+F(n0),+R(n0,n1)").unwrap(),
+            "ok loaded a nodes 2 atoms 2"
+        );
+        let requests = [
+            "load x 4294967296".to_owned(),
+            format!("load x {}", MAX_NODES + 1),
+            format!("load x 2\n+T(n{MAX_NODES})"),
+            "mutate a = +T(n4000000000)".to_owned(),
+            format!("mutate a = +R(n0,n{MAX_NODES})"),
+            format!("mutate a = -T(n{MAX_NODES})"),
+        ];
+        for req in &requests {
+            let reply = c.request(req).unwrap();
+            assert!(reply.starts_with("error "), "{req:?} got {reply:?}");
+        }
+        assert_eq!(c.request("ping").unwrap(), "ok pong");
+        assert_eq!(c.request("list").unwrap(), "ok instances a");
+    }
+    let (_, recovered) = Wal::open(&dir).unwrap();
+    let summary: Vec<(&str, usize, u64)> = recovered
+        .iter()
+        .map(|r| (r.name.as_str(), r.data.node_count(), r.seq))
+        .collect();
+    assert_eq!(summary, [("a", 2, 0)]);
+    let _ = std::fs::remove_dir_all(&dir);
 }
