@@ -868,7 +868,7 @@ fn cmd_threads_sweep(
 
 /// `stats <file>`: replay a workload closed-loop, then dump each live
 /// instance — catalog version, sizes, attached materialisations with their
-/// derived-set sizes and support-count memory.
+/// derived-set sizes, derived nullary facts and ops applied.
 fn cmd_stats(args: &Args) -> Result<String, CliError> {
     let spec = workload_arg(args)?;
     let (server, report) = replay(&spec, args, config_from_flags(args)?)?;
@@ -940,12 +940,6 @@ fn cmd_stats(args: &Args) -> Result<String, CliError> {
                 out,
                 "    extensions: {ext}  nullary: {nullary}  ops applied: {}",
                 m.ops_applied
-            )
-            .unwrap();
-            writeln!(
-                out,
-                "    supports  : {} fact(s), {} derivation(s), ~{} B",
-                m.support_entries, m.support_total, m.support_bytes
             )
             .unwrap();
         }
@@ -1909,7 +1903,6 @@ request sigma d @20 = F(x), R(x,y), T(y)
         assert!(out.contains("1 mutation(s)"), "{out}");
         assert!(out.contains("instance d: version"), "{out}");
         assert!(out.contains("materialisation ["), "{out}");
-        assert!(out.contains("supports  :"), "{out}");
         // q = F(x),R(x,y),T(y) is unbounded ⇒ semi-naive ⇒ P extension shown.
         assert!(out.contains("P "), "{out}");
         // Registry section: both queries share one program key, so the

@@ -87,7 +87,7 @@ pub(crate) struct CompiledRule {
     /// Sorted, deduplicated EDB labels the body places on the head
     /// variable — exact candidate pre-filters (EDB labels never change
     /// during evaluation).
-    head_edb_labels: Vec<Pred>,
+    pub(crate) head_edb_labels: Vec<Pred>,
 }
 
 /// A monadic program with every rule body compiled once into a

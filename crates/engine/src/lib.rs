@@ -13,9 +13,9 @@
 //! * [`ucq`]: evaluation of unions of conjunctive queries (FO-rewritings per
 //!   Prop. 2 are UCQs).
 //! * [`incremental`]: live maintenance of materialised fixpoints under fact
-//!   insertion/retraction — delta-rule insertion plus DRed-style
-//!   overdelete/rederive deletion with exact support counts
-//!   ([`MaterializedFixpoint`]).
+//!   insertion/retraction — delta-rule insertion plus DRed
+//!   overdelete/rederive deletion, with rederivation by pinned existence
+//!   checks ([`MaterializedFixpoint`]).
 
 pub mod containment;
 pub mod disjunctive;

@@ -13,8 +13,8 @@
 //!   checks inside the sequential DPLL branching) vs without;
 //! * `MaterializedFixpoint::apply` batching consecutive insert worklists
 //!   into one cascade vs applying the same ops one at a time — maintained
-//!   closure *and* subsequent deletions (which read the support counts)
-//!   must agree.
+//!   closure *and* subsequent deletions (which read the recorded goal
+//!   derivations each mode left) must agree.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -181,8 +181,9 @@ proptest! {
     }
 
     /// Batched insert worklists ≡ per-op application: same maintained
-    /// closure, and — because later deletions read the support counts —
-    /// the states still agree after a follow-up retract wave.
+    /// closure, and — because later deletions read the goal derivations
+    /// each mode recorded — the states still agree after a follow-up
+    /// retract wave.
     #[test]
     fn batched_cascades_match_per_op(seed in 0u64..4000) {
         let q = random_ditree_cq(DitreeCqParams::default(), seed)
@@ -206,8 +207,8 @@ proptest! {
             prop_assert_eq!(&live_a.nullary, &live_b.nullary);
             prop_assert_eq!(&live_a.unary, &live_b.unary);
             prop_assert_eq!(batched.base(), per_op.base());
-            // Follow-up retracts exercise the support counts both modes
-            // accumulated; they must agree with each other and with a
+            // Follow-up retracts exercise the goal derivations both modes
+            // recorded; they must agree with each other and with a
             // from-scratch evaluation of the maintained base.
             let wave = random_ops(batched.base(), 8, seed ^ 0xDEAD);
             batched.apply(&wave);

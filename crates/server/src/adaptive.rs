@@ -22,8 +22,6 @@
 //! blind to the batch's own feedback), and every write, inline or
 //! batched, feeds [`AdaptiveController::record_write`].
 
-use crate::catalog::IndexedInstance;
-use crate::plan::{Answer, Plan, Strategy};
 use sirup_core::fx::FxHashMap;
 use sirup_core::sync;
 use sirup_core::telemetry::{counter_add, Counter};
@@ -199,28 +197,6 @@ impl AdaptiveController {
             }
         }
         demoted
-    }
-
-    /// Execute `plan` over `inst` with adaptive routing — the evaluation
-    /// of every query's run step: semi-naive programs route through
-    /// [`AdaptiveController::route_read`] (scratch until promoted).
-    ///
-    /// With the controller disabled this is exactly
-    /// [`Plan::answer_ctx`] — the static path, byte for byte.
-    pub fn execute(
-        &self,
-        plan: &Plan,
-        inst: &IndexedInstance,
-        par: Option<sirup_core::ParCtx<'_>>,
-    ) -> Answer {
-        if !self.enabled() {
-            return plan.answer_ctx(inst, par);
-        }
-        let materialise = match plan.strategy {
-            Strategy::SemiNaive { .. } => self.route_read(plan.key(), &inst.name),
-            _ => true,
-        };
-        plan.answer_routed(inst, par, materialise)
     }
 
     /// Snapshot of every (program, instance) route for exposition, sorted

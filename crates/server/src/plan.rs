@@ -267,9 +267,16 @@ impl Plan {
     ///   maintenance for them and a fresh snapshot answers correctly with
     ///   zero extra work.
     /// * **Semi-naive** answers from the snapshot's live
-    ///   [`sirup_engine::MaterializedFixpoint`] for this program: built on first use,
+    ///   [`sirup_engine::MaterializedFixpoint`] for this program when
+    ///   `materialise` is set (the static default): built on first use,
     ///   carried forward *incrementally* by catalog mutations, so repeated
-    ///   reads are lookups instead of fixpoint runs.
+    ///   reads are lookups instead of fixpoint runs. With `materialise`
+    ///   unset (what an adaptive controller picks while a program's read
+    ///   run has not yet cleared its promotion threshold) it evaluates the
+    ///   fixpoint from scratch against the snapshot without attaching.
+    ///   Both compute the same unique fixpoint, so the answer is
+    ///   bit-identical either way; only the maintenance cost profile
+    ///   differs. Other strategies ignore the flag.
     /// * **DPLL** searches the labellings of the snapshot's data directly,
     ///   reading adjacency through the snapshot's CSR view.
     ///
@@ -279,23 +286,6 @@ impl Plan {
     /// first materialisation builds, DPLL bound checks — into subtasks on
     /// the shared scheduler. `None` is the exact sequential path (the
     /// differential oracle); answers are identical either way.
-    pub fn answer_ctx(
-        &self,
-        inst: &IndexedInstance,
-        par: Option<sirup_core::ParCtx<'_>>,
-    ) -> Answer {
-        self.answer_routed(inst, par, true)
-    }
-
-    /// As [`Plan::answer_ctx`], but letting the caller decide whether a
-    /// semi-naive program *attaches* a maintained materialisation
-    /// (`materialise = true`, the static default) or evaluates the
-    /// fixpoint from scratch against the snapshot without attaching
-    /// (`materialise = false` — what an adaptive controller picks while a
-    /// program's read run has not yet cleared its promotion threshold).
-    /// Both paths compute the same unique fixpoint, so the answer is
-    /// bit-identical either way; only the maintenance cost profile
-    /// differs. Non-semi-naive strategies ignore the flag.
     pub fn answer_routed(
         &self,
         inst: &IndexedInstance,

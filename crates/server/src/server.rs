@@ -449,8 +449,9 @@ impl Shared {
 
     /// The run and record steps of one resolved (and, for a write, reserved)
     /// request: [`Server::answer_one`] calls this inline, a batch job on a
-    /// worker. A query evaluates under adaptive routing (exactly
-    /// [`Plan::answer_ctx`] with the controller off). A write applies under
+    /// worker. A query picks its route (a semi-naive plan materialises
+    /// unless the adaptive controller has not promoted it) and calls
+    /// [`Plan::answer_routed`]. A write applies under
     /// its ticket, waiting for every earlier ticket of its instance, and then
     /// detaches the materialisations its write run demoted, so later writes
     /// stop carrying them. Every request is recorded in the per-(program,
@@ -473,7 +474,9 @@ impl Shared {
                 answer,
             } => record(&program, &inst.name, "cached", answer),
             Resolved::Query { plan, inst, key } => {
-                let answer = self.adaptive.execute(&plan, &inst, self.par());
+                let materialise = !matches!(plan.strategy, Strategy::SemiNaive { .. })
+                    || self.adaptive.route_read(plan.key(), &inst.name);
+                let answer = plan.answer_routed(&inst, self.par(), materialise);
                 if let Some(key) = key {
                     self.answers.insert(key, answer.clone());
                 }

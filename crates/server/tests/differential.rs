@@ -247,10 +247,10 @@ fn cached_compiled_plans_serve_warm_path_like_fresh_builds() {
         );
         let fresh = Plan::build(query.clone(), &opts);
         for inst in &indexed {
-            let served = warm.answer_ctx(inst, None);
+            let served = warm.answer_routed(inst, None, true);
             assert_eq!(
                 served,
-                fresh.answer_ctx(inst, None),
+                fresh.answer_routed(inst, None, true),
                 "cached plan ≠ fresh build on {} ({})",
                 inst.name,
                 query.kind_name()
