@@ -196,7 +196,7 @@ pub fn parse_op(text: &str, mut resolve: impl FnMut(&str) -> Node) -> Result<Fac
 
 impl Structure {
     /// Grow the node range so that `v` exists (no-op if it already does).
-    pub fn ensure_node(&mut self, v: Node) {
+    fn ensure_node(&mut self, v: Node) {
         while self.node_count() <= v.index() {
             self.add_node();
         }

@@ -4,54 +4,60 @@
 //! *live*: instead of re-running the semi-naive fixpoint from scratch after
 //! every data change, it maintains the derived facts — one bitset per IDB
 //! predicate, plus one recorded derivation per derived nullary fact — under
-//! fact-level [`FactOp`] deltas.
+//! batches of fact-level [`FactOp`] deltas.
 //!
-//! ## Delta rules (insertion)
+//! ## Two versions of the data
 //!
-//! Datalog is monotone, so an inserted fact can only *add* derivations, and
-//! a new derivation uses at least one new fact. A new fact enters the
-//! working instance when it is staged and joins a worklist; popping a fact
-//! `f` replays, for every rule and every body atom whose predicate matches
-//! `f`, the rule's compiled [`QueryPlan`](sirup_hom::QueryPlan) (nothing is
-//! re-planned) with that atom **pinned** to `f`. A homomorphism whose head
-//! is not yet true adds the head to the working instance and queues it. A
-//! replay whose pin already fixes the head to a true fact is skipped, and
-//! so is every replay of a rule whose nullary head already holds.
+//! The materialisation keeps no data of its own. Its base is a
+//! page-sharing clone of the data version its closure is current for, and
+//! [`MaterializedFixpoint::advance`] carries the closure from that version
+//! (`old`) to the next (`new`) in one pass per batch, reading both as
+//! [`Target`]s: the catalog hands over its two immutable snapshots, data
+//! and CSR view, so a maintained write copies each touched page once
+//! however many programs are attached. ([`MaterializedFixpoint::apply`],
+//! with no snapshots to read, patches its base in place between the two
+//! phases below.) The batch's net change is judged on each op's fact: the
+//! new version has a fact the batch mentions iff the last op on it is an
+//! insert, so Δ⁺ holds the facts `new` has and `old` lacks, Δ⁻ the
+//! reverse, and an insert and a retract of one fact in one batch cancel.
+//! Every derived label lives in one place, the extension rows, which
+//! every rule check lays over the data's labels
+//! ([`Target::with_label_rows`]); the overlay hides the data's own
+//! (asserted) IDB labels, so an asserted IDB label is read from its row.
 //!
-//! ## Overdelete / rederive (deletion, DRed)
+//! ## Overdelete / rederive (DRed)
 //!
-//! Deletion follows DRed (Gupta, Mumick and Subrahmanian, SIGMOD 1993):
+//! Maintenance is DRed (Gupta, Mumick and Subrahmanian, SIGMOD 1993),
+//! defined over the old and the new database, in two phases:
 //!
-//! 1. **Overdelete** — starting from the retracted facts, every derived
-//!    fact with a derivation that uses a removed fact is conservatively
-//!    removed as well, transitively. The derivations are found with the
-//!    same pinned-plan replay as insertion; an asserted IDB fact is an
-//!    axiom and stays.
-//! 2. **Rederive** — an overdeleted fact `P(a)` re-enters if one pinned
-//!    existence check per rule with head `P` (the head variable fixed to
-//!    `a`) still finds a derivation in the shrunken instance. Rederived
-//!    facts then cascade through the *insertion* machinery, which restores
-//!    every overdeleted fact that only they derive.
+//! 1. **Overdelete**, reading the **old** version with the old closure —
+//!    starting from Δ⁻, every IDB label with a derivation that uses a
+//!    removed fact is conservatively removed as well, transitively. The
+//!    derivations are found by replaying the rules pinned to each removed
+//!    fact (below). An asserted IDB label is treated like a derived one
+//!    here. A derived nullary fact goes when its recorded derivation uses
+//!    a removed fact.
+//! 2. **Rederive and insert**, reading the **new** version — the
+//!    extension rows grow to the new node count and take Δ⁺'s asserted
+//!    IDB labels. An overdeleted label `P(a)` re-enters if the new version
+//!    asserts it or one pinned existence check per rule with head `P`
+//!    (the head variable fixed to `a`) still finds a derivation. Then Δ⁺
+//!    and the rederived labels seed one insertion cascade: popping a fact
+//!    `f` replays, for every rule and every body atom whose predicate
+//!    matches `f`, the rule's compiled [`QueryPlan`](sirup_hom::QueryPlan)
+//!    (nothing is re-planned) with that atom **pinned** to `f`. A
+//!    homomorphism whose head is not yet true adds the head and queues
+//!    it. A replay whose pin already fixes the head to a true fact is
+//!    skipped, and so is every replay of a rule whose nullary head
+//!    already holds.
 //!
 //! Derived **nullary** facts (`Π_q`'s goal `G`) occur in no rule body, so
 //! they never cascade. Each keeps the one body homomorphism that derived it
 //! (found through the target's view when the fixpoint is built, or by the
-//! insertion replay that first derived it). A retract touches `G` only when
-//! it removes a fact that homomorphism uses: `G` then goes, unless the
-//! rederive cascade derives it again or a fresh search of its rules finds
-//! another derivation, which is recorded in turn.
-//!
-//! ## The working instance
-//!
-//! The working instance is never copied. It is the base [`Structure`] (the
-//! asserted facts) read with every IDB predicate's closure extension laid
-//! over its labels as a bitmap row ([`Target::with_label_rows`]), so each
-//! derived label lives in one place. An inserted EDB fact enters the base,
-//! and an inserted IDB label its extension row, when the op is staged; a
-//! retracted fact leaves after its own overdeletion replay. An asserted IDB
-//! label is a DRed axiom, so it enters and leaves the base when its op is
-//! staged; the overlay hides the base's IDB labels from rule checks, so
-//! this changes no read.
+//! insertion replay that first derived it). A nullary fact dropped by
+//! overdeletion comes back if the cascade derives it again or a fresh
+//! search of its rules over the new version finds another derivation,
+//! which is recorded in turn.
 //!
 //! The differential suite (`crates/engine/tests/incremental.rs`) pins the
 //! maintained state to a from-scratch [`CompiledProgram::evaluate`] after
@@ -66,19 +72,19 @@
 //! seeded neighbour. One delta fact therefore costs, per rule and per body
 //! atom it can pin, the adjacency read along the body from that atom, plus
 //! the derivations found. That is not proportional to the instance size or
-//! the fixpoint depth. Two terms stay linear in the node count `n`, at
+//! the fixpoint depth. One term stays linear in the node count `n`, at
 //! memset speed: each execution clears one `n`-bit domain bitset per body
-//! variable and one `n`-byte flag array. A body variable whose
-//! neighbourhood is a hub (more adjacency than a scan of the instance) is
-//! seeded by that scan instead, and a body variable the pin cannot reach (a
-//! disconnected body) is always seeded so. The 1-CQ rule bodies of
-//! `Π_q`/`Σ_q` are connected, so neither happens on their replays. The one
-//! unpinned search is the re-search of a nullary fact whose recorded
-//! derivation a retract broke. A clone of the fixpoint copies the base's
-//! page table and one `n`-bit row per IDB predicate. The
-//! `engine_incremental` bench measures the win against re-evaluation;
-//! `crates/engine/tests/anchored_seeds.rs` asserts that a maintained write
-//! on a 5000-node instance seeds nothing over the instance.
+//! variable. A body variable whose neighbourhood is a hub (more adjacency
+//! than a scan of the instance) is seeded by that scan instead, and a body
+//! variable the pin cannot reach (a disconnected body) is always seeded
+//! so. The 1-CQ rule bodies of `Π_q`/`Σ_q` are connected, so neither
+//! happens on their replays. The one unpinned search is the re-search of
+//! a nullary fact whose recorded derivation a retract broke. A clone of
+//! the fixpoint copies the base's page table and one `n`-bit row per IDB
+//! predicate. The `engine_incremental` bench measures the win against
+//! re-evaluation; `crates/engine/tests/anchored_seeds.rs` asserts that a
+//! maintained write on a 5000-node instance seeds nothing over the
+//! instance.
 
 use crate::eval::{label_rows, CompiledProgram, Evaluation};
 use sirup_core::fx::{FxHashMap, FxHashSet};
@@ -88,11 +94,59 @@ use sirup_core::{FactOp, Node, NodeSet, Pred, Structure, Target};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// A fact of the working instance: a unary label or a binary edge.
+/// A fact of the data or the closure: a unary label or a binary edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Fact {
     Label(Pred, Node),
     Edge(Pred, Node, Node),
+}
+
+impl Fact {
+    /// The fact an op inserts or retracts.
+    fn of(op: FactOp) -> Fact {
+        match op {
+            FactOp::AddLabel(p, v) | FactOp::RemoveLabel(p, v) => Fact::Label(p, v),
+            FactOp::AddEdge(p, u, v) | FactOp::RemoveEdge(p, u, v) => Fact::Edge(p, u, v),
+        }
+    }
+
+    /// Is the fact asserted in `s`?
+    fn is_in(self, s: &Structure) -> bool {
+        let n = s.node_count();
+        match self {
+            Fact::Label(p, a) => a.index() < n && s.has_label(a, p),
+            Fact::Edge(p, a, b) => a.index() < n && b.index() < n && s.has_edge(p, a, b),
+        }
+    }
+}
+
+/// The net change of the batch `ops` over `old`, judged on each op's
+/// fact: a fact the batch mentions is in the new version iff the last op
+/// on it inserts it (set semantics), so Δ⁺ holds the facts `old` lacks and
+/// the new version has, Δ⁻ the reverse.
+fn net_delta(old: &Structure, ops: &[FactOp]) -> (Vec<Fact>, Vec<Fact>) {
+    let mut seen: FxHashSet<Fact> = FxHashSet::default();
+    let (mut added, mut removed) = (Vec::new(), Vec::new());
+    for &op in ops.iter().rev() {
+        let f = Fact::of(op);
+        if seen.insert(f) && f.is_in(old) != op.is_insert() {
+            if op.is_insert() {
+                added.push(f);
+            } else {
+                removed.push(f);
+            }
+        }
+    }
+    (added, removed)
+}
+
+/// A batch between the two DRed phases: Δ⁺, the labels overdeletion took
+/// out of the closure, the nullary facts it dropped, and the batch's span.
+struct Batch {
+    added: Vec<Fact>,
+    slated: Vec<(Pred, Node)>,
+    dropped: Vec<Pred>,
+    span: telemetry::SpanGuard,
 }
 
 /// Body-atom pin positions of one rule, grouped by predicate: replaying the
@@ -144,14 +198,16 @@ pub struct MaterializationStats {
     pub extension_sizes: Vec<(Pred, usize)>,
     /// Derived nullary facts.
     pub nullary: Vec<Pred>,
-    /// Mutation ops applied since materialisation.
+    /// Facts changed since materialisation: each batch counts its net
+    /// change (an insert and a retract of one fact in one batch cancel).
     pub ops_applied: u64,
 }
 
 /// A live, incrementally maintained fixpoint of one monadic program over
 /// one data instance. Build once ([`MaterializedFixpoint::new`]), then
-/// [`apply`](MaterializedFixpoint::apply) keeps the closure current; reads
-/// ([`holds`](MaterializedFixpoint::holds),
+/// [`advance`](MaterializedFixpoint::advance) (or
+/// [`apply`](MaterializedFixpoint::apply)) keeps the closure current;
+/// reads ([`holds`](MaterializedFixpoint::holds),
 /// [`answers`](MaterializedFixpoint::answers)) are lookups.
 #[derive(Debug, Clone)]
 pub struct MaterializedFixpoint {
@@ -159,15 +215,15 @@ pub struct MaterializedFixpoint {
     /// build, so every clone shares them.
     program: Arc<CompiledProgram>,
     pins: Arc<[RulePins]>,
-    /// The asserted (base) instance: every retained EDB fact, plus any
-    /// IDB-predicate facts the data itself carries. During a retract
-    /// cascade it still holds the retracted EDB fact until its replay.
+    /// The data version the closure is current for: after
+    /// [`MaterializedFixpoint::advance`], a page-sharing clone of the new
+    /// snapshot's data.
     base: Structure,
     /// Derived nullary facts with their recorded derivations, sorted by
     /// predicate.
     nullary: Vec<NullaryFact>,
     /// Closure extension of each IDB predicate as a bitset over nodes: the
-    /// label rows rule checks read over the base.
+    /// label rows rule checks read over the data.
     extension: FxHashMap<Pred, NodeSet>,
     ops_applied: u64,
 }
@@ -240,7 +296,7 @@ impl MaterializedFixpoint {
         }
     }
 
-    /// The maintained base instance (asserted facts only).
+    /// The data version the closure is current for (asserted facts only).
     pub fn base(&self) -> &Structure {
         &self.base
     }
@@ -282,34 +338,36 @@ impl MaterializedFixpoint {
         }
     }
 
-    /// Apply a mixed mutation batch in order, maintaining the closure.
-    /// Returns how many ops changed the instance (set semantics:
-    /// re-inserting a present fact or retracting an absent one is a no-op,
-    /// matching [`Structure::apply`]).
-    ///
-    /// Consecutive **insert** ops batch their delta worklists: each new
-    /// fact enters the working instance as it is staged, and the run's new
-    /// facts seed *one* insertion cascade instead of one per op. The
-    /// closure is unique, so the result equals the per-op one (the
-    /// batch-vs-per-op differential test pins this). Retracts flush the
-    /// pending batch first and cascade individually.
+    /// Apply a mixed mutation batch to the base and carry the closure
+    /// along: the same two DRed phases as
+    /// [`MaterializedFixpoint::advance`], with the base patched in place
+    /// by [`Structure::apply_all`] between them (a second version would
+    /// copy every page the ops touch). Returns how many ops changed the
+    /// instance, as `apply_all` counts them (set semantics: re-inserting a
+    /// present fact or retracting an absent one is a no-op).
     pub fn apply(&mut self, ops: &[FactOp]) -> usize {
-        telemetry::counter_add(telemetry::Counter::IncrementalCascades, 1);
-        let _t = telemetry::traced(telemetry::Family::IncrementalCascade, "incremental_cascade");
-        let mut applied = 0usize;
-        let mut seeds: Vec<Fact> = Vec::new();
-        for &op in ops {
-            let changed = if op.is_insert() {
-                self.stage_insert(op, &mut seeds)
-            } else {
-                self.insert_cascade(std::mem::take(&mut seeds));
-                self.stage_retract(op)
-            };
-            applied += usize::from(changed);
-        }
-        self.insert_cascade(seeds);
-        self.ops_applied += applied as u64;
+        // Rule heads are IDB, so no phase reads the base through `self`.
+        let mut base = std::mem::take(&mut self.base);
+        let batch = self.overdelete(Target::from(&base), ops);
+        let applied = base.apply_all(ops);
+        self.rederive_and_insert(Target::from(&base), batch);
+        self.base = base;
         applied
+    }
+
+    /// Carry the closure from `old`, the data version it is current for,
+    /// to `new`, the version `ops` turned `old` into: one DRed pass over
+    /// the batch's net change (see the module docs). Overdeletion reads
+    /// `old`; rederivation and the insertion cascade read `new`; the base
+    /// becomes a page-sharing clone of `new`'s data. `ops` may be any
+    /// sequence with that effect, so a materialisation several versions
+    /// behind catches up with the ops since its version.
+    pub fn advance(&mut self, old: Target<'_>, new: Target<'_>, ops: &[FactOp]) {
+        debug_assert_eq!(old.data().node_count(), self.base.node_count());
+        let batch = self.overdelete(old, ops);
+        debug_assert!(batch.added.iter().all(|f| f.is_in(new.data())));
+        self.rederive_and_insert(new, batch);
+        self.base = new.data().clone();
     }
 
     /// Sizes for live debugging.
@@ -326,86 +384,20 @@ impl MaterializedFixpoint {
         }
     }
 
-    /// Stage one insert op: a new fact enters the working instance and
-    /// joins `seeds`. An asserted IDB label is a DRed axiom and enters the
-    /// base too; one already derived seeds nothing. Returns whether the op
-    /// changed the instance.
-    fn stage_insert(&mut self, op: FactOp, seeds: &mut Vec<Fact>) -> bool {
-        let f = match op {
-            FactOp::AddLabel(p, v) => {
-                self.ensure_node(v);
-                Fact::Label(p, v)
-            }
-            FactOp::AddEdge(p, u, v) => {
-                self.ensure_node(u.max(v));
-                Fact::Edge(p, u, v)
-            }
-            FactOp::RemoveLabel(..) | FactOp::RemoveEdge(..) => {
-                unreachable!("stage_insert takes Add* ops")
-            }
-        };
-        let fresh = match f {
-            Fact::Label(p, v) if self.extension.contains_key(&p) => self.base.add_label(v, p),
-            _ => !self.fact_in_work(f),
-        };
-        if fresh && !self.fact_in_work(f) {
-            self.add_to_work(f);
-            seeds.push(f);
-        }
-        fresh
-    }
-
-    /// Stage one retract op and run its DRed cascade, which takes an EDB
-    /// fact out of the base after its own replay; an asserted IDB label
-    /// leaves the base here. Returns whether the op changed the instance.
-    fn stage_retract(&mut self, op: FactOp) -> bool {
-        let n = self.base.node_count();
-        let (f, in_range) = match op {
-            FactOp::RemoveLabel(p, v) => (Fact::Label(p, v), v.index() < n),
-            FactOp::RemoveEdge(p, u, v) => (Fact::Edge(p, u, v), u.index() < n && v.index() < n),
-            FactOp::AddLabel(..) | FactOp::AddEdge(..) => {
-                unreachable!("stage_retract takes Remove* ops")
-            }
-        };
-        let present = in_range
-            && match f {
-                Fact::Label(p, v) if self.extension.contains_key(&p) => {
-                    self.base.remove_label(v, p)
-                }
-                _ => self.fact_in_work(f),
-            };
-        if present {
-            // Even a still-derived fact must go through the DRed cascade:
-            // its remaining derivations may be cyclic (resting on
-            // derivations that rest on this fact).
-            self.retract_cascade(f);
-        }
-        present
-    }
-
-    fn ensure_node(&mut self, v: Node) {
-        self.base.ensure_node(v);
-        let n = self.base.node_count();
-        for set in self.extension.values_mut() {
-            set.grow(n);
-        }
-    }
-
-    /// Replay rule `r`'s plan once per body atom that can map onto `fact`,
-    /// with that atom pinned to it, and visit each homomorphism found (one
-    /// that maps two atoms onto `fact` is visited twice). A replay whose pin
-    /// fixes the head variable to a node `skip_head` accepts is skipped.
-    /// Stops when `f` returns `false`.
+    /// Replay rule `r`'s plan on `on` once per body atom that can map onto
+    /// `fact`, with that atom pinned to it, and visit each homomorphism
+    /// found (one that maps two atoms onto `fact` is visited twice). A
+    /// replay whose pin fixes the head variable to a node `skip_head`
+    /// accepts is skipped. Stops when `f` returns `false`.
     fn replay(
         &self,
+        on: Target<'_>,
         r: usize,
         fact: Fact,
         skip_head: impl Fn(Node) -> bool,
         mut f: impl FnMut(&[Node]) -> bool,
     ) {
         let rule = &self.program.compiled_rules()[r];
-        let rows = label_rows(&self.extension);
-        let on = Target::from(&self.base).with_label_rows(&rows);
         let fixes_skipped_head = |t: Node, a: Node| rule.head_node == Some(t) && skip_head(a);
         match fact {
             Fact::Label(p, a) => {
@@ -428,41 +420,6 @@ impl MaterializedFixpoint {
         }
     }
 
-    /// Add a fact to the working instance: an IDB label to its extension
-    /// row, an EDB fact to the base.
-    fn add_to_work(&mut self, fact: Fact) {
-        match fact {
-            Fact::Label(p, a) => match self.extension.get_mut(&p) {
-                Some(row) => {
-                    row.insert(a);
-                }
-                None => {
-                    self.base.add_label(a, p);
-                }
-            },
-            Fact::Edge(p, a, b) => {
-                self.base.add_edge(p, a, b);
-            }
-        }
-    }
-
-    /// Remove a fact from the working instance (see `add_to_work`).
-    fn remove_from_work(&mut self, fact: Fact) {
-        match fact {
-            Fact::Label(p, a) => match self.extension.get_mut(&p) {
-                Some(row) => {
-                    row.remove(a);
-                }
-                None => {
-                    self.base.remove_label(a, p);
-                }
-            },
-            Fact::Edge(p, a, b) => {
-                self.base.remove_edge(p, a, b);
-            }
-        }
-    }
-
     /// Record a derived nullary fact, keeping the list sorted.
     fn add_nullary(&mut self, fact: NullaryFact) {
         if let Err(pos) = self.nullary.binary_search_by_key(&fact.pred, |f| f.pred) {
@@ -470,154 +427,185 @@ impl MaterializedFixpoint {
         }
     }
 
-    /// Delta-driven insertion. Every seed is already in the working
-    /// instance; popping a fact replays each rule pinned to it, and a head
-    /// that is not yet true enters the working instance and joins the
-    /// worklist. A nullary head is recorded with the homomorphism that
-    /// derived it.
-    fn insert_cascade(&mut self, seeds: Vec<Fact>) {
-        let mut pending: VecDeque<Fact> = seeds.into();
-        let mut heads: Vec<Node> = Vec::new();
-        while let Some(f) = pending.pop_front() {
-            for r in 0..self.pins.len() {
-                let rule = &self.program.compiled_rules()[r];
-                let (p, head_node) = (rule.head_pred, rule.head_node);
-                match head_node {
-                    None if self.holds(p) => {}
-                    None => {
-                        let mut hom = None;
-                        self.replay(
-                            r,
-                            f,
-                            |_| false,
-                            |h| {
-                                hom = Some(h.to_vec());
-                                false
-                            },
-                        );
-                        if let Some(hom) = hom {
-                            self.add_nullary(NullaryFact {
-                                pred: p,
-                                rule: r,
-                                hom,
-                            });
-                        }
-                    }
-                    Some(x) => {
-                        self.replay(
-                            r,
-                            f,
-                            |a| self.holds_at(p, a),
-                            |h| {
-                                heads.push(h[x.index()]);
-                                true
-                            },
-                        );
-                        for a in heads.drain(..) {
-                            if !self.holds_at(p, a) {
-                                let g = Fact::Label(p, a);
-                                self.add_to_work(g);
-                                pending.push_back(g);
-                            }
+    /// The first DRed phase, over the old version `old` and the closure
+    /// as it stands: take the net change of `ops`, then slate every derived
+    /// label with a derivation that uses a removed fact, transitively, and
+    /// take the slated labels out of the closure; a nullary fact goes when
+    /// its recorded derivation uses a removed fact. An asserted label is
+    /// slated like a derived one and comes back in rederivation if the new
+    /// version still asserts it.
+    fn overdelete(&mut self, old: Target<'_>, ops: &[FactOp]) -> Batch {
+        telemetry::counter_add(telemetry::Counter::IncrementalCascades, 1);
+        let span = telemetry::traced(telemetry::Family::IncrementalCascade, "incremental_cascade");
+        let (added, removed) = net_delta(old.data(), ops);
+        self.ops_applied += (added.len() + removed.len()) as u64;
+        let mut queued: FxHashSet<Fact> = removed.iter().copied().collect();
+        let mut queue: VecDeque<Fact> = removed.into();
+        let mut slated: Vec<(Pred, Node)> = Vec::new();
+        let mut dropped: Vec<Pred> = Vec::new();
+        {
+            let rows = label_rows(&self.extension);
+            let on = old.with_label_rows(&rows);
+            let mut heads: Vec<Node> = Vec::new();
+            while let Some(d) = queue.pop_front() {
+                for (r, rule) in self.program.compiled_rules().iter().enumerate() {
+                    let (p, Some(x)) = (rule.head_pred, rule.head_node) else {
+                        continue;
+                    };
+                    // A head that is false or already slated needs no replay.
+                    let stays =
+                        |a: Node| !self.holds_at(p, a) || queued.contains(&Fact::Label(p, a));
+                    self.replay(on, r, d, stays, |h| {
+                        heads.push(h[x.index()]);
+                        true
+                    });
+                    for a in heads.drain(..) {
+                        let g = Fact::Label(p, a);
+                        if queued.insert(g) {
+                            queue.push_back(g);
                         }
                     }
                 }
+                for g in &self.nullary {
+                    if !dropped.contains(&g.pred) && self.pins[g.rule].uses(&g.hom, d) {
+                        dropped.push(g.pred);
+                    }
+                }
+                if let Fact::Label(p, a) = d {
+                    if self.extension.contains_key(&p) {
+                        slated.push((p, a));
+                    }
+                }
             }
+        }
+        self.nullary.retain(|g| !dropped.contains(&g.pred));
+        for &(p, a) in &slated {
+            self.extension.get_mut(&p).expect("an IDB row").remove(a);
+        }
+        Batch {
+            added,
+            slated,
+            dropped,
+            span,
         }
     }
 
-    /// DRed deletion of `seed`: overdelete every fact with a derivation
-    /// that uses a removed fact, transitively, dropping each nullary fact
-    /// whose recorded derivation uses one; then rederive each overdeleted
-    /// fact that a pinned check still derives, cascade the rederived facts
-    /// through insertion, and search every dropped nullary fact again.
-    fn retract_cascade(&mut self, seed: Fact) {
-        let mut queue: VecDeque<Fact> = VecDeque::from([seed]);
-        let mut queued: FxHashSet<Fact> = FxHashSet::from_iter([seed]);
-        let mut overdeleted: Vec<(Pred, Node)> = Vec::new();
-        let mut dropped: Vec<Pred> = Vec::new();
-        let mut heads: Vec<Node> = Vec::new();
-        while let Some(d) = queue.pop_front() {
-            for r in 0..self.pins.len() {
-                let rule = &self.program.compiled_rules()[r];
-                let (p, Some(x)) = (rule.head_pred, rule.head_node) else {
-                    continue;
-                };
-                // Conservative DRed: a derivation through `d` slates its
-                // head for overdeletion — unless the head is asserted in
-                // the base (an axiom stays true) or already slated.
-                let slated = |a: Node| {
-                    !self.holds_at(p, a)
-                        || self.base.has_label(a, p)
-                        || queued.contains(&Fact::Label(p, a))
-                };
-                self.replay(r, d, slated, |h| {
-                    heads.push(h[x.index()]);
-                    true
-                });
-                for a in heads.drain(..) {
-                    let g = Fact::Label(p, a);
-                    if self.holds_at(p, a) && !self.base.has_label(a, p) && queued.insert(g) {
-                        queue.push_back(g);
-                    }
-                }
-            }
-            let pins = &self.pins;
-            self.nullary.retain(|g| {
-                let intact = !pins[g.rule].uses(&g.hom, d);
-                if !intact {
-                    dropped.push(g.pred);
-                }
-                intact
-            });
-            self.remove_from_work(d);
-            if let Fact::Label(p, a) = d {
-                overdeleted.push((p, a));
+    /// The second DRed phase, over the new version `new`: grow the rows to
+    /// its node count, add Δ⁺'s asserted IDB labels, rederive each slated
+    /// label the new version asserts or a pinned check still derives, run
+    /// one insertion cascade from Δ⁺ and the rederived labels, and search
+    /// each dropped nullary fact the cascade did not bring back.
+    fn rederive_and_insert(&mut self, new: Target<'_>, batch: Batch) {
+        let Batch {
+            added,
+            slated,
+            dropped,
+            span: _span,
+        } = batch;
+        for row in self.extension.values_mut() {
+            row.grow(new.data().node_count());
+        }
+        let mut seeds: Vec<Fact> = Vec::with_capacity(added.len());
+        for f in added {
+            let fresh = match f {
+                Fact::Label(p, a) => self.extension.get_mut(&p).is_none_or(|row| row.insert(a)),
+                Fact::Edge(..) => true,
+            };
+            if fresh {
+                seeds.push(f);
             }
         }
-        let mut rederived: Vec<Fact> = Vec::new();
-        for (p, a) in overdeleted {
-            if !self.holds_at(p, a) && self.derivable(p, a) {
-                let g = Fact::Label(p, a);
-                self.add_to_work(g);
-                rederived.push(g);
-            }
+        let rederived: Vec<(Pred, Node)> = {
+            let rows = label_rows(&self.extension);
+            let on = new.with_label_rows(&rows);
+            slated
+                .into_iter()
+                .filter(|&(p, a)| {
+                    !self.holds_at(p, a) && (new.data().has_label(a, p) || self.derivable(on, p, a))
+                })
+                .collect()
+        };
+        for &(p, a) in &rederived {
+            self.extension.get_mut(&p).expect("an IDB row").insert(a);
+            seeds.push(Fact::Label(p, a));
         }
-        self.insert_cascade(rederived);
+        self.insert_cascade(new, seeds);
         for g in dropped {
             if !self.holds(g) {
                 let rows = label_rows(&self.extension);
-                let on = Target::from(&self.base).with_label_rows(&rows);
-                if let Some(fact) = find_nullary(&self.program, on, g) {
+                if let Some(fact) = find_nullary(&self.program, new.with_label_rows(&rows), g) {
                     self.add_nullary(fact);
                 }
             }
         }
     }
 
-    /// Does some rule with head `p` derive `p(a)` in the working instance?
-    /// One pinned existence check per such rule whose EDB labels on the
-    /// head variable `a` carries.
-    fn derivable(&self, p: Pred, a: Node) -> bool {
-        let rows = label_rows(&self.extension);
-        let on = Target::from(&self.base).with_label_rows(&rows);
+    /// Delta-driven insertion over the new version `new`. Every seed is
+    /// already in the data or the closure; popping a fact replays each
+    /// rule pinned to it, and each head found that is not yet true joins
+    /// the closure and the worklist. A nullary head is recorded with the
+    /// homomorphism that derived it.
+    fn insert_cascade(&mut self, new: Target<'_>, seeds: Vec<Fact>) {
+        let mut pending: VecDeque<Fact> = seeds.into();
+        let mut heads: Vec<(Pred, Node)> = Vec::new();
+        let mut derived: Vec<NullaryFact> = Vec::new();
+        while let Some(f) = pending.pop_front() {
+            {
+                let rows = label_rows(&self.extension);
+                let on = new.with_label_rows(&rows);
+                for (r, rule) in self.program.compiled_rules().iter().enumerate() {
+                    let p = rule.head_pred;
+                    match rule.head_node {
+                        None if self.holds(p) || derived.iter().any(|g| g.pred == p) => {}
+                        None => self.replay(
+                            on,
+                            r,
+                            f,
+                            |_| false,
+                            |h| {
+                                derived.push(NullaryFact {
+                                    pred: p,
+                                    rule: r,
+                                    hom: h.to_vec(),
+                                });
+                                false
+                            },
+                        ),
+                        Some(x) => self.replay(
+                            on,
+                            r,
+                            f,
+                            |a| self.holds_at(p, a),
+                            |h| {
+                                heads.push((p, h[x.index()]));
+                                true
+                            },
+                        ),
+                    }
+                }
+            }
+            for g in derived.drain(..) {
+                self.add_nullary(g);
+            }
+            for (p, a) in heads.drain(..) {
+                if self.extension.get_mut(&p).expect("an IDB row").insert(a) {
+                    pending.push_back(Fact::Label(p, a));
+                }
+            }
+        }
+    }
+
+    /// Does some rule with head `p` derive `p(a)` in `on`? One pinned
+    /// existence check per such rule whose EDB labels on the head variable
+    /// `a` carries.
+    fn derivable(&self, on: Target<'_>, p: Pred, a: Node) -> bool {
         self.program.compiled_rules().iter().any(|rule| {
             rule.head_pred == p
-                && rule
-                    .head_edb_labels
-                    .iter()
-                    .all(|&l| self.base.has_label(a, l))
+                && rule.head_edb_labels.iter().all(|&l| on.has_label(a, l))
                 && rule
                     .head_node
                     .is_some_and(|x| rule.plan.on(on).fix(x, a).exists())
         })
-    }
-
-    fn fact_in_work(&self, f: Fact) -> bool {
-        match f {
-            Fact::Label(p, a) => self.holds_at(p, a),
-            Fact::Edge(p, a, b) => self.base.has_edge(p, a, b),
-        }
     }
 }
 

@@ -661,10 +661,8 @@ impl<'a> PlanExec<'a> {
         f: &mut impl FnMut(&[Node]) -> bool,
     ) -> bool {
         let np = self.plan.pattern.node_count();
-        let nt = self.data().node_count();
         let mut assignment = arena::take_node_vec();
         assignment.resize(np, Node(0));
-        let mut used = arena::take_bool_vec(nt);
         let root = self.plan.order[0];
         let mut completed = true;
         for t in roots.iter() {
@@ -678,16 +676,12 @@ impl<'a> PlanExec<'a> {
                 continue;
             }
             assignment[root.index()] = t;
-            used[t.index()] = true;
-            let keep_going = self.backtrack(1, domains, &mut assignment, &mut used, cancel, f);
-            used[t.index()] = false;
-            if !keep_going {
+            if !self.backtrack(1, domains, &mut assignment, cancel, f) {
                 completed = false;
                 break;
             }
         }
         arena::put_node_vec(assignment);
-        arena::put_bool_vec(used);
         completed
     }
 
@@ -1095,12 +1089,22 @@ impl<'a> PlanExec<'a> {
         })
     }
 
+    /// In an injective search, is `t` already the image of a variable of
+    /// the assigned prefix `plan.order[..k]`? Patterns have a handful of
+    /// nodes, so the scan beats an n-byte flag array to clear.
+    #[inline]
+    fn taken(&self, k: usize, t: Node, assignment: &[Node]) -> bool {
+        self.injective
+            && self.plan.order[..k]
+                .iter()
+                .any(|v| assignment[v.index()] == t)
+    }
+
     fn backtrack(
         &self,
         k: usize,
         domains: &[NodeSet],
         assignment: &mut Vec<Node>,
-        used: &mut [bool],
         cancel: Option<&CancelToken>,
         f: &mut impl FnMut(&[Node]) -> bool,
     ) -> bool {
@@ -1131,31 +1135,24 @@ impl<'a> PlanExec<'a> {
             Some(adj) => {
                 for t in adj.iter() {
                     if !domains[u.index()].contains(t)
-                        || (self.injective && used[t.index()])
+                        || self.taken(k, t, assignment)
                         || !self.joins_hold(k, u, t, assignment)
                     {
                         continue;
                     }
                     assignment[u.index()] = t;
-                    used[t.index()] = true;
-                    let keep_going = self.backtrack(k + 1, domains, assignment, used, cancel, f);
-                    used[t.index()] = false;
-                    if !keep_going {
+                    if !self.backtrack(k + 1, domains, assignment, cancel, f) {
                         return false;
                     }
                 }
             }
             None => {
                 for t in domains[u.index()].iter() {
-                    if (self.injective && used[t.index()]) || !self.joins_hold(k, u, t, assignment)
-                    {
+                    if self.taken(k, t, assignment) || !self.joins_hold(k, u, t, assignment) {
                         continue;
                     }
                     assignment[u.index()] = t;
-                    used[t.index()] = true;
-                    let keep_going = self.backtrack(k + 1, domains, assignment, used, cancel, f);
-                    used[t.index()] = false;
-                    if !keep_going {
+                    if !self.backtrack(k + 1, domains, assignment, cancel, f) {
                         return false;
                     }
                 }

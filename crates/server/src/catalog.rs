@@ -23,6 +23,14 @@
 //! and materialisations are mutually consistent by construction, with no
 //! version checks on the read path.
 //!
+//! **One copy of the data per version.** The ops are applied to exactly
+//! one [`Structure`] and one [`FrozenStructure`]. A materialisation keeps
+//! no data of its own: [`MaterializedFixpoint::advance`] reads the old
+//! snapshot and the new one (data and view, as [`IndexedInstance::target`]
+//! serves them to every strategy) and leaves the materialisation's base a
+//! page-sharing clone of the new data, so a write copies each touched page
+//! once however many programs are attached.
+//!
 //! Mutations to the *same* instance are serialised in ticket order (see
 //! [`Catalog::reserve_ticket`]): a batch may run mutation requests on any
 //! worker thread, but their effects apply in submission order, which keeps
@@ -37,7 +45,7 @@ use crate::cache::StampedLru;
 use sirup_core::fx::FxHashMap;
 use sirup_core::sync;
 use sirup_core::telemetry;
-use sirup_core::{FactOp, FrozenStructure, ParCtx, Scheduler, Structure, Target};
+use sirup_core::{FactOp, FrozenStructure, ParCtx, Structure, Target};
 use sirup_engine::{MaterializationStats, MaterializedFixpoint};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
@@ -263,27 +271,12 @@ pub struct Catalog {
     versions: AtomicU64,
     tickets: Mutex<Tickets>,
     ticket_cv: Condvar,
-    /// When set, a mutation carries the instance's live materialisations
-    /// forward as parallel subtasks on the shared scheduler (one per
-    /// materialisation — they are independent). `None` forwards them
-    /// sequentially, which is the differential oracle.
-    mat_sched: Option<Arc<Scheduler>>,
 }
 
 impl Catalog {
     /// An empty catalog.
     pub fn new() -> Catalog {
         Catalog::default()
-    }
-
-    /// Forward live materialisations in parallel on `sched` during
-    /// mutations (the server enables this when its `parallelism` config
-    /// exceeds 1). Same-instance mutation *order* is untouched — tickets
-    /// still serialise whole mutations; only the independent per-program
-    /// carry-forward work inside one mutation fans out.
-    pub fn with_mat_parallelism(mut self, sched: Arc<Scheduler>) -> Catalog {
-        self.mat_sched = Some(sched);
-        self
     }
 
     fn next_version(&self) -> u64 {
@@ -382,10 +375,10 @@ impl Catalog {
     }
 
     /// Copy-on-write application: clone the current snapshot's data and
-    /// view and apply the ops to both, carry every materialisation forward
-    /// incrementally, and swap the new snapshot in. Runs outside the map
-    /// lock except for the final swap; same-instance ordering is the ticket
-    /// sequencer's job.
+    /// view and apply the ops to both, advance every materialisation from
+    /// the old snapshot to the new one, and swap the new snapshot in. Runs
+    /// outside the map lock except for the final swap; same-instance
+    /// ordering is the ticket sequencer's job.
     fn apply_mutation(&self, name: &str, ops: &[FactOp]) -> Option<MutationOutcome> {
         telemetry::counter_add(telemetry::Counter::MutationsApplied, 1);
         let _apply_t = telemetry::timed(telemetry::Family::MutationApply, "mutation_apply");
@@ -400,36 +393,15 @@ impl Catalog {
         debug_assert_eq!(applied, view_applied, "carried view diverged from data");
         let mats = StampedLru::new(MAX_LIVE_MATERIALIZATIONS);
         let entries = old.mats.entries();
-        let mat_t = (!entries.is_empty())
-            .then(|| telemetry::timed(telemetry::Family::MatCarry, "materialisation_carry"));
-        match &self.mat_sched {
-            Some(sched) if entries.len() >= 2 => {
-                // Independent per-program maintenance: one subtask per
-                // materialisation; chunk order preserves the LRU insertion
-                // order of the sequential path.
-                let forwarded = sched.map_chunks(&entries, entries.len(), |slice| {
-                    slice
-                        .iter()
-                        .map(|(k, m)| {
-                            let mut fwd = (**m).clone();
-                            fwd.apply(ops);
-                            (k.clone(), fwd)
-                        })
-                        .collect::<Vec<_>>()
-                });
-                for (k, fwd) in forwarded.into_iter().flatten() {
-                    mats.insert(k, Arc::new(fwd));
-                }
-            }
-            _ => {
-                for (k, m) in entries {
-                    let mut fwd = (*m).clone();
-                    fwd.apply(ops);
-                    mats.insert(k, Arc::new(fwd));
-                }
+        if !entries.is_empty() {
+            let _t = telemetry::timed(telemetry::Family::MatCarry, "materialisation_carry");
+            let new = Target::from(&data).with_view(Some(&index));
+            for (k, m) in entries {
+                let mut fwd = (*m).clone();
+                fwd.advance(old.target(None), new, ops);
+                mats.insert(k, Arc::new(fwd));
             }
         }
-        drop(mat_t);
         let cow = CowStats::against(&data, &old);
         telemetry::gauge_set(telemetry::Gauge::CatalogBytesShared, cow.shared_bytes());
         let version = self.next_version();

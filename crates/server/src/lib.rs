@@ -15,9 +15,10 @@
 //!   stored with its CSR view ([`sirup_core::FrozenStructure`], frozen at
 //!   load) and the instance's live [`sirup_engine::MaterializedFixpoint`]s.
 //!   Mutations are copy-on-write `Arc` swaps under fresh versions: data
-//!   patched, view carried by clone + `apply_all`, materialisations
-//!   carried forward *incrementally* (delta rules + DRed), same-instance
-//!   order fixed by tickets;
+//!   patched and view carried by clone + `apply_all`, once per version;
+//!   materialisations advanced *incrementally* (DRed over the old and the
+//!   new snapshot) with no data of their own; same-instance order fixed
+//!   by tickets;
 //! * [`plan`] — a **plan cache**: an LRU of per-program [`plan::Plan`]s
 //!   memoising the compiled search of the chosen strategy — given Prop. 2
 //!   boundedness evidence, the UCQ rewriting, so bounded programs are
@@ -34,8 +35,7 @@
 //!   so mutations invalidate it by construction, and — with
 //!   [`server::ServerConfig::parallelism`] `> 1` — each request splits
 //!   its own evaluation (plan enumeration chunks, semi-naive delta
-//!   chunks, UCQ disjuncts, materialisation carry-forward) into subtasks
-//!   on the *same* workers.
+//!   chunks, UCQ disjuncts) into subtasks on the *same* workers.
 //!
 //! Two service-boundary layers sit on top (see `DESIGN.md`, "Wire protocol
 //! & durability"):

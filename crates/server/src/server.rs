@@ -74,10 +74,11 @@ pub struct ServerConfig {
     pub threads: usize,
     /// Intra-request fan-out: `> 1` lets one request split its own
     /// evaluation (plan enumeration chunks, semi-naive delta chunks, UCQ
-    /// disjuncts, materialisation carry-forward) into subtasks on the
-    /// shared workers. `1` (the default) keeps every request on the exact
-    /// sequential evaluation path — zero scheduling overhead, the
-    /// pre-parallel behaviour.
+    /// disjuncts) into subtasks on the shared workers. `1` (the default)
+    /// keeps every request on the exact sequential evaluation path — zero
+    /// scheduling overhead, the pre-parallel behaviour. A mutation
+    /// advances its instance's materialisations one after another at any
+    /// setting.
     pub parallelism: usize,
     /// Minimum work-set size (root-domain cardinality, candidate count,
     /// node count) before an intra-request split happens; below it even a
@@ -514,13 +515,9 @@ impl Server {
     /// Build a server (spawns the shared scheduler's workers immediately).
     pub fn new(config: ServerConfig) -> Server {
         let sched = Arc::new(Scheduler::new(config.threads));
-        let mut catalog = Catalog::new();
-        if config.parallelism > 1 {
-            catalog = catalog.with_mat_parallelism(Arc::clone(&sched));
-        }
         Server {
             shared: Arc::new(Shared {
-                catalog,
+                catalog: Catalog::new(),
                 answers: AnswerCache::new(config.answer_cache),
                 adaptive: AdaptiveController::new(config.adaptive),
                 sched,

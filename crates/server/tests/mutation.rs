@@ -21,9 +21,11 @@ use rand::{Rng, SeedableRng};
 use sirup_core::program::{pi_q, sigma_q, DSirup};
 use sirup_core::{FactOp, Node, OneCq, Pred, Structure};
 use sirup_engine::disjunctive::certain_answer_dsirup;
-use sirup_engine::eval::{certain_answer_goal, certain_answers_unary};
-use sirup_server::{Answer, Query, ReplayMode, Request, Server, ServerConfig};
+use sirup_engine::eval::{certain_answer_goal, certain_answers_unary, evaluate};
+use sirup_engine::{CompiledProgram, MaterializedFixpoint};
+use sirup_server::{Answer, Catalog, Query, ReplayMode, Request, Server, ServerConfig};
 use sirup_workloads::paper;
+use sirup_workloads::random::{random_ditree_cq, DitreeCqParams};
 use sirup_workloads::traffic::{parse_workload, TrafficAction, TrafficSpec};
 
 fn server(threads: usize, answer_cache: usize) -> Server {
@@ -376,4 +378,118 @@ fn parallel_mutation_replay_matches_engine() {
             );
         }
     }
+}
+
+/// A random instance over F/T/A labels and R/S edges, 30 nodes: node growth
+/// crosses the first storage page boundary.
+fn random_instance(rng: &mut StdRng) -> Structure {
+    let n = 30;
+    let mut s = Structure::with_nodes(n);
+    for _ in 0..50 {
+        let (u, v) = (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32));
+        let p = if rng.gen_bool(0.5) { Pred::R } else { Pred::S };
+        s.add_edge(p, Node(u), Node(v));
+    }
+    for v in (0..n as u32).map(Node) {
+        for (p, odds) in [(Pred::T, 0.35), (Pred::F, 0.2), (Pred::A, 0.45)] {
+            if rng.gen_bool(odds) {
+                s.add_label(v, p);
+            }
+        }
+    }
+    s
+}
+
+/// A 1–5-op batch against an instance of `n` nodes whose derived `P`-facts
+/// are `derived`, in the shapes a batch can hold that a single op cannot:
+/// a repeated insert, an insert and a retract of one fact, an asserted `P`
+/// that is already derived, and inserts that grow the node range.
+fn random_batch(n: usize, derived: &[Node], rng: &mut StdRng) -> Vec<FactOp> {
+    let unary = [Pred::F, Pred::T, Pred::A, Pred::P];
+    let binary = [Pred::R, Pred::S];
+    let node = |rng: &mut StdRng| Node(rng.gen_range(0..n as u32 + 1));
+    let mut batch: Vec<FactOp> = (0..rng.gen_range(1..4usize))
+        .map(|_| match rng.gen_range(0..4u32) {
+            0 => FactOp::AddLabel(unary[rng.gen_range(0..4usize)], node(rng)),
+            1 => FactOp::RemoveLabel(unary[rng.gen_range(0..4usize)], node(rng)),
+            2 => FactOp::AddEdge(binary[rng.gen_range(0..2usize)], node(rng), node(rng)),
+            _ => FactOp::RemoveEdge(binary[rng.gen_range(0..2usize)], node(rng), node(rng)),
+        })
+        .collect();
+    if !derived.is_empty() && rng.gen_bool(0.4) {
+        let v = derived[rng.gen_range(0..derived.len())];
+        batch.push(FactOp::AddLabel(Pred::P, v));
+    }
+    if rng.gen_bool(0.25) {
+        let a = Node(n as u32 + rng.gen_range(0..3u32));
+        batch.push(FactOp::AddEdge(
+            Pred::R,
+            a,
+            Node(rng.gen_range(0..n as u32)),
+        ));
+    }
+    if batch.len() < 5 && rng.gen_bool(0.6) {
+        let op = batch[rng.gen_range(0..batch.len())];
+        let echo = match (op, rng.gen_bool(0.5)) {
+            (op, true) => op,
+            (FactOp::AddLabel(p, v), false) => FactOp::RemoveLabel(p, v),
+            (FactOp::RemoveLabel(p, v), false) => FactOp::AddLabel(p, v),
+            (FactOp::AddEdge(p, u, v), false) => FactOp::RemoveEdge(p, u, v),
+            (FactOp::RemoveEdge(p, u, v), false) => FactOp::AddEdge(p, u, v),
+        };
+        batch.insert(rng.gen_range(0..=batch.len()), echo);
+    }
+    batch
+}
+
+/// Batches through the catalog path: Σ_q and Π_q materialisations attached
+/// to one instance are carried through 1–5-op batches sent with
+/// `Catalog::mutate`. After every batch each equals a from-scratch
+/// evaluation of the snapshot's data, and its base shares every page with
+/// that data: the catalog patches one copy of the data per version.
+#[test]
+fn catalog_batches_carry_materializations_over_shared_pages() {
+    let mut batches_with_growth = 0;
+    for seed in 0..10u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let q = random_ditree_cq(DitreeCqParams::default(), seed)
+            .unwrap_or_else(|| OneCq::parse("F(x), R(x,y), T(y)"));
+        let programs = [("sigma", sigma_q(&q)), ("pi", pi_q(&q))];
+        let c = Catalog::new();
+        c.insert("d", random_instance(&mut rng));
+        let inst = c.get("d").unwrap();
+        for (key, program) in &programs {
+            inst.materialization(key, || {
+                MaterializedFixpoint::from_compiled(
+                    CompiledProgram::new(program),
+                    inst.target(None),
+                )
+            });
+        }
+        for step in 0..25 {
+            let inst = c.get("d").unwrap();
+            let n = inst.data.node_count();
+            let derived = inst
+                .materialization("sigma", || unreachable!("attached"))
+                .answers(Pred::P);
+            let batch = random_batch(n, &derived, &mut rng);
+            assert!((1..=5).contains(&batch.len()));
+            c.mutate("d", &batch).unwrap();
+            let inst = c.get("d").unwrap();
+            batches_with_growth += usize::from(inst.data.node_count() > n);
+            for (key, program) in &programs {
+                let ctx = format!("seed {seed} step {step} {key} after {batch:?}");
+                let mat = inst.materialization(key, || panic!("{ctx}: not carried"));
+                let (live, fresh) = (mat.evaluation(), evaluate(program, &inst.data));
+                assert_eq!(live.nullary, fresh.nullary, "{ctx}: nullary diverged");
+                assert_eq!(live.unary, fresh.unary, "{ctx}: unary diverged");
+                assert_eq!(
+                    mat.base().shared_pages_with(&inst.data),
+                    inst.data.page_count(),
+                    "{ctx}: the materialisation keeps its own copy of the data"
+                );
+            }
+        }
+    }
+    assert!(batches_with_growth > 0, "no batch grew the node range");
 }
