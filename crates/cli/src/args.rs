@@ -304,9 +304,7 @@ pub(crate) fn help_text() -> String {
             flag_line(&mut out, f);
         }
     }
-    out.push_str(
-        "\nSERVICE FLAGS (the in-process query service, its plans and adaptive controller):\n",
-    );
+    out.push_str("\nSERVICE FLAGS (the in-process query service and its plans):\n");
     for f in SERVICE {
         flag_line(&mut out, f);
     }

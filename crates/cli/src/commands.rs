@@ -19,7 +19,7 @@ use sirup_core::{OneCq, Structure};
 use sirup_fo::{render_sql, ucq_to_fo, SqlDialect};
 use sirup_schemaorg::SchemaOrgQuery;
 use sirup_server::{
-    AdaptiveConfig, Daemon, PlanOptions, ReplayMode, ReplayReport, Server, ServerConfig, WireConfig,
+    Daemon, PlanOptions, ReplayMode, ReplayReport, Server, ServerConfig, WireConfig,
 };
 use sirup_workloads::traffic::{
     mixed_traffic, parse_workload, render_workload, QueryKind, TrafficAction, TrafficParams,
@@ -93,8 +93,8 @@ const METRICS: Flag = Flag::of(
 const CONNECT: Flag = Flag::of("connect", Text("ADDR"), None, "a `serve --listen` daemon");
 const SEED: Flag = Flag::of("seed", Int, Some("1"), "random seed");
 
-/// The flags that configure the in-process query service, its plans and
-/// its adaptive controller (a [`ServerConfig`]), shared by every command
+/// The flags that configure the in-process query service and its plans (a
+/// [`ServerConfig`]), shared by every command
 /// that runs one ([`Command::service`]).
 #[rustfmt::skip]
 pub static SERVICE: &[Flag] = &[
@@ -107,9 +107,6 @@ pub static SERVICE: &[Flag] = &[
     Flag::of("max-depth", Int, Some("1"), "largest Prop. 2 depth a plan certifies"),
     Flag::of("horizon", Int, None, "evidence horizon [default: --max-depth + 2]"),
     Flag::of("cap", Int, Some("600"), "cactus-shape cap of the evidence search"),
-    Flag::of("adaptive", Bool, None, "turn the feedback controller on (answers are bit-identical)"),
-    Flag::of("promote-after", Int, Some("4"), "reads before a materialisation attaches"),
-    Flag::of("demote-after", Int, Some("2"), "writes before it detaches"),
 ];
 
 /// Every subcommand with its positionals, typed flags (defaults and help)
@@ -192,8 +189,8 @@ pub static COMMANDS: &[Command] = &[
         ] },
     Command { name: "serve", mode: Some("phases"), positionals: &[], service: true,
         run: cmd_serve_phases,
-        about: "write-heavy → read-heavy → write-heavy traffic on one hot instance, for the\n\
-                adaptive controller (the workloads/phases.sirupload generator)",
+        about: "write-heavy → read-heavy → write-heavy traffic on one hot instance: a probe of\n\
+                same-instance write hand-offs (the workloads/phases.sirupload generator)",
         flags: &[
             Flag::of("phases", Bool, None, "select this mode"),
             Flag::of("requests", Int, Some("24"), "requests per phase"),
@@ -664,11 +661,6 @@ fn config_from_flags(args: &Args) -> Result<ServerConfig, CliError> {
         par_threshold: args.get("par-threshold")?,
         plan_cache: args.get("plan-cache")?,
         answer_cache: args.get("answer-cache")?,
-        adaptive: AdaptiveConfig {
-            enabled: args.flag_bool("adaptive"),
-            promote_after_reads: args.get("promote-after")?,
-            demote_after_writes: args.get("demote-after")?,
-        },
         plan: PlanOptions {
             max_depth,
             horizon,
@@ -747,8 +739,9 @@ fn cmd_serve_scaling(args: &Args) -> Result<String, CliError> {
 }
 
 /// `serve --phases`: one hot instance under write-heavy → read-heavy →
-/// write-heavy traffic, for the adaptive controller (`--emit` generates
-/// the bundled workloads/phases.sirupload).
+/// write-heavy traffic, which probes the ticket hand-off between writes
+/// to one instance (`--emit` generates the bundled
+/// workloads/phases.sirupload).
 fn cmd_serve_phases(args: &Args) -> Result<String, CliError> {
     let spec = sirup_workloads::phase_traffic(args.get("requests")?, args.get("seed")?);
     emit_or_run(&spec, args)
@@ -1310,9 +1303,6 @@ struct TopRow {
 fn render_top(body: &str) -> String {
     use std::collections::BTreeMap;
     let mut rows: BTreeMap<(String, String), TopRow> = BTreeMap::new();
-    // Adaptive route assignments (the `sirup_adaptive_route` gauge): keyed
-    // like the rows, rendered as an extra column when present.
-    let mut routes: BTreeMap<(String, String), String> = BTreeMap::new();
     for line in body.lines() {
         let Some((name, labels, value)) = parse_sample(line) else {
             continue;
@@ -1323,15 +1313,6 @@ fn render_top(body: &str) -> String {
                 .find(|(lk, _)| lk == k)
                 .map(|(_, v)| v.clone())
         };
-        if name == "sirup_adaptive_route" {
-            if let (Some(program), Some(instance), Some(route)) =
-                (label("program"), label("instance"), label("route"))
-            {
-                let why = label("why").unwrap_or_default();
-                routes.insert((program, instance), format!("{route} [{why}]"));
-            }
-            continue;
-        }
         if !name.starts_with("sirup_program_") {
             continue;
         }
@@ -1357,8 +1338,8 @@ fn render_top(body: &str) -> String {
     let mut out = format!("top: {} live (program, instance) key(s)\n", sorted.len());
     writeln!(
         out,
-        "{:>7} {:>8} {:>8} {:>8}  {:<28} {:<34} PROGRAM @ INSTANCE",
-        "REQS", "CARDS", "P50(µs)", "P99(µs)", "STRATEGIES", "ROUTE"
+        "{:>7} {:>8} {:>8} {:>8}  {:<28} PROGRAM @ INSTANCE",
+        "REQS", "CARDS", "P50(µs)", "P99(µs)", "STRATEGIES"
     )
     .unwrap();
     for ((program, instance), row) in sorted {
@@ -1368,19 +1349,14 @@ fn render_top(body: &str) -> String {
             .map(|(s, n)| format!("{s} {n}"))
             .collect();
         strategies.sort_unstable();
-        let route = routes
-            .get(&(program.clone(), instance.clone()))
-            .map(String::as_str)
-            .unwrap_or("-");
         writeln!(
             out,
-            "{:>7} {:>8} {:>8} {:>8}  {:<28} {:<34} {program} @ {instance}",
+            "{:>7} {:>8} {:>8} {:>8}  {:<28} {program} @ {instance}",
             row.requests,
             row.cardinality,
             row.p50_us,
             row.p99_us,
-            strategies.join(", "),
-            route
+            strategies.join(", ")
         )
         .unwrap();
     }
@@ -2165,86 +2141,21 @@ request mutate cli_top @2 = +A(b)
     }
 
     #[test]
-    fn adaptive_replay_answers_match_the_static_router() {
-        // Answers are bit-identical whichever strategy serves them —
-        // adaptivity on vs off, at 1 and 4 workers, over the
-        // phase-shifting workload.
+    fn retired_routing_flags_are_unknown() {
         let path = concat!(
             env!("CARGO_MANIFEST_DIR"),
             "/../../workloads/phases.sirupload"
         );
-        for threads in ["1", "4"] {
-            let static_run = run_line(&[
-                "replay",
-                path,
-                "--threads",
-                threads,
-                "--dump-answers",
-                "true",
-            ])
-            .unwrap();
-            let adaptive_run = run_line(&[
-                "replay",
-                path,
-                "--threads",
-                threads,
-                "--dump-answers",
-                "true",
-                "--adaptive",
-                "true",
-                "--promote-after",
-                "2",
-                "--demote-after",
-                "1",
-            ])
-            .unwrap();
-            assert_eq!(
-                static_run, adaptive_run,
-                "adaptive routing changed an answer at --threads {threads}"
-            );
+        for (flag, value) in [
+            ("--adaptive", "true"),
+            ("--promote-after", "2"),
+            ("--demote-after", "1"),
+        ] {
+            let err = parse_args(["replay", path, flag, value])
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains(&format!("unknown flag {flag}")), "{err}");
         }
-    }
-
-    #[test]
-    fn adaptive_replay_moves_the_feedback_counters() {
-        // Aggressive knobs so promotion fires on the committed phase
-        // workload after 2 reads. The telemetry registry is process-global
-        // and monotone, so assert deltas.
-        let exposition = |out: &str, name: &str| -> u64 {
-            out.lines()
-                .find_map(|l| l.strip_prefix(name)?.trim().parse().ok())
-                .unwrap_or(0)
-        };
-        let before = run_line(&["replay", workload_path(), "--metrics", "true"]).unwrap();
-        let routed = run_line(&[
-            "replay",
-            workload_path(),
-            "--threads",
-            "2",
-            "--metrics",
-            "true",
-            "--adaptive",
-            "true",
-            "--promote-after",
-            "2",
-            "--demote-after",
-            "1",
-        ])
-        .unwrap();
-        let counter = "sirup_adaptive_promotions_total";
-        assert!(
-            exposition(&routed, counter) > exposition(&before, counter),
-            "{counter} did not move: {routed}"
-        );
-        // The route gauge explains the current assignments.
-        assert!(routed.contains("sirup_adaptive_route{"), "{routed}");
-    }
-
-    fn workload_path() -> &'static str {
-        concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../workloads/phases.sirupload"
-        )
     }
 
     #[test]

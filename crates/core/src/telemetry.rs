@@ -8,9 +8,8 @@
 //!   arrays: recording is a handful of relaxed atomic adds, never an
 //!   allocation, and per-worker shards merge at snapshot time. On top of the
 //!   fixed families sits a per-`(program, instance)` table fed by the
-//!   executor — strategy counts, a latency histogram, and result
-//!   cardinalities — which is exactly the observation feed the ROADMAP's
-//!   adaptive strategy routing reads.
+//!   executor — strategy counts, a service-time histogram, and result
+//!   cardinalities — which `sirupctl top` renders.
 //! * **Tracing** — each request opens a root span (fresh id from a process
 //!   counter); timed child spans wrap plan compile, the AC-3 prefilter,
 //!   backtracking search, semi-naive rounds, DPLL checks, incremental
@@ -41,11 +40,10 @@
 //! // merges of the per-worker shards.
 //! let before = telemetry::snapshot().counter("sirup_requests_total");
 //! telemetry::record_request("F(x), R(x,y), T(y)", "doc", "semi-naive",
-//!                           Duration::from_micros(120), 1);
+//!                           Duration::from_micros(30), Duration::from_micros(120), 1);
 //! let snap = telemetry::snapshot();
 //! assert_eq!(snap.counter("sirup_requests_total"), before + 1);
-//! // The per-(program, instance) table feeds `sirupctl top` and the
-//! // adaptive router.
+//! // The per-(program, instance) table feeds `sirupctl top`.
 //! assert!(snap.keys.iter().any(|k| k.instance == "doc"));
 //! // And the whole registry renders as a Prometheus exposition.
 //! assert!(snap.to_prometheus().contains("# TYPE sirup_requests_total counter"));
@@ -141,10 +139,6 @@ pub enum Counter {
     /// Storage pages copied on write (a shared page had to be cloned
     /// before mutation — the catalog's per-write allocation unit).
     PageCow,
-    /// Adaptive-routing promotions: a semi-naive program switched from
-    /// evaluate-from-scratch to a maintained materialisation because its
-    /// observed read run cleared the promotion threshold.
-    AdaptivePromotions,
     /// CSR overlay folds: a maintained read view merged the rows patched
     /// since its last fold back into fresh base arrays.
     CsrOverlayFolds,
@@ -183,10 +177,6 @@ const COUNTERS: &[(Counter, &str)] = &[
     (Counter::SchedParks, "sirup_scheduler_parks_total"),
     (Counter::SchedJobs, "sirup_scheduler_jobs_total"),
     (Counter::PageCow, "sirup_catalog_page_cow_total"),
-    (
-        Counter::AdaptivePromotions,
-        "sirup_adaptive_promotions_total",
-    ),
     (Counter::CsrOverlayFolds, "sirup_csr_overlay_folds_total"),
     (
         Counter::TelemetryKeysEvicted,
@@ -218,8 +208,13 @@ const GAUGES: &[(Gauge, &str)] = &[
 /// Latency histogram families (all in microseconds).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Family {
-    /// End-to-end request latency (all programs and instances merged).
+    /// End-to-end request latency, queue wait + service (all programs and
+    /// instances merged).
     RequestLatency,
+    /// A request's time before its run step: in a batch, from its job's
+    /// enqueue; inline (the wire), from arrival, i.e. its resolve and
+    /// reserve steps (plan lookup or build, WAL append).
+    QueueWait,
     /// `Plan::build`: boundedness evidence + strategy compilation.
     PlanCompile,
     /// Plan/answer cache probes (including the build on a miss).
@@ -260,6 +255,7 @@ pub enum Family {
 
 const FAMILIES: &[(Family, &str)] = &[
     (Family::RequestLatency, "sirup_request_latency_us"),
+    (Family::QueueWait, "sirup_queue_wait_us"),
     (Family::PlanCompile, "sirup_plan_compile_us"),
     (Family::CacheLookup, "sirup_cache_lookup_us"),
     (Family::Ac3, "sirup_ac3_us"),
@@ -278,6 +274,24 @@ const FAMILIES: &[(Family, &str)] = &[
     (Family::CsrFreeze, "sirup_csr_freeze_us"),
     (Family::CsrCarry, "sirup_csr_carry_us"),
 ];
+
+impl Family {
+    /// Trace-only families record (histogram and span) only while tracing
+    /// is on: they time hot inner evaluation sites — AC-3, backtracking,
+    /// fixpoints, DPLL, cascades — where even two clock reads per call
+    /// would tax the warm metrics-only path. Each pairs with an always-on
+    /// counter. [`timed`] reads this, and the exposition says it.
+    pub(crate) const fn trace_only(self) -> bool {
+        matches!(
+            self,
+            Family::Ac3
+                | Family::Backtrack
+                | Family::SemiNaiveFixpoint
+                | Family::Dpll
+                | Family::IncrementalCascade
+        )
+    }
+}
 
 /// Strategy labels tracked per (program, instance). Index 5 collects any
 /// future strategy name not in the fixed set.
@@ -700,8 +714,11 @@ pub fn observe(f: Family, d: Duration) {
 }
 
 /// Record one completed request against its `(program, instance)` cell:
-/// bumps the strategy counter, the latency histograms (per-key and global),
-/// the cardinality total, and `requests_total`. The table holds at most
+/// bumps `requests_total`, the strategy counter and the cardinality total,
+/// observes `queued` in `sirup_queue_wait_us`, `queued + service` in
+/// `sirup_request_latency_us`, and `service` alone in the cell's latency
+/// histogram, so the per-key table reads service time, not queue position.
+/// The table holds at most
 /// `MAX_KEYS` (4096) cells; a new key past that evicts the least recently
 /// recorded half of its shard, counted in
 /// `sirup_telemetry_keys_evicted_total`.
@@ -709,21 +726,24 @@ pub fn record_request(
     program: &str,
     instance: &str,
     strategy: &str,
-    latency: Duration,
+    queued: Duration,
+    service: Duration,
     cardinality: u64,
 ) {
     if !enabled() {
         return;
     }
     let reg = registry();
-    let us = latency.as_micros() as u64;
+    let queued_us = queued.as_micros() as u64;
+    let service_us = service.as_micros() as u64;
     let shard_id = LOCAL.with(|l| l.borrow().shard);
     reg.counters[Counter::RequestsTotal as usize].add(shard_id, 1);
-    reg.histos[Family::RequestLatency as usize].observe_us(us);
+    reg.histos[Family::QueueWait as usize].observe_us(queued_us);
+    reg.histos[Family::RequestLatency as usize].observe_us(queued_us + service_us);
 
     let stats = reg.keys.row(program, instance);
     stats.strategies[strategy_slot(strategy)].fetch_add(1, Ordering::Relaxed);
-    stats.latency.observe_us(us);
+    stats.latency.observe_us(service_us);
     stats.cardinality.fetch_add(cardinality, Ordering::Relaxed);
 }
 
@@ -912,22 +932,19 @@ fn open_span(
     }
 }
 
-/// Open a timed child span that also feeds histogram family `f`.
-#[inline]
+/// Open a timed child span that also feeds histogram family `f`. A
+/// trace-only family (AC-3, backtracking, fixpoints, DPLL, cascades)
+/// records only while tracing is on; any other, while metrics are on.
+/// Always inlined, so the family test folds away at every call site: the
+/// trace-only sites sit in hot search loops.
+#[inline(always)]
 pub fn timed(f: Family, name: &'static str) -> SpanGuard {
-    if !enabled() {
-        return SpanGuard::inert();
-    }
-    open_span(name, None, Some(f), false)
-}
-
-/// Like [`timed`], but records (histogram and span) only while tracing is
-/// on. For hot inner evaluation sites — AC-3, backtracking, DPLL branches —
-/// where even two clock reads per call would tax the warm metrics-only
-/// path; pair it with an always-on [`counter_add`].
-#[inline]
-pub fn traced(f: Family, name: &'static str) -> SpanGuard {
-    if !tracing_enabled() {
+    let on = if f.trace_only() {
+        tracing_enabled()
+    } else {
+        enabled()
+    };
+    if !on {
         return SpanGuard::inert();
     }
     open_span(name, None, Some(f), false)
@@ -1092,6 +1109,15 @@ impl TelemetrySnapshot {
             out.push_str(&format!("# TYPE {name} gauge\n{name} {v}\n"));
         }
         for h in &self.histograms {
+            let trace_only = FAMILIES
+                .iter()
+                .any(|(f, name)| *name == h.name && f.trace_only());
+            if trace_only {
+                out.push_str(&format!(
+                    "# HELP {} records only while tracing is on; reads 0 in an untraced process\n",
+                    h.name
+                ));
+            }
             render_histogram(&mut out, h.name, "", h);
         }
         if !self.keys.is_empty() {
@@ -1329,10 +1355,25 @@ mod tests {
     fn per_key_table_records_strategies_latency_and_cardinality() {
         set_enabled(true);
         let prog = "telemetry-test-prog-q1";
-        record_request(prog, "inst-a", "dpll", Duration::from_micros(10), 3);
-        record_request(prog, "inst-a", "dpll", Duration::from_micros(20), 2);
-        record_request(prog, "inst-a", "cached", Duration::from_micros(1), 2);
-        record_request(prog, "inst-b", "semi-naive", Duration::from_micros(100), 7);
+        let queued = Duration::from_millis(50);
+        record_request(prog, "inst-a", "dpll", queued, Duration::from_micros(10), 3);
+        record_request(prog, "inst-a", "dpll", queued, Duration::from_micros(20), 2);
+        record_request(
+            prog,
+            "inst-a",
+            "cached",
+            queued,
+            Duration::from_micros(1),
+            2,
+        );
+        record_request(
+            prog,
+            "inst-b",
+            "semi-naive",
+            queued,
+            Duration::from_micros(100),
+            7,
+        );
         let snap = snapshot();
         let a = snap
             .keys
@@ -1344,6 +1385,9 @@ mod tests {
         assert!(a.strategies.contains(&("dpll", 2)));
         assert!(a.strategies.contains(&("cached", 1)));
         assert_eq!(a.latency.count(), 3);
+        // The per-key histogram holds service time: the 50 ms queue wait
+        // is in no bucket at or below 31 µs, where all three land.
+        assert_eq!(a.latency.quantile_us(100.0), 31);
         let b = snap
             .keys
             .iter()
@@ -1383,6 +1427,7 @@ mod tests {
             "promq \"quoted\"",
             "inst\\x",
             "dpll",
+            Duration::ZERO,
             Duration::from_micros(42),
             5,
         );
@@ -1408,6 +1453,34 @@ mod tests {
             assert!(!head.is_empty());
             assert!(value.parse::<f64>().is_ok(), "bad value in {line:?}");
         }
+    }
+
+    #[test]
+    fn untraced_exposition_labels_the_trace_only_families() {
+        set_enabled(true);
+        let text = snapshot().to_prometheus();
+        let help: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("# HELP "))
+            .filter_map(|l| l.split_once(' ').map(|(name, _)| name))
+            .collect();
+        assert_eq!(
+            help,
+            [
+                "sirup_ac3_us",
+                "sirup_backtrack_us",
+                "sirup_seminaive_fixpoint_us",
+                "sirup_dpll_us",
+                "sirup_incremental_cascade_us"
+            ]
+        );
+        for name in help {
+            let note = format!("# HELP {name} records only while tracing is on");
+            let at = text.find(&note).expect("help line");
+            let kind = format!("# TYPE {name} histogram");
+            assert_eq!(text[at..].lines().nth(1), Some(kind.as_str()));
+        }
+        assert!(text.contains("# TYPE sirup_queue_wait_us histogram"));
     }
 
     #[test]

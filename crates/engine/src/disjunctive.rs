@@ -76,7 +76,7 @@ fn certain_answer_inner(
         "plan was not compiled from this d-sirup's CQ"
     );
     telemetry::counter_add(telemetry::Counter::DpllChecks, 1);
-    let _span = telemetry::traced(telemetry::Family::Dpll, "dpll");
+    let _span = telemetry::timed(telemetry::Family::Dpll, "dpll");
     // A search explores up to 2^|A| branches with two bound checks each, so
     // freezing once pays for itself quickly on non-trivial instances.
     let own = match t.view() {

@@ -179,7 +179,7 @@ impl CompiledProgram {
             None => FrozenStructure::freeze_if_large(t.data()),
         };
         let t = t.with_view(own.as_ref());
-        let _span = telemetry::traced(telemetry::Family::SemiNaiveFixpoint, "seminaive_fixpoint");
+        let _span = telemetry::timed(telemetry::Family::SemiNaiveFixpoint, "seminaive_fixpoint");
         let data = t.data();
         let n = data.node_count();
         // Per-candidate checks run sequentially: the parallel context

@@ -436,7 +436,7 @@ impl MaterializedFixpoint {
     /// version still asserts it.
     fn overdelete(&mut self, old: Target<'_>, ops: &[FactOp]) -> Batch {
         telemetry::counter_add(telemetry::Counter::IncrementalCascades, 1);
-        let span = telemetry::traced(telemetry::Family::IncrementalCascade, "incremental_cascade");
+        let span = telemetry::timed(telemetry::Family::IncrementalCascade, "incremental_cascade");
         let (added, removed) = net_delta(old.data(), ops);
         self.ops_applied += (added.len() + removed.len()) as u64;
         let mut queued: FxHashSet<Fact> = removed.iter().copied().collect();

@@ -343,7 +343,7 @@ pub struct PlanExec<'a> {
 /// tracing is on).
 fn backtrack_span() -> telemetry::SpanGuard {
     telemetry::counter_add(telemetry::Counter::BacktrackSearches, 1);
-    telemetry::traced(telemetry::Family::Backtrack, "backtrack")
+    telemetry::timed(telemetry::Family::Backtrack, "backtrack")
 }
 
 /// The outcome of domain seeding + the AC-3 prefilter.
@@ -548,7 +548,7 @@ impl<'a> PlanExec<'a> {
         };
         telemetry::counter_add(telemetry::Counter::Ac3Runs, 1);
         let ac3_ok = {
-            let _t = telemetry::traced(telemetry::Family::Ac3, "ac3");
+            let _t = telemetry::timed(telemetry::Family::Ac3, "ac3");
             self.ac3(&mut domains)
         };
         if !ac3_ok {

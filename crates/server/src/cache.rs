@@ -1,8 +1,9 @@
-//! A small stamp-based LRU shared by the plan cache and the answer cache.
+//! A small stamp-based LRU shared by the plan cache, the answer cache and
+//! each catalog snapshot's set of live materialisations.
 //!
 //! Entries carry the tick of their last touch; eviction removes the entry
 //! with the oldest stamp (an O(n) scan — fine at the cache sizes the
-//! service runs with). Hit/miss counters live inside the same lock so
+//! service runs with), and is the only way an entry leaves. Hit/miss counters live inside the same lock so
 //! reports are consistent. A capacity of 0 disables the cache entirely:
 //! probes return `None` without counting and inserts are dropped.
 //!
@@ -93,22 +94,6 @@ impl<V: Clone> StampedLru<V> {
                 inner.map.remove(&oldest);
             }
         }
-    }
-
-    /// Probe for `key` without refreshing its stamp or counting a hit or
-    /// miss — an observation, not a lookup. The adaptive controller peeks
-    /// at the plan cache this way to learn a cached program's strategy
-    /// without skewing the cache statistics the operator reads.
-    pub fn peek(&self, key: &str) -> Option<V> {
-        sync::lock(&self.inner).map.get(key).map(|(v, _)| v.clone())
-    }
-
-    /// Drop `key` if present, returning whether an entry was removed.
-    /// Neither a hit nor a miss is counted — removal is a policy action
-    /// (adaptive demotion detaches a materialisation this way), not a
-    /// lookup.
-    pub fn remove(&self, key: &str) -> bool {
-        sync::lock(&self.inner).map.remove(key).is_some()
     }
 
     /// `(hits, misses)` so far.

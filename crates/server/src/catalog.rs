@@ -7,6 +7,8 @@
 //! rows that seed candidate domains — plus the instance's **live
 //! materialisations**: one incrementally maintained
 //! [`MaterializedFixpoint`] per semi-naive program that has queried it.
+//! A materialisation stays attached, and every write carries it, until the
+//! per-instance LRU bound evicts it or the instance is reloaded.
 //!
 //! Instances are **immutable snapshots**: a mutation builds a new
 //! [`IndexedInstance`] — data snapshot-cloned and patched, the view
@@ -214,17 +216,6 @@ impl IndexedInstance {
         built
     }
 
-    /// Detach the materialisation for `key`, returning whether one was
-    /// attached. Detaching stops the incremental carry-forward cost on
-    /// every subsequent mutation — adaptive demotion calls this when
-    /// writes dominate a program's traffic. A concurrent reader holding
-    /// the `Arc` keeps its (still-correct) snapshot; a concurrent
-    /// attacher may re-attach, which is benign (the next demotion
-    /// detaches again).
-    pub fn detach_materialization(&self, key: &str) -> bool {
-        self.mats.remove(key)
-    }
-
     /// Stats of every attached materialisation, sorted by program key.
     pub fn materialization_stats(&self) -> Vec<(String, MaterializationStats)> {
         let mut out: Vec<(String, MaterializationStats)> = self
@@ -319,6 +310,18 @@ impl Catalog {
     /// Look up an instance by name.
     pub fn get(&self, name: &str) -> Option<Arc<IndexedInstance>> {
         sync::read(&self.instances).get(name).cloned()
+    }
+
+    /// The ticket the next [`Catalog::reserve_ticket`] for `name` returns.
+    /// A caller that serialises its reservations (the server's
+    /// `mutation_order`) reads it to log a write before reserving, so a
+    /// failed log append leaves no ticket behind.
+    pub(crate) fn next_ticket(&self, name: &str) -> u64 {
+        sync::lock(&self.tickets)
+            .issued
+            .get(name)
+            .copied()
+            .unwrap_or(0)
     }
 
     /// Reserve the next mutation ticket for `name`. Tickets must each be

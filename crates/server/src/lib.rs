@@ -29,8 +29,8 @@
 //!   (snapshot, answer-cache probe, plan), reserved (a mutation's ticket
 //!   and WAL record), run and recorded by the same steps, inline in
 //!   [`Server::answer_one`] or as detached scheduler jobs for a batch
-//!   ([`Server::submit`]). Each query routes to the cheapest strategy
-//!   (answer cache → rewriting → materialised semi-naive → DPLL for
+//!   ([`Server::submit`]). A query not in the answer cache runs its
+//!   plan's one route (rewriting, materialised semi-naive, or DPLL for
 //!   disjunctive sirups), the answer cache is keyed by instance version
 //!   so mutations invalidate it by construction, and — with
 //!   [`server::ServerConfig::parallelism`] `> 1` — each request splits
@@ -77,7 +77,6 @@
 
 #![deny(missing_docs)]
 
-pub mod adaptive;
 mod cache;
 pub mod catalog;
 pub mod metrics;
@@ -86,7 +85,6 @@ pub mod server;
 pub mod wal;
 pub mod wire;
 
-pub use adaptive::{AdaptiveConfig, AdaptiveController, RouteInfo};
 pub use catalog::{Catalog, CowStats, IndexedInstance, MutationOutcome};
 pub use metrics::LatencyStats;
 pub use plan::{Answer, Plan, PlanCache, PlanOptions, Query, Strategy};

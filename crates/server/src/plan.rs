@@ -268,15 +268,14 @@ impl Plan {
     ///   zero extra work.
     /// * **Semi-naive** answers from the snapshot's live
     ///   [`sirup_engine::MaterializedFixpoint`] for this program when
-    ///   `materialise` is set (the static default): built on first use,
-    ///   carried forward *incrementally* by catalog mutations, so repeated
-    ///   reads are lookups instead of fixpoint runs. With `materialise`
-    ///   unset (what an adaptive controller picks while a program's read
-    ///   run has not yet cleared its promotion threshold) it evaluates the
-    ///   fixpoint from scratch against the snapshot without attaching.
-    ///   Both compute the same unique fixpoint, so the answer is
-    ///   bit-identical either way; only the maintenance cost profile
-    ///   differs. Other strategies ignore the flag.
+    ///   `materialise` is set, which is what the server always passes:
+    ///   built on first use, carried forward *incrementally* by catalog
+    ///   mutations, so repeated reads are lookups instead of fixpoint runs.
+    ///   With `materialise` unset it evaluates the fixpoint from scratch
+    ///   against the snapshot without attaching anything: the scratch
+    ///   reference the differential suite compares the served answer
+    ///   against. Π_q and Σ_q are datalog, so both compute the same least
+    ///   fixpoint. Other strategies ignore the flag.
     /// * **DPLL** searches the labellings of the snapshot's data directly,
     ///   reading adjacency through the snapshot's CSR view.
     ///
@@ -382,13 +381,6 @@ impl PlanCache {
     /// counts a hit/miss like any lookup).
     pub fn get(&self, key: &str) -> Option<std::sync::Arc<Plan>> {
         self.lru.get(key)
-    }
-
-    /// Probe for `key` without counting a hit or miss and without touching
-    /// recency — used by the adaptive read-run accounting on answer-cache
-    /// hits, which must not skew the plan-cache statistics.
-    pub fn peek(&self, key: &str) -> Option<std::sync::Arc<Plan>> {
-        self.lru.peek(key)
     }
 
     /// `(hits, misses)` so far.

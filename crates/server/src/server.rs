@@ -9,10 +9,12 @@
 //! 1. **resolve**: take the instance snapshot (an unknown instance fails
 //!    here), and for a query probe the answer cache at that version and,
 //!    on a miss, fetch or build the plan;
-//! 2. **reserve** (writes only): the mutation ticket plus, on a durable
-//!    server, the WAL record, both under one lock;
-//! 3. **run**: a query under adaptive routing, a write under its ticket
-//!    followed by the controller's demotions;
+//! 2. **reserve** (writes only): on a durable server the WAL record, then
+//!    the mutation ticket, both under one lock; a failed append reserves
+//!    nothing and fails the request with [`ServerError::Wal`];
+//! 3. **run**: a query along its plan's one route
+//!    ([`Plan::answer_routed`], materialising a semi-naive program), a
+//!    write under its ticket;
 //! 4. **record**: the per-(program, instance) telemetry row and, for an
 //!    evaluated query, the answer-cache insert.
 //!
@@ -33,10 +35,9 @@
 //! `(program, instance, version)`, so a mutation invalidates cached answers
 //! simply by bumping the version — stale entries can never be served.
 
-use crate::adaptive::{AdaptiveConfig, AdaptiveController};
 use crate::catalog::{Catalog, IndexedInstance};
 use crate::metrics::LatencyStats;
-use crate::plan::{Answer, Plan, PlanCache, PlanOptions, Query, Strategy};
+use crate::plan::{Answer, Plan, PlanCache, PlanOptions, Query};
 use crate::wal::{Wal, WalRecord};
 use sirup_core::fx::FxHashMap;
 use sirup_core::telemetry;
@@ -92,8 +93,6 @@ pub struct ServerConfig {
     pub answer_cache: usize,
     /// Plan construction knobs.
     pub plan: PlanOptions,
-    /// Adaptive routing knobs (disabled by default — the static policy).
-    pub adaptive: AdaptiveConfig,
 }
 
 impl Default for ServerConfig {
@@ -105,7 +104,6 @@ impl Default for ServerConfig {
             plan_cache: 64,
             answer_cache: 256,
             plan: PlanOptions::default(),
-            adaptive: AdaptiveConfig::default(),
         }
     }
 }
@@ -190,8 +188,12 @@ pub struct Response {
     /// Which strategy served it (`rewriting`, `semi-naive`, `dpll`,
     /// `mutation`, `cached`).
     pub strategy: &'static str,
-    /// Queue wait + evaluation time.
+    /// Queue wait + service time: from enqueue (a batch job) or arrival
+    /// ([`Server::answer_one`], so its resolve and reserve steps count as
+    /// the wait) to the response.
     pub latency: Duration,
+    /// Service time alone: from the start of the run step to the response.
+    pub service: Duration,
 }
 
 /// Errors surfaced by the service.
@@ -203,6 +205,9 @@ pub enum ServerError {
     BadQuery(String),
     /// A load whose instance has more than [`MAX_NODES`] nodes.
     TooManyNodes(usize),
+    /// The write-ahead log refused the record (an I/O error now or
+    /// earlier: the log is fail-stop), so nothing was applied or acked.
+    Wal(String),
 }
 
 impl std::fmt::Display for ServerError {
@@ -213,11 +218,18 @@ impl std::fmt::Display for ServerError {
             ServerError::TooManyNodes(n) => {
                 write!(f, "{n} nodes is above the limit of {MAX_NODES}")
             }
+            ServerError::Wal(m) => write!(f, "write-ahead log: {m}"),
         }
     }
 }
 
 impl std::error::Error for ServerError {}
+
+impl ServerError {
+    fn wal(e: std::io::Error) -> ServerError {
+        ServerError::Wal(e.to_string())
+    }
+}
 
 /// How [`Server::replay`] paces submission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -245,8 +257,11 @@ pub struct ReplayReport {
     pub mutations: usize,
     /// Mutation ops that changed an instance.
     pub mutation_ops_applied: usize,
-    /// Latency order statistics.
+    /// Latency order statistics (queue wait + service: in a closed batch
+    /// they track queue position).
     pub latency: LatencyStats,
+    /// Service-time order statistics (from the start of each run step).
+    pub service: LatencyStats,
     /// Plan-cache `(hits, misses)` over the whole server lifetime.
     pub plan_cache: (u64, u64),
     /// Answer-cache `(hits, misses)` over the whole server lifetime.
@@ -305,6 +320,16 @@ impl ReplayReport {
             self.latency.p99_us,
             self.latency.max_us,
             self.latency.mean_us
+        )
+        .unwrap();
+        writeln!(
+            out,
+            "service   : p50 {}µs  p95 {}µs  p99 {}µs  max {}µs  mean {}µs",
+            self.service.p50_us,
+            self.service.p95_us,
+            self.service.p99_us,
+            self.service.max_us,
+            self.service.mean_us
         )
         .unwrap();
         let (hits, misses) = self.plan_cache;
@@ -382,9 +407,6 @@ pub struct Server {
 struct Shared {
     catalog: Catalog,
     answers: AnswerCache,
-    /// The feedback controller (inert when [`AdaptiveConfig::enabled`] is
-    /// off — every consultation short-circuits to the static policy).
-    adaptive: AdaptiveController,
     /// The work-stealing scheduler: batch jobs, connection jobs and
     /// intra-request subtasks all run on its workers.
     sched: Arc<Scheduler>,
@@ -450,22 +472,32 @@ impl Shared {
 
     /// The run and record steps of one resolved (and, for a write, reserved)
     /// request: [`Server::answer_one`] calls this inline, a batch job on a
-    /// worker. A query picks its route (a semi-naive plan materialises
-    /// unless the adaptive controller has not promoted it) and calls
-    /// [`Plan::answer_routed`]. A write applies under
-    /// its ticket, waiting for every earlier ticket of its instance, and then
-    /// detaches the materialisations its write run demoted, so later writes
-    /// stop carrying them. Every request is recorded in the per-(program,
-    /// instance) telemetry table; an evaluated answer also goes into the
-    /// answer cache.
+    /// worker. A query runs its plan's one route through
+    /// [`Plan::answer_routed`], a semi-naive plan reading (and on first use
+    /// attaching) the snapshot's maintained materialisation. A write
+    /// applies under its ticket, waiting for every earlier ticket of its
+    /// instance. Every request is recorded in the per-(program, instance)
+    /// telemetry table with its wait (`started` to this call) and service
+    /// time (this call to the response); an evaluated answer also
+    /// goes into the answer cache.
     fn run(&self, work: Resolved<'_>, started: Instant) -> Response {
+        let serving = Instant::now();
         let record = |program: &str, instance: &str, strategy, answer: Answer| {
-            let latency = started.elapsed();
-            telemetry::record_request(program, instance, strategy, latency, answer.cardinality());
+            let service = serving.elapsed();
+            let queued = serving.saturating_duration_since(started);
+            telemetry::record_request(
+                program,
+                instance,
+                strategy,
+                queued,
+                service,
+                answer.cardinality(),
+            );
             Response {
                 answer,
                 strategy,
-                latency,
+                latency: queued + service,
+                service,
             }
         };
         match work {
@@ -475,9 +507,7 @@ impl Shared {
                 answer,
             } => record(&program, &inst.name, "cached", answer),
             Resolved::Query { plan, inst, key } => {
-                let materialise = !matches!(plan.strategy, Strategy::SemiNaive { .. })
-                    || self.adaptive.route_read(plan.key(), &inst.name);
-                let answer = plan.answer_routed(&inst, self.par(), materialise);
+                let answer = plan.answer_routed(&inst, self.par(), true);
                 if let Some(key) = key {
                     self.answers.insert(key, answer.clone());
                 }
@@ -497,14 +527,6 @@ impl Shared {
                     // concurrent remove); the ticket is consumed either way.
                     None => Answer::Applied { applied: 0, seq: 0 },
                 };
-                let demoted = self.adaptive.record_write(&instance);
-                if !demoted.is_empty() {
-                    if let Some(fresh) = self.catalog.get(&instance) {
-                        for key in &demoted {
-                            fresh.detach_materialization(key);
-                        }
-                    }
-                }
                 record("mutation", &instance, "mutation", answer)
             }
         }
@@ -519,7 +541,6 @@ impl Server {
             shared: Arc::new(Shared {
                 catalog: Catalog::new(),
                 answers: AnswerCache::new(config.answer_cache),
-                adaptive: AdaptiveController::new(config.adaptive),
                 sched,
                 par_threshold: (config.parallelism > 1).then_some(config.par_threshold),
             }),
@@ -661,15 +682,16 @@ impl Server {
                     nodes,
                     ops: data.to_ops(),
                 })
-                .expect("wal append (load)");
+                .map_err(ServerError::wal)?;
             Ok(self.shared.catalog.insert(name, data))
         } else {
             Ok(self.shared.catalog.insert(name, data))
         }
     }
 
-    /// Drop a named instance (logged first on a durable server).
-    pub fn remove_instance(&self, name: &str) -> bool {
+    /// Drop a named instance (logged first on a durable server). Returns
+    /// whether it existed; a failed log append removes nothing.
+    pub fn remove_instance(&self, name: &str) -> Result<bool, ServerError> {
         if let Some(wal) = &self.wal {
             let _order = sync::lock(&self.mutation_order);
             self.shared.catalog.quiesce();
@@ -677,9 +699,9 @@ impl Server {
                 .append(&WalRecord::Remove {
                     name: name.to_owned(),
                 })
-                .expect("wal append (remove)");
+                .map_err(ServerError::wal)?;
         }
-        self.shared.catalog.remove(name)
+        Ok(self.shared.catalog.remove(name))
     }
 
     /// Answer one request **inline on the calling thread** — the wire
@@ -701,7 +723,7 @@ impl Server {
         let started = Instant::now();
         let _span = telemetry::tracing_enabled().then(|| telemetry::request_span(req.label()));
         let mut work = self.resolve(req)?;
-        drop(self.reserve(&mut work));
+        drop(self.reserve(&mut work)?);
         Ok(self.shared.run(work, started))
     }
 
@@ -730,7 +752,6 @@ impl Server {
             .enabled()
             .then(|| format!("{program}|{}#{}", inst.name, inst.version));
         if let Some(answer) = key.as_deref().and_then(|k| answers.get(k)) {
-            self.note_cached_read(&program, &inst.name);
             return Ok(Resolved::Cached {
                 program,
                 inst,
@@ -743,33 +764,38 @@ impl Server {
         Ok(Resolved::Query { plan, inst, key })
     }
 
-    /// The reserve step of a write: its ticket and, on a durable server,
-    /// its WAL record, both under `mutation_order`, so per-instance log
-    /// order equals ticket order. Returns the held lock (`None` for a
-    /// query): a batch spawns the write's job before releasing it (see
-    /// `Server::spawn`), [`Server::answer_one`] releases it at once.
-    fn reserve(&self, work: &mut Resolved<'_>) -> Option<MutexGuard<'_, ()>> {
+    /// The reserve step of a write: on a durable server its WAL record,
+    /// then its ticket, both under `mutation_order`, so per-instance log
+    /// order equals ticket order. The record is logged with the ticket
+    /// the reservation is about to take; a failed append returns
+    /// [`ServerError::Wal`] with no ticket taken, so no later write of the
+    /// instance (nor a quiesce) waits on a ticket nobody will redeem.
+    /// Returns the held lock (`None` for a query): a batch spawns the
+    /// write's job before releasing it (see `Server::spawn`),
+    /// [`Server::answer_one`] releases it at once.
+    fn reserve(&self, work: &mut Resolved<'_>) -> Result<Option<MutexGuard<'_, ()>>, ServerError> {
         let Resolved::Mutate {
             instance,
             ops,
             ticket,
         } = work
         else {
-            return None;
+            return Ok(None);
         };
         let order = sync::lock(&self.mutation_order);
-        *ticket = self.shared.catalog.reserve_ticket(instance);
+        let catalog = &self.shared.catalog;
         if let Some(wal) = &self.wal {
             sync::lock(wal)
                 .append(&WalRecord::Mutate {
                     name: instance.to_string(),
-                    seq: *ticket + 1,
+                    seq: catalog.next_ticket(instance) + 1,
                     ops: ops.to_vec(),
                 })
-                .expect("wal append (mutate)");
+                .map_err(ServerError::wal)?;
             self.since_snapshot.fetch_add(1, Ordering::Relaxed);
         }
-        Some(order)
+        *ticket = catalog.reserve_ticket(instance);
+        Ok(Some(order))
     }
 
     /// A point-in-time snapshot of the process-wide telemetry registry —
@@ -816,49 +842,7 @@ impl Server {
             )
             .unwrap();
         }
-        let routes = self.shared.adaptive.routes();
-        if !routes.is_empty() {
-            let esc = |s: &str| {
-                s.replace('\\', "\\\\")
-                    .replace('"', "\\\"")
-                    .replace('\n', "\\n")
-            };
-            writeln!(out, "# TYPE sirup_adaptive_route gauge").unwrap();
-            for r in routes {
-                writeln!(
-                    out,
-                    "sirup_adaptive_route{{program=\"{}\",instance=\"{}\",route=\"{}\",why=\"{}\"}} 1",
-                    esc(&r.program),
-                    esc(&r.instance),
-                    r.route,
-                    esc(&r.why)
-                )
-                .unwrap();
-            }
-        }
         out
-    }
-
-    /// The adaptive feedback controller (inert unless enabled in the
-    /// config).
-    pub fn adaptive(&self) -> &AdaptiveController {
-        &self.shared.adaptive
-    }
-
-    /// Feed an answer-cache hit into the adaptive read-run accounting. An
-    /// answer-cache hit implies the program was evaluated under this
-    /// instance version, so its plan is (almost always) still in the plan
-    /// cache — `peek` avoids skewing the hit/miss statistics. Only
-    /// semi-naive programs have a promotion decision to inform.
-    fn note_cached_read(&self, cache_key: &str, instance: &str) {
-        if !self.shared.adaptive.enabled() {
-            return;
-        }
-        if let Some(plan) = self.plans.peek(cache_key) {
-            if matches!(plan.strategy, Strategy::SemiNaive { .. }) {
-                self.shared.adaptive.note_read(cache_key, instance);
-            }
-        }
     }
 
     /// Stats of one live instance.
@@ -912,10 +896,13 @@ impl Server {
     }
 
     /// Answer a batch. Requests are validated up front (no partial
-    /// execution on error); responses come back in request order. Queries
-    /// already answered for the resolved instance version are served from
-    /// the answer cache without touching the scheduler; mutations apply in
-    /// request order per instance.
+    /// execution on a validation error); responses come back in request
+    /// order. Queries already answered for the resolved instance version
+    /// are served from the answer cache without touching the scheduler;
+    /// mutations apply in request order per instance. A failed WAL append
+    /// stops the batch at that write and returns [`ServerError::Wal`]: the
+    /// requests spawned before it still run (their writes were logged),
+    /// nothing after it does.
     pub fn submit(&self, requests: &[Request]) -> Result<Vec<Response>, ServerError> {
         self.submit_paced(requests, None)
     }
@@ -953,7 +940,9 @@ impl Server {
                 }
             }
             let mut work = resolved[i].take().expect("each request runs once");
-            let _order = self.reserve(&mut work);
+            // A failed WAL append stops the batch here: what was spawned
+            // runs to completion, nothing after it is reserved.
+            let _order = self.reserve(&mut work)?;
             if let Resolved::Cached { .. } = work {
                 responses[i] = Some(self.shared.run(work, Instant::now()));
             } else {
@@ -1017,6 +1006,7 @@ impl Server {
             })
             .sum();
         let latencies: Vec<Duration> = responses.iter().map(|r| r.latency).collect();
+        let services: Vec<Duration> = responses.iter().map(|r| r.service).collect();
         Ok(ReplayReport {
             total: responses.len(),
             threads: self.threads(),
@@ -1026,6 +1016,7 @@ impl Server {
             mutations,
             mutation_ops_applied,
             latency: LatencyStats::from_durations(&latencies),
+            service: LatencyStats::from_durations(&services),
             plan_cache: self.plans.stats(),
             answer_cache: self.shared.answers.stats(),
             plans_resident: self.plans.len(),
@@ -1216,102 +1207,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_hysteresis_promotes_demotes_and_never_lies() {
-        use crate::adaptive::AdaptiveConfig;
-        // Single worker + no answer cache: every read evaluates, so the
-        // read runs the controller feeds on are exactly the submits below.
-        let adaptive = Server::new(ServerConfig {
-            threads: 1,
-            plan_cache: 8,
-            answer_cache: 0,
-            adaptive: AdaptiveConfig {
-                enabled: true,
-                promote_after_reads: 2,
-                demote_after_writes: 2,
-            },
-            ..ServerConfig::default()
-        });
-        // The oracle is the same server with the static router — every
-        // answer must match it, whichever route served.
-        let oracle = Server::new(ServerConfig {
-            threads: 1,
-            plan_cache: 8,
-            answer_cache: 0,
-            ..ServerConfig::default()
-        });
-        let data = st("F(u), R(v,u), R(v,w), T(w)");
-        adaptive.load_instance("d", data.clone()).unwrap();
-        oracle.load_instance("d", data).unwrap();
-        // q4 is unbounded: the semi-naive strategy, where routing matters.
-        let read = || {
-            Request::query(
-                Query::PiGoal(OneCq::parse("F(x), R(y,x), R(y,z), T(z)")),
-                "d",
-            )
-        };
-        let write = |i: u32| Request::mutation(vec![FactOp::AddLabel(Pred::A, Node(10 + i))], "d");
-        let mats = || {
-            adaptive
-                .instance_stats("d")
-                .expect("instance d is loaded")
-                .materializations
-                .len()
-        };
-        let check = |req: Request| {
-            let a = adaptive.submit(std::slice::from_ref(&req)).unwrap();
-            let b = oracle.submit(&[req]).unwrap();
-            assert_eq!(a[0].answer, b[0].answer, "adaptive answer diverged");
-        };
-        let promotions_before = telemetry::snapshot().counter("sirup_adaptive_promotions_total");
-
-        // Write-heavy phase: reads interleaved with writes never clear the
-        // promotion threshold — no materialisation may attach.
-        for i in 0..3 {
-            check(read());
-            check(write(i));
-            assert_eq!(mats(), 0, "write-heavy phase must not materialise");
-        }
-
-        // Read-heavy phase: the second uninterrupted read promotes and
-        // attaches the maintained materialisation.
-        check(read());
-        assert_eq!(mats(), 0, "one read is below the promotion threshold");
-        check(read());
-        assert_eq!(mats(), 1, "the promoting read must attach");
-        assert!(
-            telemetry::snapshot().counter("sirup_adaptive_promotions_total") > promotions_before,
-            "promotion must be observable via its counter"
-        );
-        let routes = adaptive.adaptive().routes();
-        assert!(
-            routes
-                .iter()
-                .any(|r| r.instance == "d" && r.route == "materialised"),
-            "{routes:?}"
-        );
-        check(read()); // stays promoted
-        assert_eq!(mats(), 1);
-
-        // Second write-heavy phase: two consecutive writes demote and
-        // detach.
-        check(write(100));
-        assert_eq!(mats(), 1, "one write is below the demotion threshold");
-        check(write(101));
-        assert_eq!(mats(), 0, "the demoting write must detach");
-        assert!(
-            adaptive
-                .adaptive()
-                .routes()
-                .iter()
-                .any(|r| r.instance == "d" && r.route == "scratch"),
-            "demotion must be visible in the route surface"
-        );
-        // And reads start a fresh run from scratch.
-        check(read());
-        assert_eq!(mats(), 0);
-    }
-
-    #[test]
     fn instance_stats_expose_live_state() {
         let s = tiny_server();
         // A semi-naive query attaches a materialisation.
@@ -1329,23 +1224,17 @@ mod tests {
         assert!(s.instance_stats("missing").is_none());
     }
 
-    /// Both entry points run the same steps: with adaptive routing on, a
-    /// read run promotes Σ_q4 and the following write run demotes it again,
-    /// whether the requests come inline or batched.
+    /// Both entry points run the same steps: a Σ_q4 read attaches one
+    /// materialisation whether it runs inline or batched, and the writes
+    /// that follow carry it rather than drop it.
     #[test]
-    fn inline_and_batched_write_runs_both_demote() {
-        use crate::adaptive::AdaptiveConfig;
+    fn inline_and_batched_reads_attach_and_writes_carry() {
         let q4 = Query::SigmaAnswers(OneCq::parse("F(x), R(y,x), R(y,z), T(z)"));
         for inline in [true, false] {
-            // No answer cache: both reads evaluate, so the second attaches.
+            // No answer cache: every read evaluates.
             let s = Server::new(ServerConfig {
                 threads: 1,
                 answer_cache: 0,
-                adaptive: AdaptiveConfig {
-                    enabled: true,
-                    promote_after_reads: 2,
-                    demote_after_writes: 1,
-                },
                 ..ServerConfig::default()
             });
             s.load_instance("d", st("F(u), R(v,u), R(v,w), T(w)"))
@@ -1358,17 +1247,18 @@ mod tests {
                 }
             };
             let mats = || s.catalog().get("d").unwrap().materialization_count();
-            for _ in 0..2 {
-                assert_eq!(send(Request::query(q4.clone(), "d")).strategy, "semi-naive");
-            }
-            assert_eq!(mats(), 1, "two reads promote (inline: {inline})");
+            assert_eq!(mats(), 0);
+            let first = send(Request::query(q4.clone(), "d"));
+            assert_eq!(first.strategy, "semi-naive");
+            assert_eq!(mats(), 1, "the first read attaches (inline: {inline})");
             for i in 0..2 {
                 send(Request::mutation(
                     vec![FactOp::AddLabel(Pred::A, Node(10 + i))],
                     "d",
                 ));
             }
-            assert_eq!(mats(), 0, "the write run demotes (inline: {inline})");
+            assert_eq!(mats(), 1, "writes carry it (inline: {inline})");
+            assert_eq!(send(Request::query(q4.clone(), "d")).answer, first.answer);
         }
     }
 
@@ -1429,7 +1319,7 @@ mod tests {
         let (reply, done) = channel();
         for (idx, req) in reqs.iter().enumerate() {
             let mut work = s.resolve(req).unwrap();
-            let _order = s.reserve(&mut work);
+            let _order = s.reserve(&mut work).unwrap();
             s.spawn(idx, work.into_owned(), None, &reply);
         }
         drop(reply);
@@ -1455,5 +1345,57 @@ mod tests {
         assert!(catalog
             .mutate("d", &[FactOp::AddLabel(Pred::A, Node(0))])
             .is_some());
+    }
+
+    /// A failed WAL append acks nothing and takes no ticket: a later write
+    /// to the same instance and a snapshot both return (the log is
+    /// fail-stop, so both report the failure) instead of waiting forever
+    /// on a ticket nobody redeems. The waits are bounded, so a wedge fails
+    /// the test rather than hanging it.
+    #[test]
+    fn failed_wal_append_acks_nothing_and_wedges_nothing() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        for inline in [true, false] {
+            let dir = std::env::temp_dir().join(format!(
+                "sirup-server-walfault-{inline}-{}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let config = ServerConfig {
+                threads: 2,
+                ..ServerConfig::default()
+            };
+            let s = Arc::new(Server::open_durable(config, &dir).unwrap());
+            s.load_instance("d", st("T(a), A(b), R(b,a)")).unwrap();
+            let write = |i| Request::mutation(vec![FactOp::AddLabel(Pred::A, Node(i))], "d");
+            sync::lock(s.wal.as_ref().unwrap()).fail_next_append();
+            // Caught like the wire front-end catches a request's panic.
+            let failed = catch_unwind(AssertUnwindSafe(|| {
+                if inline {
+                    s.answer_one(&write(0)).map(|_| ())
+                } else {
+                    s.submit(&[pi_req("d"), write(0), write(1)]).map(|_| ())
+                }
+            }));
+            assert!(
+                matches!(failed, Ok(Err(ServerError::Wal(_)))),
+                "inline: {inline}: {failed:?}"
+            );
+            let (tx, rx) = channel();
+            let server = Arc::clone(&s);
+            std::thread::spawn(move || {
+                let later = server.answer_one(&write(2)).map(|r| r.answer);
+                let _ = tx.send((later, server.snapshot_now().is_ok()));
+            });
+            let (later, snapshotted) = rx
+                .recv_timeout(Duration::from_secs(30))
+                .expect("a write or snapshot after a failed append hung");
+            assert!(matches!(later, Err(ServerError::Wal(_))), "{later:?}");
+            assert!(!snapshotted, "a failed log must refuse compaction");
+            let d = s.catalog().get("d").unwrap();
+            assert_eq!((d.seq, d.data.has_label(Node(0), Pred::A)), (0, false));
+            drop(s);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 }

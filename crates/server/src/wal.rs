@@ -39,6 +39,14 @@
 //! record that framed correctly but decodes to garbage: that is not a torn
 //! tail but real corruption, and `open` refuses the directory rather than
 //! silently dropping acknowledged writes.
+//!
+//! ## Fail-stop
+//!
+//! Because recovery keeps only the clean prefix, a torn frame left by a
+//! failed append would also hide every record appended after it, acked or
+//! not. So a [`Wal`] whose append or `sync_data` fails once refuses every
+//! later append and compaction; the process must reopen the directory
+//! (recovery truncates the tear) before it logs again.
 
 use sirup_core::delta::{decode_ops, encode_ops};
 use sirup_core::frame;
@@ -152,6 +160,11 @@ pub struct Wal {
     dir: PathBuf,
     log: File,
     epoch: u64,
+    /// Set by the first failed append or fsync; see § Fail-stop.
+    failed: bool,
+    /// Test-only fault switch: the next append fails before writing.
+    #[cfg(test)]
+    fail_next: bool,
 }
 
 fn bad(msg: impl Into<String>) -> io::Error {
@@ -293,7 +306,15 @@ impl Wal {
         log.seek(io::SeekFrom::End(0))?;
 
         instances.sort_by(|a, b| a.name.cmp(&b.name));
-        Ok((Wal { dir, log, epoch }, instances))
+        let wal = Wal {
+            dir,
+            log,
+            epoch,
+            failed: false,
+            #[cfg(test)]
+            fail_next: false,
+        };
+        Ok((wal, instances))
     }
 
     fn fold(instances: &mut Vec<RecoveredInstance>, record: WalRecord) {
@@ -320,8 +341,30 @@ impl Wal {
 
     /// Durably append one record: framed write + `fdatasync` before
     /// returning. Callers apply the change to the catalog only after this
-    /// returns, so an acknowledged effect is always on disk.
+    /// returns `Ok`, so an acknowledged effect is always on disk. After
+    /// one failure every later call fails too (§ Fail-stop).
     pub fn append(&mut self, record: &WalRecord) -> io::Result<()> {
+        self.fail_stop(|wal| wal.write_and_sync(record))
+    }
+
+    /// Run `step` unless an earlier step failed, and remember if this one
+    /// does (§ Fail-stop).
+    fn fail_stop(&mut self, step: impl FnOnce(&mut Wal) -> io::Result<()>) -> io::Result<()> {
+        if self.failed {
+            return Err(io::Error::other(
+                "an earlier write failed; reopen the log to recover",
+            ));
+        }
+        let result = step(self);
+        self.failed = result.is_err();
+        result
+    }
+
+    fn write_and_sync(&mut self, record: &WalRecord) -> io::Result<()> {
+        #[cfg(test)]
+        if std::mem::take(&mut self.fail_next) {
+            return Err(io::Error::other("injected append failure"));
+        }
         telemetry::counter_add(Counter::WalAppends, 1);
         {
             let _t = telemetry::timed(Family::WalAppend, "wal_append");
@@ -329,6 +372,12 @@ impl Wal {
         }
         let _t = telemetry::timed(Family::WalFsync, "wal_fsync");
         self.log.sync_data()
+    }
+
+    /// Make the next append fail before it writes anything.
+    #[cfg(test)]
+    pub(crate) fn fail_next_append(&mut self) {
+        self.fail_next = true;
     }
 
     /// Bytes currently in the log file (header included) — the compaction
@@ -347,7 +396,14 @@ impl Wal {
     /// the log and start it fresh at the same epoch. The caller must have
     /// quiesced the catalog — every appended record must be reflected in
     /// `instances` — and must block appends for the duration.
+    ///
+    /// A failed compaction fails the log like a failed append: it may
+    /// have cut the log short of its header.
     pub fn compact(&mut self, instances: &[(String, u64, &Structure)]) -> io::Result<()> {
+        self.fail_stop(|wal| wal.write_snapshot(instances))
+    }
+
+    fn write_snapshot(&mut self, instances: &[(String, u64, &Structure)]) -> io::Result<()> {
         telemetry::counter_add(Counter::WalCompactions, 1);
         let _t = telemetry::timed(Family::WalCompact, "wal_compact");
         let epoch = self.epoch + 1;
@@ -638,6 +694,34 @@ mod tests {
         assert_eq!(recovered.len(), 1);
         assert_eq!(recovered[0].seq, 1);
         assert!(recovered[0].data.has_label(Node(0), Pred::A));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn one_failed_append_stops_the_log_until_reopened() {
+        let dir = tmpdir("failstop");
+        let mutate = |seq| WalRecord::Mutate {
+            name: "d".into(),
+            seq,
+            ops: vec![FactOp::AddLabel(Pred::A, Node(0))],
+        };
+        {
+            let (mut wal, _) = Wal::open(&dir).unwrap();
+            wal.append(&load_record("d", &st("T(a)"))).unwrap();
+            wal.fail_next_append();
+            assert!(wal.append(&mutate(1)).is_err());
+            // Fail-stop: a healthy-looking later append and a compaction
+            // are refused too, so nothing lands behind a possible tear.
+            assert!(wal.append(&mutate(1)).is_err());
+            assert!(wal.compact(&[]).is_err());
+        }
+        // Reopening recovers the clean prefix and logs again.
+        let (mut wal, recovered) = Wal::open(&dir).unwrap();
+        assert_eq!((recovered.len(), recovered[0].seq), (1, 0));
+        wal.append(&mutate(1)).unwrap();
+        drop(wal);
+        let (_, recovered) = Wal::open(&dir).unwrap();
+        assert_eq!(recovered[0].seq, 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -603,7 +603,9 @@ fn handle_request(server: &Server, tails: &TailRegistry, text: &str) -> Result<H
         }
         "remove" => {
             let inst = words.next().ok_or("remove needs an instance name")?;
-            let existed = server.remove_instance(inst);
+            let existed = server
+                .remove_instance(inst)
+                .map_err(|e| format!("remove {inst}: {e}"))?;
             Ok(Handled::Reply(format!("ok removed {existed}")))
         }
         "snapshot" => {

@@ -255,6 +255,14 @@ fn cached_compiled_plans_serve_warm_path_like_fresh_builds() {
                 inst.name,
                 query.kind_name()
             );
+            // The scratch reference: no materialisation read or attached.
+            assert_eq!(
+                served,
+                fresh.answer_routed(inst, None, false),
+                "served ≠ scratch evaluation on {} ({})",
+                inst.name,
+                query.kind_name()
+            );
             assert_eq!(
                 served,
                 engine_answer(&query, &inst.data),

@@ -374,23 +374,23 @@ pub fn scaling_traffic(nodes: usize, requests: usize, seed: u64) -> TrafficSpec 
     spec
 }
 
-/// A **phase-shifting** workload for the adaptive controller: one hot
-/// instance under three consecutive traffic phases —
+/// A **phase-shifting** workload: one hot instance under three
+/// consecutive traffic phases —
 ///
 /// 1. **write-heavy**: mutations dominate with occasional interleaved
-///    reads, so an adaptive server keeps evaluating from scratch (a
-///    maintained materialisation would churn on every write);
+///    reads, so consecutive writes to one instance hand their tickets to
+///    each other and every write carries the attached materialisations;
 /// 2. **read-heavy**: an uninterrupted run of unbounded semi-naive reads
-///    (`q4` as Π/Σ) plus disjunctive DPLL reads (`q2` as Δ/Δ⁺), the shape
-///    that clears the promotion threshold;
-/// 3. **write-heavy again**: the demotion phase — writes dominate once
-///    more, so promoted programs detach their materialisations.
+///    (`q4` as Π/Σ) plus disjunctive DPLL reads (`q2` as Δ/Δ⁺);
+/// 3. **write-heavy again**, now with those reads' materialisations
+///    attached.
 ///
+/// It probes the ticket hand-off between same-instance writes (ROADMAP
+/// item 4): at two worker threads a write waits for the one before it.
 /// `sirupctl serve --phases --emit` renders it (the bundled
-/// `workloads/phases.sirupload` is this spec at its committed size), and
-/// the CI adaptive smoke replays it with `--adaptive` asserting the
-/// promotion counter moves. Deterministic in
-/// `(per_phase, seed)`; arrivals are strictly nondecreasing.
+/// `workloads/phases.sirupload` is this spec at its committed size, and
+/// `workloads/recordings/phases.answers` its answer stream). Deterministic
+/// in `(per_phase, seed)`; arrivals are strictly nondecreasing.
 pub fn phase_traffic(per_phase: usize, seed: u64) -> TrafficSpec {
     let mut rng = StdRng::seed_from_u64(seed);
     let per_phase = per_phase.max(4);
@@ -724,8 +724,8 @@ mod tests {
         assert_eq!(writes(thirds[1]), 0, "read phase must be pure reads");
         assert!(writes(thirds[0]) > 8, "first phase must be write-heavy");
         assert!(writes(thirds[2]) > 8, "last phase must be write-heavy");
-        // The read phase exercises both the semi-naive kinds (promotion)
-        // and the disjunctive kinds (DPLL, which never promotes).
+        // The read phase exercises both the semi-naive kinds
+        // (materialised) and the disjunctive kinds (DPLL).
         for kind in [
             QueryKind::PiGoal,
             QueryKind::SigmaAnswers,
