@@ -1,7 +1,7 @@
 //! S4 — mutation traffic through the service layer.
 //!
 //! Measured shapes: (1) `mutation_submit_32req/{threads}` — a batch of 32
-//! ticketed single-op mutations against one instance with two warm
+//! single-op mutations against one instance with two warm
 //! semi-naive materialisations attached: each op pays the copy-on-write
 //! snapshot (data clone + index deltas) plus *incremental* maintenance of
 //! both materialisations; (2) `replay_mixed_mutations_4t` — closed-loop
@@ -47,7 +47,7 @@ fn server_mutation(c: &mut Criterion) {
     let mut g = c.benchmark_group("server_mutation");
     bench_opts(&mut g);
 
-    // Ticketed mutation batches against a live instance with warm
+    // Mutation batches against a live instance with warm
     // materialisations.
     for threads in [1usize, 4] {
         let s = server(threads);

@@ -190,7 +190,7 @@ pub static COMMANDS: &[Command] = &[
     Command { name: "serve", mode: Some("phases"), positionals: &[], service: true,
         run: cmd_serve_phases,
         about: "write-heavy → read-heavy → write-heavy traffic on one hot instance: a probe of\n\
-                same-instance write hand-offs (the workloads/phases.sirupload generator)",
+                the write path under mixed traffic (the workloads/phases.sirupload generator)",
         flags: &[
             Flag::of("phases", Bool, None, "select this mode"),
             Flag::of("requests", Int, Some("24"), "requests per phase"),
@@ -739,9 +739,8 @@ fn cmd_serve_scaling(args: &Args) -> Result<String, CliError> {
 }
 
 /// `serve --phases`: one hot instance under write-heavy → read-heavy →
-/// write-heavy traffic, which probes the ticket hand-off between writes
-/// to one instance (`--emit` generates the bundled
-/// workloads/phases.sirupload).
+/// write-heavy traffic, which probes the write path under mixed traffic
+/// (`--emit` generates the bundled workloads/phases.sirupload).
 fn cmd_serve_phases(args: &Args) -> Result<String, CliError> {
     let spec = sirup_workloads::phase_traffic(args.get("requests")?, args.get("seed")?);
     emit_or_run(&spec, args)
@@ -808,8 +807,8 @@ fn cmd_replay(args: &Args) -> Result<String, CliError> {
         for (i, a) in report.answers.iter().enumerate() {
             match a {
                 // Mutation stamps are per-instance sequence numbers fixed
-                // by ticket order, so they are deterministic like every
-                // query answer — the full stream diffs clean.
+                // by submission order, so they are deterministic like
+                // every query answer — the full stream diffs clean.
                 sirup_server::Answer::Applied { applied, seq } => {
                     writeln!(out, "{i}: Applied {applied} seq {seq}").unwrap()
                 }
@@ -1866,15 +1865,15 @@ mod tests {
         let path = dir.join("w.sirupload");
         let text = "\
 instance d = T(t), A(a), R(a,t)
-request sigma d @0 = F(x), R(x,y), T(y)
+instance e = T(t), A(a), R(a,t)
+request sigma e @0 = F(x), R(x,y), T(y)
 request mutate d @10 = +A(b), +R(b,a)
-request sigma d @20 = F(x), R(x,y), T(y)
+request sigma e @20 = F(x), R(x,y), T(y)
 ";
         std::fs::write(&path, text).unwrap();
-        // One worker: a closed batch resolves its snapshots up front, so
-        // with more the mutation can carry the catalog forward before the
-        // first `sigma` read attaches its materialisation, and the live
-        // version then shows none.
+        // The `sigma` reads go to `e`, which the batch does not write: a
+        // read attaches its materialisation to the snapshot it resolved,
+        // which for `d` the batch's write has superseded by then.
         let out = run_line(&["stats", path.to_str().unwrap(), "--threads", "1"]).unwrap();
         assert!(out.contains("1 mutation(s)"), "{out}");
         assert!(out.contains("instance d: version"), "{out}");
@@ -1883,8 +1882,8 @@ request sigma d @20 = F(x), R(x,y), T(y)
         assert!(out.contains("P "), "{out}");
         // Registry section: both queries share one program key, so the
         // first resolve compiles the plan and the second hits it, and both
-        // query answers are cold (the mutation bumps the version between
-        // them).
+        // query answers are cold (a batch resolves every read before any
+        // runs).
         assert!(out.contains("telemetry registry:"), "{out}");
         assert!(
             out.contains("plan cache     : 1 hit(s) / 1 miss(es)"),

@@ -38,14 +38,6 @@ impl FactOp {
     pub fn is_insert(self) -> bool {
         matches!(self, FactOp::AddLabel(..) | FactOp::AddEdge(..))
     }
-
-    /// The largest node index the op mentions.
-    pub fn max_node(self) -> Node {
-        match self {
-            FactOp::AddLabel(_, v) | FactOp::RemoveLabel(_, v) => v,
-            FactOp::AddEdge(_, u, v) | FactOp::RemoveEdge(_, u, v) => u.max(v),
-        }
-    }
 }
 
 /// Binary encoding of [`FactOp`] sequences, shared by the write-ahead log

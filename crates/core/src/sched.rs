@@ -13,19 +13,19 @@
 //! ## Two task classes, two queues
 //!
 //! * **Detached jobs** ([`Scheduler::spawn`]) are `'static` closures — the
-//!   server's per-request work items. They enter a global FIFO and are only
-//!   ever started by a worker's *top-level* loop. The FIFO order is
-//!   load-bearing: the server's mutation tickets are reserved atomically
-//!   with the injector append, and a worker blocked on a predecessor ticket
-//!   can rely on that predecessor having been dequeued first (see the
-//!   ordering argument in `DESIGN.md`).
+//!   server's per-request work items (a batch's reads, a daemon's
+//!   connections). They enter a global FIFO and are only ever started by a
+//!   worker's *top-level* loop. No job waits on a job still in the
+//!   queue: the server applies a write where it is submitted, never as a
+//!   job of its own, so whoever holds a catalog writer lock is
+//!   running.
 //! * **Scoped subtasks** ([`Scheduler::scope`], [`Scope::spawn`]) may borrow
 //!   the caller's stack. The scope owner *helps* — it executes subtasks
 //!   itself while waiting — and `scope` does not return until every spawned
 //!   subtask has completed, which is what makes the lifetime erasure behind
 //!   `Scope::spawn` sound. Helping threads **never** pop the injector:
-//!   starting a second (possibly ticket-blocked) request-level job from
-//!   inside a running one could deadlock the ticket sequencer.
+//!   a request-level job started from inside a running one would hold the
+//!   scope owner's return hostage to a whole unrelated request.
 //!
 //! ## Cancellation
 //!
@@ -102,17 +102,6 @@ impl<'a> ParCtx<'a> {
     /// worker plus the helping owner, with a little slack for imbalance.
     pub fn fanout(&self) -> usize {
         (self.sched.workers() + 1) * 2
-    }
-
-    /// Take a node buffer from the executing worker's scratch arena
-    /// ([`crate::arena`]). Scratch is thread-local, so a `ParCtx` flowing
-    /// through scoped subtasks hands each worker its *own* pool — this
-    /// method just makes the arena discoverable from the context that
-    /// evaluation code already threads everywhere. Return the buffer with
-    /// [`crate::arena::put_node_vec`].
-    #[inline]
-    pub fn scratch_node_vec(&self) -> Vec<crate::structure::Node> {
-        crate::arena::take_node_vec()
     }
 }
 
@@ -278,7 +267,7 @@ impl Inner {
             }
             if self.shutdown.load(Ordering::Acquire) {
                 // Drain semantics: exit only once every queued job has been
-                // taken (mutation tickets must all be redeemed).
+                // taken (every queued request must still get its response).
                 return;
             }
             // The timeout is a belt-and-braces re-poll; notify() serialises
@@ -535,7 +524,7 @@ impl Scheduler {
 
     /// Signal shutdown and join every worker. Queued jobs are **drained**,
     /// not dropped: workers exit only once the injector and every deque are
-    /// empty, so each reserved mutation ticket is still redeemed.
+    /// empty, so each queued request still gets its response.
     /// Idempotent; also called by [`Drop`].
     pub fn shutdown(&self) {
         {

@@ -158,15 +158,6 @@ impl Structure {
             + 2 * self.edge_count * size_of::<(Pred, Node)>()
     }
 
-    /// Add `k` fresh nodes, returning the first.
-    pub fn add_nodes(&mut self, k: usize) -> Node {
-        let first = Node(self.nodes.len() as u32);
-        for _ in 0..k {
-            self.add_node();
-        }
-        first
-    }
-
     /// Add the unary atom `p(v)`. Returns `false` if already present.
     pub fn add_label(&mut self, v: Node, p: Pred) -> bool {
         if self.nodes.get(v.index()).labels.binary_search(&p).is_ok() {
@@ -368,16 +359,6 @@ impl Structure {
             }
         }
         (s, map)
-    }
-
-    /// The image substructure of `self` under a candidate hom `map` into a
-    /// structure with `target_nodes` nodes: which target nodes are touched.
-    pub fn image_mask(map: &[Node], target_nodes: usize) -> Vec<bool> {
-        let mut mask = vec![false; target_nodes];
-        for &v in map {
-            mask[v.index()] = true;
-        }
-        mask
     }
 
     /// Check that `map` is a homomorphism `self → target` (label- and

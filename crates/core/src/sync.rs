@@ -3,13 +3,15 @@
 //! `std` mutexes poison when a holder panics, and every subsequent
 //! `lock().unwrap()` then panics too — in a long-lived daemon one
 //! panicking request would wedge every lock it ever touched (the answer
-//! cache, the mutation-ticket sequencer, the catalog map) for the rest
-//! of the process. All the workspace's guarded state is either a plain
-//! value map (caches, counters) or is re-validated by its own invariants
-//! after the guard is taken (ticket numbering), so the right recovery is
-//! always the same: take the guard anyway and keep serving. These helpers
-//! centralise that policy; service-layer code calls them instead of
-//! `lock().unwrap()`.
+//! cache, the catalog map, the catalog's writer locks) for the rest of the
+//! process. All the workspace's guarded state is either a plain value map
+//! (caches, counters) or guards nothing itself (a catalog write swaps its
+//! new snapshot in last, so one that panics leaves the old one standing;
+//! on a durable server a write that panics after its log append also
+//! fails the log, so later writes are refused until a restart), so the
+//! right recovery is always the same: take the guard anyway and keep
+//! serving. These helpers centralise that policy; service-layer code
+//! calls them instead of `lock().unwrap()`.
 //!
 //! A recovery is no longer silent: each one bumps the registry's
 //! `sirup_lock_poison_recovered_total` counter and leaves a warn-level

@@ -13,7 +13,7 @@
 //! * **Tracing** — each request opens a root span (fresh id from a process
 //!   counter); timed child spans wrap plan compile, the AC-3 prefilter,
 //!   backtracking search, semi-naive rounds, DPLL checks, incremental
-//!   cascades, cache lookups, ticket waits, WAL append/fsync, and frame
+//!   cascades, cache lookups, mutation applies, WAL append/fsync, and frame
 //!   encode/decode. Finished spans land in a fixed-capacity per-thread ring
 //!   buffer; [`recent_spans`] merges the rings for the `trace` wire verb and
 //!   the slow-query log.
@@ -211,9 +211,10 @@ pub enum Family {
     /// End-to-end request latency, queue wait + service (all programs and
     /// instances merged).
     RequestLatency,
-    /// A request's time before its run step: in a batch, from its job's
-    /// enqueue; inline (the wire), from arrival, i.e. its resolve and
-    /// reserve steps (plan lookup or build, WAL append).
+    /// A request's time before its run step: for a batch job, from its
+    /// enqueue; for an inline request (the wire), from arrival, i.e. its
+    /// resolve step (plan lookup or build). A batch's writes and
+    /// answer-cache hits run at their turn and record none.
     QueueWait,
     /// `Plan::build`: boundedness evidence + strategy compilation.
     PlanCompile,
@@ -229,8 +230,6 @@ pub enum Family {
     Dpll,
     /// Incremental cascade over a live materialisation.
     IncrementalCascade,
-    /// Mutation-ticket waits (queue discipline delay).
-    TicketWait,
     /// Catalog mutation apply (data clone + patch, view carry,
     /// materialisation carry, swap).
     MutationApply,
@@ -263,7 +262,6 @@ const FAMILIES: &[(Family, &str)] = &[
     (Family::SemiNaiveFixpoint, "sirup_seminaive_fixpoint_us"),
     (Family::Dpll, "sirup_dpll_us"),
     (Family::IncrementalCascade, "sirup_incremental_cascade_us"),
-    (Family::TicketWait, "sirup_ticket_wait_us"),
     (Family::MutationApply, "sirup_mutation_apply_us"),
     (Family::MatCarry, "sirup_materialisation_carry_us"),
     (Family::WalAppend, "sirup_wal_append_us"),

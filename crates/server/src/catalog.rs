@@ -33,24 +33,30 @@
 //! page-sharing clone of the new data, so a write copies each touched page
 //! once however many programs are attached.
 //!
-//! Mutations to the *same* instance are serialised in ticket order (see
-//! [`Catalog::reserve_ticket`]): a batch may run mutation requests on any
-//! worker thread, but their effects apply in submission order, which keeps
-//! replayed mutation streams deterministic. Mutations to different
-//! instances proceed in parallel (the expensive copy-forward work happens
-//! outside the map lock).
+//! **One writer per instance at a time.** Every write — load, restore,
+//! mutate, remove — holds its instance's writer lock from reading the
+//! current snapshot to swapping in its successor, so an instance's writes
+//! apply in the order they take the lock and none can be undone by
+//! another that read an older snapshot. The locks are striped by name
+//! hash: writes to different instances usually proceed in parallel, and a
+//! write holds one stripe only, so stripes cannot deadlock. A caller that
+//! applies writes in a fixed order (the server applies a batch's writes
+//! on the submitting thread, at their turn) gets that order, which keeps
+//! replayed mutation streams deterministic. Readers never take a writer
+//! lock.
 //!
 //! The map sits behind one `RwLock`: lookups share it, and a writer holds
 //! it only to insert or remove one `Arc`.
 
 use crate::cache::StampedLru;
-use sirup_core::fx::FxHashMap;
+use sirup_core::fx::{FxHashMap, FxHasher};
 use sirup_core::sync;
 use sirup_core::telemetry;
 use sirup_core::{FactOp, FrozenStructure, ParCtx, Structure, Target};
 use sirup_engine::{MaterializationStats, MaterializedFixpoint};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 /// Most live materialisations one instance retains (LRU beyond this):
 /// every mutation carries each attached materialisation forward, so an
@@ -246,22 +252,36 @@ pub struct MutationOutcome {
     pub seq: u64,
 }
 
-/// Per-instance mutation ticket state: tickets are handed out in
-/// submission order and applied strictly in that order.
-#[derive(Debug, Default)]
-struct Tickets {
-    issued: FxHashMap<String, u64>,
-    applied: FxHashMap<String, u64>,
-}
+/// Writer-lock stripes: two instances share a lock only if their names
+/// hash to the same stripe.
+const WRITER_STRIPES: usize = 32;
 
 /// A map from instance name to versioned [`IndexedInstance`] snapshots,
-/// with ticket-ordered copy-on-write mutation.
+/// with copy-on-write writes serialised per instance.
 #[derive(Debug, Default)]
 pub struct Catalog {
     instances: RwLock<FxHashMap<String, Arc<IndexedInstance>>>,
     versions: AtomicU64,
-    tickets: Mutex<Tickets>,
-    ticket_cv: Condvar,
+    /// Every write holds its instance's stripe from reading the current
+    /// snapshot to swapping in its successor (see [`Catalog::write`]).
+    writers: [Mutex<()>; WRITER_STRIPES],
+}
+
+/// A held writer lock of one stripe: the only way an instance changes.
+/// While it is held no other write to an instance of the stripe can land,
+/// so [`CatalogWriter::get`] reads the snapshot the holder's next write
+/// builds on.
+pub(crate) struct CatalogWriter<'a> {
+    catalog: &'a Catalog,
+    stripe: usize,
+    _lock: MutexGuard<'a, ()>,
+}
+
+/// Every writer lock held at once: no write can land, and every write
+/// that took a lock before has swapped its snapshot in.
+pub(crate) struct AllWriters<'a> {
+    catalog: &'a Catalog,
+    _locks: Vec<MutexGuard<'a, ()>>,
 }
 
 impl Catalog {
@@ -274,37 +294,49 @@ impl Catalog {
         self.versions.fetch_add(1, Ordering::Relaxed) + 1
     }
 
+    fn stripe(name: &str) -> usize {
+        let mut h = FxHasher::default();
+        name.hash(&mut h);
+        h.finish() as usize % WRITER_STRIPES
+    }
+
+    /// Take the writer lock of `name`'s stripe. A caller that must do more
+    /// than the write itself under it (the server logs each write before
+    /// applying it) holds the returned guard throughout.
+    pub(crate) fn write(&self, name: &str) -> CatalogWriter<'_> {
+        let stripe = Catalog::stripe(name);
+        CatalogWriter {
+            catalog: self,
+            stripe,
+            _lock: sync::lock(&self.writers[stripe]),
+        }
+    }
+
+    /// Take every writer lock, in stripe order (a write holds one stripe
+    /// only, so this cannot deadlock with one). The server compacts its
+    /// log against a catalog no write can move.
+    pub(crate) fn write_all(&self) -> AllWriters<'_> {
+        AllWriters {
+            catalog: self,
+            _locks: self.writers.iter().map(sync::lock).collect(),
+        }
+    }
+
     /// Load (or replace) an instance under a fresh version. Returns `true`
     /// if a previous instance with this name was replaced. The mutation
-    /// sequence restarts at 0 — a (re)load begins a new durable history —
-    /// so quiescent ticket state for the name is reset too; with tickets
-    /// still outstanding the counters stay, keeping in-flight waiters'
-    /// numbering intact.
+    /// sequence restarts at 0: a (re)load begins a new durable history.
     pub fn insert(&self, name: impl Into<String>, data: Structure) -> bool {
-        let inst = IndexedInstance::with_version(name, data, self.next_version());
-        let name = inst.name.clone();
-        let replaced = sync::write(&self.instances)
-            .insert(name.clone(), Arc::new(inst))
-            .is_some();
-        let mut t = sync::lock(&self.tickets);
-        if t.issued.get(&name) == t.applied.get(&name) {
-            t.issued.remove(&name);
-            t.applied.remove(&name);
-        }
-        replaced
+        let inst = IndexedInstance::new(name, data);
+        self.write(&inst.name).insert(inst)
     }
 
     /// Re-create an instance mid-history: data at mutation sequence `seq`,
-    /// ticket counters aligned so the next mutation applies as `seq + 1`.
-    /// This is the recovery path — the caller (WAL replay) owns the claim
-    /// that `data` really is the fold of the first `seq` mutation batches.
+    /// so the next mutation applies as `seq + 1`. This is the recovery
+    /// path — the caller (WAL replay) owns the claim that `data` really is
+    /// the fold of the first `seq` mutation batches.
     pub fn restore(&self, name: impl Into<String>, data: Structure, seq: u64) {
-        let inst = IndexedInstance::with_state(name, data, self.next_version(), seq);
-        let name = inst.name.clone();
-        sync::write(&self.instances).insert(name.clone(), Arc::new(inst));
-        let mut t = sync::lock(&self.tickets);
-        t.issued.insert(name.clone(), seq);
-        t.applied.insert(name, seq);
+        let inst = IndexedInstance::with_state(name, data, 0, seq);
+        self.write(&inst.name).insert(inst);
     }
 
     /// Look up an instance by name.
@@ -312,77 +344,85 @@ impl Catalog {
         sync::read(&self.instances).get(name).cloned()
     }
 
-    /// The ticket the next [`Catalog::reserve_ticket`] for `name` returns.
-    /// A caller that serialises its reservations (the server's
-    /// `mutation_order`) reads it to log a write before reserving, so a
-    /// failed log append leaves no ticket behind.
-    pub(crate) fn next_ticket(&self, name: &str) -> u64 {
-        sync::lock(&self.tickets)
-            .issued
-            .get(name)
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Reserve the next mutation ticket for `name`. Tickets must each be
-    /// redeemed by exactly one later [`Catalog::mutate_ticketed`] call (in
-    /// any thread); redemption happens in ticket order.
-    pub fn reserve_ticket(&self, name: &str) -> u64 {
-        let mut t = sync::lock(&self.tickets);
-        let counter = t.issued.entry(name.to_owned()).or_insert(0);
-        let ticket = *counter;
-        *counter += 1;
-        ticket
-    }
-
-    /// Block until every reserved ticket (for every instance) has been
-    /// redeemed. The snapshot path quiesces before serialising the catalog
-    /// so no acknowledged-but-unapplied mutation can be missed.
-    pub fn quiesce(&self) {
-        let mut t = sync::lock(&self.tickets);
-        while t.issued.iter().any(|(n, i)| t.applied.get(n) != Some(i)) {
-            t = sync::wait(&self.ticket_cv, t);
-        }
-    }
-
-    /// Apply a mutation batch under a previously reserved ticket: waits
-    /// until every earlier ticket for this instance has been applied, then
-    /// swaps in the mutated snapshot. Returns `None` if the instance is
-    /// (no longer) present — the ticket is still consumed.
-    pub fn mutate_ticketed(
-        &self,
-        name: &str,
-        ops: &[FactOp],
-        ticket: u64,
-    ) -> Option<MutationOutcome> {
-        {
-            let _t = telemetry::timed(telemetry::Family::TicketWait, "ticket_wait");
-            let mut t = sync::lock(&self.tickets);
-            while *t.applied.get(name).unwrap_or(&0) != ticket {
-                t = sync::wait(&self.ticket_cv, t);
-            }
-        }
-        let outcome = self.apply_mutation(name, ops);
-        let mut t = sync::lock(&self.tickets);
-        *t.applied.entry(name.to_owned()).or_insert(0) += 1;
-        self.ticket_cv.notify_all();
-        drop(t);
-        outcome
-    }
-
-    /// Reserve a ticket and apply `ops` (the one-call path for direct
-    /// library use; a server reserves at submission time).
+    /// Apply a mutation batch, copy-on-write, under the instance's writer
+    /// lock: clone the current snapshot's data and view and apply the ops
+    /// to both, advance every materialisation from the old snapshot to the
+    /// new one, and swap the new snapshot in (the map lock is held only for
+    /// the swap). Returns `None` if the instance is not present.
     pub fn mutate(&self, name: &str, ops: &[FactOp]) -> Option<MutationOutcome> {
-        let ticket = self.reserve_ticket(name);
-        self.mutate_ticketed(name, ops, ticket)
+        self.write(name).mutate(name, ops)
     }
 
-    /// Copy-on-write application: clone the current snapshot's data and
-    /// view and apply the ops to both, advance every materialisation from
-    /// the old snapshot to the new one, and swap the new snapshot in. Runs
-    /// outside the map lock except for the final swap; same-instance
-    /// ordering is the ticket sequencer's job.
-    fn apply_mutation(&self, name: &str, ops: &[FactOp]) -> Option<MutationOutcome> {
+    /// Drop an instance. Returns `true` if it existed.
+    pub fn remove(&self, name: &str) -> bool {
+        self.write(name).remove(name)
+    }
+
+    /// Number of loaded instances.
+    pub fn len(&self) -> usize {
+        sync::read(&self.instances).len()
+    }
+
+    /// Is the catalog empty?
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// All instance names, sorted.
+    pub fn names(&self) -> Vec<String> {
+        let mut names: Vec<String> = sync::read(&self.instances).keys().cloned().collect();
+        names.sort_unstable();
+        names
+    }
+}
+
+impl AllWriters<'_> {
+    /// Every current snapshot, sorted by name.
+    pub(crate) fn snapshots(&self) -> Vec<Arc<IndexedInstance>> {
+        let mut all: Vec<_> = sync::read(&self.catalog.instances)
+            .values()
+            .cloned()
+            .collect();
+        all.sort_unstable_by(|a, b| a.name.cmp(&b.name));
+        all
+    }
+}
+
+impl CatalogWriter<'_> {
+    /// The current snapshot of `name` (an instance of this stripe); no
+    /// other write replaces it while this guard is held.
+    pub(crate) fn get(&self, name: &str) -> Option<Arc<IndexedInstance>> {
+        self.held(name);
+        self.catalog.get(name)
+    }
+
+    fn held(&self, name: &str) {
+        debug_assert_eq!(
+            Catalog::stripe(name),
+            self.stripe,
+            "{name}: not this stripe"
+        );
+    }
+
+    /// Swap `inst` in under its name at a fresh version; `true` if it
+    /// replaced an instance. A load builds `inst` (its view freeze is the
+    /// expensive part) before it takes its writer lock.
+    pub(crate) fn insert(&self, mut inst: IndexedInstance) -> bool {
+        self.held(&inst.name);
+        inst.version = self.catalog.next_version();
+        sync::write(&self.catalog.instances)
+            .insert(inst.name.clone(), Arc::new(inst))
+            .is_some()
+    }
+
+    /// See [`Catalog::remove`].
+    pub(crate) fn remove(&self, name: &str) -> bool {
+        self.held(name);
+        sync::write(&self.catalog.instances).remove(name).is_some()
+    }
+
+    /// See [`Catalog::mutate`].
+    pub(crate) fn mutate(&self, name: &str, ops: &[FactOp]) -> Option<MutationOutcome> {
         telemetry::counter_add(telemetry::Counter::MutationsApplied, 1);
         let _apply_t = telemetry::timed(telemetry::Family::MutationApply, "mutation_apply");
         let old = self.get(name)?;
@@ -407,50 +447,17 @@ impl Catalog {
         }
         let cow = CowStats::against(&data, &old);
         telemetry::gauge_set(telemetry::Gauge::CatalogBytesShared, cow.shared_bytes());
-        let version = self.next_version();
         let seq = old.seq + 1;
-        let inst = IndexedInstance {
+        self.insert(IndexedInstance {
             name: name.to_owned(),
             data,
             index,
-            version,
+            version: 0,
             seq,
             mats,
             cow,
-        };
-        sync::write(&self.instances).insert(name.to_owned(), Arc::new(inst));
+        });
         Some(MutationOutcome { applied, seq })
-    }
-
-    /// Drop an instance. Returns `true` if it existed. Quiescent ticket
-    /// state for the name is pruned (a churn of generated names must not
-    /// leak counter entries); with tickets still outstanding the entry
-    /// stays, so in-flight `mutate_ticketed` waiters keep their numbering.
-    pub fn remove(&self, name: &str) -> bool {
-        let existed = sync::write(&self.instances).remove(name).is_some();
-        let mut t = sync::lock(&self.tickets);
-        if t.issued.get(name) == t.applied.get(name) {
-            t.issued.remove(name);
-            t.applied.remove(name);
-        }
-        existed
-    }
-
-    /// Number of loaded instances.
-    pub fn len(&self) -> usize {
-        sync::read(&self.instances).len()
-    }
-
-    /// Is the catalog empty?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// All instance names, sorted.
-    pub fn names(&self) -> Vec<String> {
-        let mut names: Vec<String> = sync::read(&self.instances).keys().cloned().collect();
-        names.sort_unstable();
-        names
     }
 }
 
@@ -515,7 +522,7 @@ mod tests {
         );
         // The pre-mutation snapshot is untouched.
         assert!(before.data.has_edge(Pred::R, Node(0), Node(1)));
-        // Mutating a missing instance consumes the ticket and reports so.
+        // Mutating a missing instance reports so.
         assert!(c
             .mutate("missing", &[FactOp::AddLabel(Pred::T, Node(0))])
             .is_none());
@@ -574,34 +581,129 @@ mod tests {
         assert_eq!(mat.answers(Pred::P).len(), 2);
     }
 
+    /// Racing `mutate` callers on one instance: k threads × m effective
+    /// ops end at `seq` = k·m, every op landed, and each batch got its own
+    /// sequence number.
     #[test]
-    fn tickets_serialise_same_instance_mutations() {
-        let c = Arc::new(Catalog::new());
+    fn racing_mutations_serialise_on_the_writer_lock() {
+        let (k, m) = (4u32, 25u32);
+        let c = Catalog::new();
         c.insert("d", st("T(a)"));
-        // Reserve in order, redeem from racing threads in reverse order:
-        // ticket order must still win.
-        let t0 = c.reserve_ticket("d");
-        let t1 = c.reserve_ticket("d");
-        assert_eq!((t0, t1), (0, 1));
-        let c2 = Arc::clone(&c);
-        let h = std::thread::spawn(move || {
-            // Applies second despite starting first.
-            c2.mutate_ticketed("d", &[FactOp::RemoveLabel(Pred::T, Node(0))], t1)
+        let mut seqs: Vec<u64> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..k)
+                .map(|t| {
+                    let c = &c;
+                    scope.spawn(move || {
+                        (0..m)
+                            .map(|j| {
+                                let u = Node(t * m + j);
+                                let op = FactOp::AddEdge(Pred::R, u, Node(u.0 + 1));
+                                let out = c.mutate("d", &[op]).unwrap();
+                                assert_eq!(out.applied, 1, "a distinct edge is effective");
+                                out.seq
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect()
         });
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        c.mutate_ticketed("d", &[FactOp::AddLabel(Pred::T, Node(0))], t0)
-            .unwrap();
-        h.join().unwrap().unwrap();
-        // t0 (re-insert, no-op) then t1 (remove): the label is gone.
-        assert!(!c.get("d").unwrap().data.has_label(Node(0), Pred::T));
-        // Removing the instance prunes its quiescent ticket state, and a
-        // re-created instance starts a fresh ticket sequence.
+        let total = u64::from(k * m);
+        let d = c.get("d").unwrap();
+        assert_eq!(d.seq, total);
+        assert_eq!(d.data.edge_count() as u64, total, "no lost op");
+        seqs.sort_unstable();
+        assert_eq!(seqs, (1..=total).collect::<Vec<_>>());
+        // A removed and re-created instance starts a fresh sequence.
         assert!(c.remove("d"));
         c.insert("d", st("T(a)"));
-        assert_eq!(c.reserve_ticket("d"), 0);
-        assert!(c
-            .mutate_ticketed("d", &[FactOp::RemoveLabel(Pred::T, Node(0))], 0)
-            .is_some());
+        let out = c.mutate("d", &[FactOp::RemoveLabel(Pred::T, Node(0))]);
+        assert_eq!(out.map(|o| o.seq), Some(1));
+    }
+
+    /// A held writer lock blocks writes to its own instance only: a write
+    /// to an instance of another stripe lands meanwhile.
+    #[test]
+    fn a_writer_lock_blocks_only_its_own_stripe() {
+        use std::sync::mpsc::channel;
+        use std::time::Duration;
+        let a = "a".to_string();
+        let b = (0..1000)
+            .map(|i| format!("b{i}"))
+            .find(|n| Catalog::stripe(n) != Catalog::stripe(&a))
+            .expect("names spread over the stripes");
+        let c = Catalog::new();
+        c.insert(a.clone(), st("T(u)"));
+        c.insert(b.clone(), st("T(u)"));
+        let op = [FactOp::AddLabel(Pred::F, Node(0))];
+        std::thread::scope(|scope| {
+            let held = c.write(&a);
+            let (tx, rx) = channel();
+            for name in [&a, &b] {
+                let (c, tx) = (&c, tx.clone());
+                scope.spawn(move || {
+                    c.mutate(name, &op);
+                    let _ = tx.send(name.clone());
+                });
+            }
+            let landed = rx.recv_timeout(Duration::from_secs(30));
+            assert_eq!(landed.as_ref(), Ok(&b), "a write to another stripe waited");
+            assert!(rx.recv_timeout(Duration::from_millis(50)).is_err());
+            drop(held);
+            assert_eq!(rx.recv_timeout(Duration::from_secs(30)), Ok(a.clone()));
+        });
+        assert_eq!((c.get(&a).unwrap().seq, c.get(&b).unwrap().seq), (1, 1));
+    }
+
+    /// A remove or a load that lands while a write applies is never undone
+    /// by that write's swap: the instance's writer lock puts one wholly
+    /// before the other. Each round releases the write on a second thread
+    /// and the remove (or load) 0–399 µs later from one barrier, so the
+    /// rounds sweep the write's window.
+    #[test]
+    fn a_write_never_undoes_a_racing_remove_or_load() {
+        let base = chain(19_999);
+        let ops: Vec<FactOp> = (0..200)
+            .map(|i| FactOp::AddLabel(Pred::A, Node(i * 100)))
+            .collect();
+        let mut folded = base.clone();
+        folded.apply_all(&ops);
+        // Small, so the load's own view freeze does not outlast the write.
+        let reload = st("T(u)");
+        for round in 0..50u64 {
+            let c = Catalog::new();
+            let race = |other: &dyn Fn()| {
+                let start = std::sync::Barrier::new(2);
+                std::thread::scope(|scope| {
+                    scope.spawn(|| {
+                        start.wait();
+                        c.mutate("d", &ops)
+                    });
+                    start.wait();
+                    std::thread::sleep(std::time::Duration::from_micros(round * 8));
+                    other();
+                });
+            };
+            c.insert("d", base.clone());
+            race(&|| {
+                c.remove("d");
+            });
+            assert!(
+                c.get("d").is_none(),
+                "round {round}: the removed instance came back"
+            );
+            c.insert("d", base.clone());
+            race(&|| {
+                c.insert("d", reload.clone());
+            });
+            assert!(
+                c.get("d").unwrap().data != folded,
+                "round {round}: the write overwrote the racing load"
+            );
+        }
     }
 
     #[test]
@@ -644,7 +746,6 @@ mod tests {
             .mutate("a", &[FactOp::RemoveLabel(Pred::A, Node(0))])
             .unwrap();
         assert_eq!(out.seq, 8);
-        c.quiesce(); // no tickets outstanding: returns immediately
     }
 
     /// `inst`'s view reads exactly like a fresh freeze of its data.

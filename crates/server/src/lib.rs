@@ -17,8 +17,9 @@
 //!   Mutations are copy-on-write `Arc` swaps under fresh versions: data
 //!   patched and view carried by clone + `apply_all`, once per version;
 //!   materialisations advanced *incrementally* (DRed over the old and the
-//!   new snapshot) with no data of their own; same-instance order fixed
-//!   by tickets;
+//!   new snapshot) with no data of their own; every write holds its
+//!   instance's writer lock from reading the current snapshot to
+//!   swapping in its successor;
 //! * [`plan`] — a **plan cache**: an LRU of per-program [`plan::Plan`]s
 //!   memoising the compiled search of the chosen strategy — given Prop. 2
 //!   boundedness evidence, the UCQ rewriting, so bounded programs are
@@ -26,10 +27,11 @@
 //!   all under mutation); for disjunctive sirups, the CQ's core;
 //! * [`server`] — **one request path** on the shared work-stealing
 //!   scheduler (`sirup-core::sched`): every request is resolved
-//!   (snapshot, answer-cache probe, plan), reserved (a mutation's ticket
-//!   and WAL record), run and recorded by the same steps, inline in
-//!   [`Server::answer_one`] or as detached scheduler jobs for a batch
-//!   ([`Server::submit`]). A query not in the answer cache runs its
+//!   (snapshot, answer-cache probe, plan), run (a write logs and applies
+//!   under its instance's writer lock) and recorded by the same steps, inline in
+//!   [`Server::answer_one`]; a batch ([`Server::submit`]) applies its
+//!   writes inline at their turn and spawns its reads as detached
+//!   scheduler jobs. A query not in the answer cache runs its
 //!   plan's one route (rewriting, materialised semi-naive, or DPLL for
 //!   disjunctive sirups), the answer cache is keyed by instance version
 //!   so mutations invalidate it by construction, and — with

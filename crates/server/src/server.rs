@@ -9,31 +9,36 @@
 //! 1. **resolve**: take the instance snapshot (an unknown instance fails
 //!    here), and for a query probe the answer cache at that version and,
 //!    on a miss, fetch or build the plan;
-//! 2. **reserve** (writes only): on a durable server the WAL record, then
-//!    the mutation ticket, both under one lock; a failed append reserves
-//!    nothing and fails the request with [`ServerError::Wal`];
-//! 3. **run**: a query along its plan's one route
-//!    ([`Plan::answer_routed`], materialising a semi-naive program), a
-//!    write under its ticket;
-//! 4. **record**: the per-(program, instance) telemetry row and, for an
+//! 2. **run**: a query along its plan's one route
+//!    ([`Plan::answer_routed`], materialising a semi-naive program); a
+//!    write in one critical section under its instance's writer lock — on
+//!    a durable server its WAL record first, stamped with the current
+//!    snapshot's `seq + 1`, then the apply (a failed append applies
+//!    nothing and fails the request with [`ServerError::Wal`]);
+//! 3. **record**: the per-(program, instance) telemetry row and, for an
 //!    evaluated query, the answer-cache insert.
 //!
 //! [`Server::answer_one`] runs them inline on the calling thread (the wire
 //! front-end, in-process clients). [`Server::submit`] and
-//! [`Server::replay`] resolve a whole batch first, then reserve and spawn
-//! each request as a detached job on the server's scheduler (pacing by
-//! arrival offsets in [`ReplayMode::Open`] is the only difference between
-//! the two replay modes) and reassemble responses in request order.
+//! [`Server::replay`] resolve a whole batch first, then take the requests
+//! in turn: a write and an answer-cache hit run on the submitting thread
+//! at their turn, and every other query is spawned as a detached job on
+//! the server's scheduler (pacing by arrival offsets in
+//! [`ReplayMode::Open`] is the only difference between the two replay
+//! modes); responses are reassembled in request order.
 //!
 //! ## Read/write semantics
 //!
 //! A query in a batch answers against the instance snapshot current at
-//! submission time; mutations apply in submission order per instance
-//! (ticketed) and produce a fresh snapshot version. Queries submitted
-//! *after* a mutation's batch observe its effects; queries racing it in the
-//! same batch observe the pre-batch snapshot. The answer cache is keyed by
-//! `(program, instance, version)`, so a mutation invalidates cached answers
-//! simply by bumping the version — stale entries can never be served.
+//! submission time; mutations apply in submission order and produce a
+//! fresh snapshot version. Queries submitted *after* a mutation's batch
+//! observe its effects; queries in the same batch observe the pre-batch
+//! snapshot. The answer cache is keyed by `(program, instance, version)`,
+//! so a mutation invalidates cached answers simply by bumping the version
+//! — stale entries can never be served. A read that attaches a
+//! materialisation attaches it to the snapshot it read: a write of the
+//! same batch that applied first has already superseded that snapshot and
+//! does not carry it (answers are the same either way).
 
 use crate::catalog::{Catalog, IndexedInstance};
 use crate::metrics::LatencyStats;
@@ -44,12 +49,11 @@ use sirup_core::telemetry;
 use sirup_core::{sync, FactOp, OneCq, ParCtx, Scheduler, Structure};
 use sirup_engine::MaterializationStats;
 use sirup_workloads::traffic::{QueryKind, TrafficAction, TrafficRequest, TrafficSpec};
-use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Most nodes one instance may hold. Larger loads are refused before
@@ -189,8 +193,8 @@ pub struct Response {
     /// `mutation`, `cached`).
     pub strategy: &'static str,
     /// Queue wait + service time: from enqueue (a batch job) or arrival
-    /// ([`Server::answer_one`], so its resolve and reserve steps count as
-    /// the wait) to the response.
+    /// ([`Server::answer_one`], so its resolve step counts as the wait) to
+    /// the response.
     pub latency: Duration,
     /// Service time alone: from the start of the run step to the response.
     pub service: Duration,
@@ -385,14 +389,11 @@ pub struct Server {
     config: ServerConfig,
     shared: Arc<Shared>,
     plans: PlanCache,
-    /// Serialises mutation-ticket reservation with the WAL append and, in
-    /// a batch, with the job spawn (see `Server::spawn`), so that per
-    /// instance ticket order equals both log order — the recovery fold's
-    /// whole correctness argument — and queue order.
-    mutation_order: Mutex<()>,
     /// Write-ahead durability, present on [`Server::open_durable`] servers:
     /// every catalog-shaping event (load, mutate, remove) is fsync'd to the
-    /// log before it applies.
+    /// log before it applies, both under the instance's writer lock, so
+    /// an instance's log order is its apply order — the recovery fold's
+    /// whole correctness argument.
     wal: Option<Mutex<Wal>>,
     /// Compaction cadence: snapshot after this many logged mutations
     /// (0 disables automatic snapshots; [`Server::snapshot_now`] is always
@@ -402,7 +403,7 @@ pub struct Server {
     since_snapshot: AtomicU64,
 }
 
-/// The server state a request's run step reads, behind the one `Arc` that
+/// The server state a query's run step reads, behind the one `Arc` that
 /// batch jobs share.
 struct Shared {
     catalog: Catalog,
@@ -412,6 +413,20 @@ struct Shared {
     sched: Arc<Scheduler>,
     /// The smallest work set a request splits, when `parallelism > 1`.
     par_threshold: Option<usize>,
+}
+
+/// Held by a write from its log append until its apply is done. A write
+/// that unwinds in between leaves a logged record the catalog never
+/// applied, and recovery would fold it; so the guard fails the log
+/// (fail-stop, like a failed fsync) if dropped by a panic.
+struct Logged<'a>(Option<&'a Mutex<Wal>>);
+
+impl Drop for Logged<'_> {
+    fn drop(&mut self) {
+        if let Some(wal) = self.0.filter(|_| std::thread::panicking()) {
+            sync::lock(wal).fail();
+        }
+    }
 }
 
 /// One request after its resolve step: what its run step reads.
@@ -429,38 +444,39 @@ enum Resolved<'a> {
         inst: Arc<IndexedInstance>,
         key: Option<String>,
     },
-    /// Apply `ops` to `instance` under `ticket` (set by the reserve step).
+    /// Apply `ops` to the current snapshot of `instance`.
     Mutate {
-        instance: Cow<'a, str>,
-        ops: Cow<'a, [FactOp]>,
-        ticket: u64,
+        instance: &'a str,
+        ops: &'a [FactOp],
     },
 }
 
-impl Resolved<'_> {
-    /// The same request owning its borrowed parts, to move into a job.
-    fn into_owned(self) -> Resolved<'static> {
-        match self {
-            Resolved::Cached {
-                program,
-                inst,
-                answer,
-            } => Resolved::Cached {
-                program,
-                inst,
-                answer,
-            },
-            Resolved::Query { plan, inst, key } => Resolved::Query { plan, inst, key },
-            Resolved::Mutate {
-                instance,
-                ops,
-                ticket,
-            } => Resolved::Mutate {
-                instance: Cow::Owned(instance.into_owned()),
-                ops: Cow::Owned(ops.into_owned()),
-                ticket,
-            },
-        }
+/// The record step of every request: its per-(program, instance)
+/// telemetry row, with its wait (`started` to `serving`) and service time
+/// (`serving` to now).
+fn record(
+    program: &str,
+    instance: &str,
+    strategy: &'static str,
+    answer: Answer,
+    started: Instant,
+    serving: Instant,
+) -> Response {
+    let service = serving.elapsed();
+    let queued = serving.saturating_duration_since(started);
+    telemetry::record_request(
+        program,
+        instance,
+        strategy,
+        queued,
+        service,
+        answer.cardinality(),
+    );
+    Response {
+        answer,
+        strategy,
+        latency: queued + service,
+        service,
     }
 }
 
@@ -470,66 +486,32 @@ impl Shared {
         self.par_threshold.map(|t| ParCtx::new(&self.sched, t))
     }
 
-    /// The run and record steps of one resolved (and, for a write, reserved)
-    /// request: [`Server::answer_one`] calls this inline, a batch job on a
-    /// worker. A query runs its plan's one route through
-    /// [`Plan::answer_routed`], a semi-naive plan reading (and on first use
-    /// attaching) the snapshot's maintained materialisation. A write
-    /// applies under its ticket, waiting for every earlier ticket of its
-    /// instance. Every request is recorded in the per-(program, instance)
-    /// telemetry table with its wait (`started` to this call) and service
-    /// time (this call to the response); an evaluated answer also
-    /// goes into the answer cache.
-    fn run(&self, work: Resolved<'_>, started: Instant) -> Response {
+    /// The run and record steps of a query the answer cache did not hold:
+    /// [`Server::answer_one`] calls this inline, a batch job on a worker.
+    /// The plan's one route runs through [`Plan::answer_routed`], a
+    /// semi-naive plan reading (and on first use attaching) the snapshot's
+    /// maintained materialisation, and the answer goes into the answer
+    /// cache under `key`.
+    fn evaluate(
+        &self,
+        plan: &Plan,
+        inst: &IndexedInstance,
+        key: Option<String>,
+        started: Instant,
+    ) -> Response {
         let serving = Instant::now();
-        let record = |program: &str, instance: &str, strategy, answer: Answer| {
-            let service = serving.elapsed();
-            let queued = serving.saturating_duration_since(started);
-            telemetry::record_request(
-                program,
-                instance,
-                strategy,
-                queued,
-                service,
-                answer.cardinality(),
-            );
-            Response {
-                answer,
-                strategy,
-                latency: queued + service,
-                service,
-            }
-        };
-        match work {
-            Resolved::Cached {
-                program,
-                inst,
-                answer,
-            } => record(&program, &inst.name, "cached", answer),
-            Resolved::Query { plan, inst, key } => {
-                let answer = plan.answer_routed(&inst, self.par(), true);
-                if let Some(key) = key {
-                    self.answers.insert(key, answer.clone());
-                }
-                record(plan.key(), &inst.name, plan.strategy.name(), answer)
-            }
-            Resolved::Mutate {
-                instance,
-                ops,
-                ticket,
-            } => {
-                let answer = match self.catalog.mutate_ticketed(&instance, &ops, ticket) {
-                    Some(out) => Answer::Applied {
-                        applied: out.applied,
-                        seq: out.seq,
-                    },
-                    // The instance vanished after the resolve step (a
-                    // concurrent remove); the ticket is consumed either way.
-                    None => Answer::Applied { applied: 0, seq: 0 },
-                };
-                record("mutation", &instance, "mutation", answer)
-            }
+        let answer = plan.answer_routed(inst, self.par(), true);
+        if let Some(key) = key {
+            self.answers.insert(key, answer.clone());
         }
+        record(
+            plan.key(),
+            &inst.name,
+            plan.strategy.name(),
+            answer,
+            started,
+            serving,
+        )
     }
 }
 
@@ -545,7 +527,6 @@ impl Server {
                 par_threshold: (config.parallelism > 1).then_some(config.par_threshold),
             }),
             plans: PlanCache::new(config.plan_cache),
-            mutation_order: Mutex::new(()),
             wal: None,
             snapshot_every: AtomicU64::new(0),
             since_snapshot: AtomicU64::new(0),
@@ -579,15 +560,10 @@ impl Server {
         Ok(server)
     }
 
-    /// Is this server writing a WAL?
-    pub fn is_durable(&self) -> bool {
-        self.wal.is_some()
-    }
-
     /// Snapshot automatically after every `ops` logged mutations (0
     /// disables). The daemon's housekeeping thread polls
     /// [`Server::snapshot_due`] — mutation paths only bump a counter, so a
-    /// worker thread never blocks inside compaction's quiesce.
+    /// write never waits out a compaction it triggered.
     pub fn set_snapshot_every(&self, ops: u64) {
         self.snapshot_every.store(ops, Ordering::Relaxed);
     }
@@ -598,28 +574,15 @@ impl Server {
         every > 0 && self.since_snapshot.load(Ordering::Relaxed) >= every
     }
 
-    /// Snapshot the catalog and compact the log now. Blocks new mutation
-    /// reservations, waits for in-flight tickets to apply (so the snapshot
-    /// reflects every logged record), then writes snapshot + truncated log
-    /// atomically (see `wal` module docs for the crash windows). No-op on a
+    /// Snapshot the catalog and compact the log now. Holds every writer
+    /// lock throughout, so every logged write has applied and none
+    /// can land before the snapshot + truncated log are written atomically
+    /// (see `wal` module docs for the crash windows). No-op on a
     /// non-durable server.
-    ///
-    /// Prefer calling from a plain thread (the daemon's housekeeping
-    /// loop): the quiesce wait is satisfied by scheduler workers applying
-    /// outstanding tickets, so a scheduler worker blocking here while
-    /// ticketed batch jobs sit queued could starve the very jobs it waits
-    /// on. Wire-only traffic is safe either way — connection jobs reserve
-    /// and apply their ticket in one un-yielding step, so every
-    /// outstanding ticket is held by a *running* worker.
     pub fn snapshot_now(&self) -> std::io::Result<()> {
         let Some(wal) = &self.wal else { return Ok(()) };
-        let _order = sync::lock(&self.mutation_order);
-        self.shared.catalog.quiesce();
-        let names = self.shared.catalog.names();
-        let insts: Vec<_> = names
-            .iter()
-            .filter_map(|n| self.shared.catalog.get(n))
-            .collect();
+        let writers = self.shared.catalog.write_all();
+        let insts = writers.snapshots();
         let entries: Vec<(String, u64, &Structure)> = insts
             .iter()
             .map(|i| (i.name.clone(), i.seq, &i.data))
@@ -661,11 +624,9 @@ impl Server {
     }
 
     /// Load (or replace) a named instance. On a durable server the load is
-    /// logged first: the critical section waits for in-flight mutations to
-    /// the whole catalog to apply (a load resets the instance's mutation
-    /// sequence, so logged-but-unapplied mutations must not straddle it).
-    /// Returns whether an instance was replaced; an instance above
-    /// [`MAX_NODES`] nodes is refused, neither logged nor loaded.
+    /// logged first, in the same critical section as the swap. Returns
+    /// whether an instance was replaced; an instance above [`MAX_NODES`]
+    /// nodes is refused, neither logged nor loaded.
     pub fn load_instance(
         &self,
         name: impl Into<String>,
@@ -673,35 +634,36 @@ impl Server {
     ) -> Result<bool, ServerError> {
         let name = name.into();
         let nodes = logged_node_count(data.node_count())?;
-        if let Some(wal) = &self.wal {
-            let _order = sync::lock(&self.mutation_order);
-            self.shared.catalog.quiesce();
-            sync::lock(wal)
-                .append(&WalRecord::Load {
-                    name: name.clone(),
-                    nodes,
-                    ops: data.to_ops(),
-                })
-                .map_err(ServerError::wal)?;
-            Ok(self.shared.catalog.insert(name, data))
-        } else {
-            Ok(self.shared.catalog.insert(name, data))
-        }
+        let record = self.wal.as_ref().map(|_| WalRecord::Load {
+            name: name.clone(),
+            nodes,
+            ops: data.to_ops(),
+        });
+        let inst = IndexedInstance::new(name, data);
+        let writer = self.shared.catalog.write(&inst.name);
+        let _logged = record.map(|r| self.log(&r)).transpose()?;
+        Ok(writer.insert(inst))
     }
 
     /// Drop a named instance (logged first on a durable server). Returns
     /// whether it existed; a failed log append removes nothing.
     pub fn remove_instance(&self, name: &str) -> Result<bool, ServerError> {
+        let writer = self.shared.catalog.write(name);
+        let _logged = self.log(&WalRecord::Remove {
+            name: name.to_owned(),
+        })?;
+        Ok(writer.remove(name))
+    }
+
+    /// Append `record` to the WAL (a no-op on a non-durable server). The
+    /// caller holds the instance's writer lock, applies the record's write
+    /// only if this succeeds, and holds the returned guard until the apply
+    /// is done.
+    fn log(&self, record: &WalRecord) -> Result<Logged<'_>, ServerError> {
         if let Some(wal) = &self.wal {
-            let _order = sync::lock(&self.mutation_order);
-            self.shared.catalog.quiesce();
-            sync::lock(wal)
-                .append(&WalRecord::Remove {
-                    name: name.to_owned(),
-                })
-                .map_err(ServerError::wal)?;
+            sync::lock(wal).append(record).map_err(ServerError::wal)?;
         }
-        Ok(self.shared.catalog.remove(name))
+        Ok(Logged(self.wal.as_ref()))
     }
 
     /// Answer one request **inline on the calling thread** — the wire
@@ -710,21 +672,15 @@ impl Server {
     /// [`Server::submit`]'s reply channel (a worker blocking on work that
     /// sits behind it in the injector is a deadlock); instead they run the
     /// request's steps here, with intra-request parallelism still fanning
-    /// out to the other workers when configured.
-    ///
-    /// Inline mutations stay deadlock-free under the ticket discipline
-    /// because reservation, WAL append, and apply happen in one
-    /// un-yielding step: every earlier-ticket holder is simultaneously
-    /// *running* on some worker (never parked in a queue), so the wait in
-    /// `mutate_ticketed` always bottoms out at the next-to-apply ticket
-    /// making progress. On a durable server the write is fsync'd before it
-    /// applies: by the time the caller sees the outcome, it is recoverable.
+    /// out to the other workers when configured. A write waits only for
+    /// its instance's writer lock, whose holder is always running. On a
+    /// durable server the write is fsync'd before it applies: by the time
+    /// the caller sees the outcome, it is recoverable.
     pub fn answer_one(&self, req: &Request) -> Result<Response, ServerError> {
         let started = Instant::now();
         let _span = telemetry::tracing_enabled().then(|| telemetry::request_span(req.label()));
-        let mut work = self.resolve(req)?;
-        drop(self.reserve(&mut work)?);
-        Ok(self.shared.run(work, started))
+        let work = self.resolve(req)?;
+        self.run(work, started)
     }
 
     /// The resolve step of every request: take the instance snapshot
@@ -740,9 +696,8 @@ impl Server {
             Action::Query(query) => query,
             Action::Mutate(ops) => {
                 return Ok(Resolved::Mutate {
-                    instance: Cow::Borrowed(&req.instance),
-                    ops: Cow::Borrowed(ops),
-                    ticket: 0,
+                    instance: &req.instance,
+                    ops,
                 })
             }
         };
@@ -764,38 +719,53 @@ impl Server {
         Ok(Resolved::Query { plan, inst, key })
     }
 
-    /// The reserve step of a write: on a durable server its WAL record,
-    /// then its ticket, both under `mutation_order`, so per-instance log
-    /// order equals ticket order. The record is logged with the ticket
-    /// the reservation is about to take; a failed append returns
-    /// [`ServerError::Wal`] with no ticket taken, so no later write of the
-    /// instance (nor a quiesce) waits on a ticket nobody will redeem.
-    /// Returns the held lock (`None` for a query): a batch spawns the
-    /// write's job before releasing it (see `Server::spawn`),
-    /// [`Server::answer_one`] releases it at once.
-    fn reserve(&self, work: &mut Resolved<'_>) -> Result<Option<MutexGuard<'_, ()>>, ServerError> {
-        let Resolved::Mutate {
-            instance,
-            ops,
-            ticket,
-        } = work
-        else {
-            return Ok(None);
+    /// The run and record steps of a resolved request on the calling
+    /// thread.
+    fn run(&self, work: Resolved<'_>, started: Instant) -> Result<Response, ServerError> {
+        let serving = Instant::now();
+        Ok(match work {
+            Resolved::Cached {
+                program,
+                inst,
+                answer,
+            } => record(&program, &inst.name, "cached", answer, started, serving),
+            Resolved::Query { plan, inst, key } => self.shared.evaluate(&plan, &inst, key, started),
+            Resolved::Mutate { instance, ops } => {
+                let answer = self.mutate(instance, ops)?;
+                record("mutation", instance, "mutation", answer, started, serving)
+            }
+        })
+    }
+
+    /// The run step of a write: one critical section under the instance's
+    /// writer lock. On a durable server the WAL record comes first,
+    /// stamped with the current snapshot's `seq + 1`; a failed append
+    /// returns [`ServerError::Wal`] having applied nothing. Then the apply.
+    fn mutate(&self, instance: &str, ops: &[FactOp]) -> Result<Answer, ServerError> {
+        let writer = self.shared.catalog.write(instance);
+        // Removed since the resolve step: nothing to log or apply.
+        let Some(current) = writer.get(instance) else {
+            return Ok(Answer::Applied { applied: 0, seq: 0 });
         };
-        let order = sync::lock(&self.mutation_order);
-        let catalog = &self.shared.catalog;
-        if let Some(wal) = &self.wal {
-            sync::lock(wal)
-                .append(&WalRecord::Mutate {
-                    name: instance.to_string(),
-                    seq: catalog.next_ticket(instance) + 1,
+        let _logged = match &self.wal {
+            Some(_) => {
+                let logged = self.log(&WalRecord::Mutate {
+                    name: instance.to_owned(),
+                    seq: current.seq + 1,
                     ops: ops.to_vec(),
-                })
-                .map_err(ServerError::wal)?;
-            self.since_snapshot.fetch_add(1, Ordering::Relaxed);
-        }
-        *ticket = catalog.reserve_ticket(instance);
-        Ok(Some(order))
+                })?;
+                self.since_snapshot.fetch_add(1, Ordering::Relaxed);
+                Some(logged)
+            }
+            None => None,
+        };
+        let out = writer
+            .mutate(instance, ops)
+            .expect("the writer lock keeps it");
+        Ok(Answer::Applied {
+            applied: out.applied,
+            seq: out.seq,
+        })
     }
 
     /// A point-in-time snapshot of the process-wide telemetry registry —
@@ -862,24 +832,13 @@ impl Server {
         })
     }
 
-    /// Spawn one resolved and reserved request as a detached job on the
+    /// Spawn one query's run and record steps as a detached job on the
     /// scheduler; its response comes back on `reply` under `idx`, and
     /// `label` (present while tracing) names its root trace span.
-    ///
-    /// Ticket order: a write's job is spawned while the reserve step still
-    /// holds `mutation_order`, so per instance tickets enter the
-    /// scheduler's FIFO injector in reservation order. Workers start
-    /// injector jobs strictly in FIFO order and helping threads never pop
-    /// the injector, so the job holding the next-to-apply ticket is always
-    /// started before any job that waits on it in `mutate_ticketed`, and a
-    /// blocked waiter can never starve the workers. Reserving at resolve
-    /// time instead would let an arrival-sorted paced replay or a racing
-    /// second submitter enqueue tickets out of order and hang the
-    /// scheduler.
     fn spawn(
         &self,
         idx: usize,
-        work: Resolved<'static>,
+        (plan, inst, key): (Arc<Plan>, Arc<IndexedInstance>, Option<String>),
         label: Option<String>,
         reply: &Sender<(usize, Response)>,
     ) {
@@ -888,7 +847,7 @@ impl Server {
         let enqueued = Instant::now();
         self.shared.sched.spawn(move || {
             let _span = label.map(telemetry::request_span);
-            let response = shared.run(work, enqueued);
+            let response = shared.evaluate(&plan, &inst, key, enqueued);
             // The batch collector may have given up (a panic elsewhere); a
             // closed reply channel is not this job's problem.
             let _ = reply.send((idx, response));
@@ -899,10 +858,10 @@ impl Server {
     /// execution on a validation error); responses come back in request
     /// order. Queries already answered for the resolved instance version
     /// are served from the answer cache without touching the scheduler;
-    /// mutations apply in request order per instance. A failed WAL append
-    /// stops the batch at that write and returns [`ServerError::Wal`]: the
-    /// requests spawned before it still run (their writes were logged),
-    /// nothing after it does.
+    /// mutations apply on the calling thread in request order. A failed
+    /// WAL append stops the batch at that write and returns
+    /// [`ServerError::Wal`]: the writes before it were logged and applied
+    /// and the queries spawned before it still run, nothing after it does.
     pub fn submit(&self, requests: &[Request]) -> Result<Vec<Response>, ServerError> {
         self.submit_paced(requests, None)
     }
@@ -911,11 +870,11 @@ impl Server {
     /// Every request is resolved before any runs, so an unknown instance
     /// fails the whole batch, every query answers against its
     /// submission-time snapshot, and cold plan builds happen before the
-    /// pacing clock starts. Then each request is reserved and spawned in
-    /// turn — with `arrivals`, in arrival order and not before its virtual
-    /// arrival offset (a late stream never sleeps to catch up), so
-    /// same-instance mutations apply in arrival order — while answer-cache
-    /// hits are answered inline.
+    /// pacing clock starts. Then each request takes its turn — with
+    /// `arrivals`, in arrival order and not before its virtual arrival
+    /// offset (a late stream never sleeps to catch up), so mutations apply
+    /// in arrival order: a query is spawned, while a write and an
+    /// answer-cache hit run inline on this thread.
     fn submit_paced(
         &self,
         requests: &[Request],
@@ -939,15 +898,14 @@ impl Server {
                     std::thread::sleep(wait);
                 }
             }
-            let mut work = resolved[i].take().expect("each request runs once");
-            // A failed WAL append stops the batch here: what was spawned
-            // runs to completion, nothing after it is reserved.
-            let _order = self.reserve(&mut work)?;
-            if let Resolved::Cached { .. } = work {
-                responses[i] = Some(self.shared.run(work, Instant::now()));
-            } else {
-                let label = telemetry::tracing_enabled().then(|| requests[i].label());
-                self.spawn(i, work.into_owned(), label, &reply);
+            match resolved[i].take().expect("each request runs once") {
+                Resolved::Query { plan, inst, key } => {
+                    let label = telemetry::tracing_enabled().then(|| requests[i].label());
+                    self.spawn(i, (plan, inst, key), label, &reply);
+                }
+                // A failed WAL append stops the batch here: what was
+                // spawned runs to completion, nothing after it runs.
+                work => responses[i] = Some(self.run(work, Instant::now())?),
             }
         }
         drop(reply);
@@ -1026,9 +984,8 @@ impl Server {
 }
 
 impl Drop for Server {
-    /// Drain-then-join: every queued job — so every reserved mutation
-    /// ticket — completes before the workers exit, and every in-flight
-    /// request still gets its response.
+    /// Drain-then-join: every queued job completes before the workers
+    /// exit, so every in-flight request still gets its response.
     fn drop(&mut self) {
         self.shared.sched.shutdown();
     }
@@ -1104,7 +1061,7 @@ mod tests {
     #[test]
     fn mutations_in_one_batch_apply_in_order() {
         let s = tiny_server();
-        // Same-instance mutations race across workers but tickets force
+        // Same-instance mutations apply on the submitting thread in
         // request order: remove, add, remove ⇒ label absent.
         let ops = [
             FactOp::RemoveLabel(Pred::T, Node(1)),
@@ -1135,7 +1092,7 @@ mod tests {
         let s = tiny_server();
         let err = s.submit(&[pi_req("yes"), pi_req("missing")]).unwrap_err();
         assert_eq!(err, ServerError::UnknownInstance("missing".to_owned()));
-        // The failed batch reserved no tickets: an inline mutation proceeds.
+        // The failed batch applied nothing, and an inline mutation proceeds.
         let add = Request::mutation(vec![FactOp::AddLabel(Pred::A, Node(0))], "yes");
         assert!(s.answer_one(&add).is_ok());
         let err = s.answer_one(&Request::mutation(vec![], "missing"));
@@ -1292,35 +1249,35 @@ mod tests {
         }
     }
 
-    /// Dropping the server while ticketed write jobs are still queued must
-    /// neither deadlock (queued tickets drain in order, so no waiter
-    /// starves) nor lose a response.
+    /// Dropping the server while read jobs are still queued must drain
+    /// them: no response is lost, and each is the answer the read gets
+    /// inline.
     #[test]
-    fn drop_with_queued_writes_drains_cleanly() {
+    fn drop_with_queued_reads_drains_cleanly() {
         let s = Server::new(ServerConfig {
             threads: 2,
+            answer_cache: 0,
             ..ServerConfig::default()
         });
         s.load_instance("d", st("T(a), A(b), R(b,a)")).unwrap();
-        let shared = Arc::clone(&s.shared);
-        // Alternate removing and re-adding one label so every op is
-        // effective, all against one instance (maximal ticket contention).
+        // Alternate a rewriting and a semi-naive program.
         let total = 24;
         let reqs: Vec<Request> = (0..total)
             .map(|i| {
-                let op = if i % 2 == 0 {
-                    FactOp::RemoveLabel(Pred::T, Node(0))
-                } else {
-                    FactOp::AddLabel(Pred::T, Node(0))
-                };
-                Request::mutation(vec![op], "d")
+                let q = ["F(x), R(x,y), T(y)", "F(x), R(y,x), R(y,z), T(z)"][i % 2];
+                Request::query(Query::SigmaAnswers(OneCq::parse(q)), "d")
             })
+            .collect();
+        let want: Vec<Answer> = reqs[..2]
+            .iter()
+            .map(|r| s.answer_one(r).unwrap().answer)
             .collect();
         let (reply, done) = channel();
         for (idx, req) in reqs.iter().enumerate() {
-            let mut work = s.resolve(req).unwrap();
-            let _order = s.reserve(&mut work).unwrap();
-            s.spawn(idx, work.into_owned(), None, &reply);
+            let Resolved::Query { plan, inst, key } = s.resolve(req).unwrap() else {
+                panic!("with the answer cache off every read evaluates");
+            };
+            s.spawn(idx, (plan, inst, key), None, &reply);
         }
         drop(reply);
         // Most jobs are still queued: dropping the server drains them.
@@ -1328,30 +1285,75 @@ mod tests {
         let mut seen: Vec<usize> = done
             .iter()
             .map(|(idx, r)| {
-                assert_eq!(r.strategy, "mutation");
-                let Answer::Applied { applied, seq } = r.answer else {
-                    panic!("write answered {:?}", r.answer);
-                };
-                assert_eq!((applied, seq), (1, idx as u64 + 1), "ticket order");
+                assert_eq!(r.answer, want[idx % 2], "read {idx}");
                 idx
             })
             .collect();
         seen.sort_unstable();
         assert_eq!(seen, (0..total).collect::<Vec<_>>(), "lost responses");
-        // An even total ends on an add: the label is present, and the
-        // whole ticket range was redeemed, so a fresh write does not block.
-        let catalog = &shared.catalog;
-        assert!(catalog.get("d").unwrap().data.has_label(Node(0), Pred::T));
-        assert!(catalog
-            .mutate("d", &[FactOp::AddLabel(Pred::A, Node(0))])
-            .is_some());
     }
 
-    /// A failed WAL append acks nothing and takes no ticket: a later write
-    /// to the same instance and a snapshot both return (the log is
-    /// fail-stop, so both report the failure) instead of waiting forever
-    /// on a ticket nobody redeems. The waits are bounded, so a wedge fails
-    /// the test rather than hanging it.
+    /// A non-durable server's remove or load that lands while a write
+    /// applies is never undone by that write: the instance's writer lock
+    /// puts one wholly before the other. Each round releases the write on
+    /// a second thread and the remove (or load) 0–399 µs later from one
+    /// barrier.
+    #[test]
+    fn a_write_never_undoes_a_racing_remove_or_load() {
+        let mut base = Structure::with_nodes(20_000);
+        for i in 0..19_999 {
+            base.add_edge(Pred::R, Node(i), Node(i + 1));
+        }
+        let ops: Vec<FactOp> = (0..200)
+            .map(|i| FactOp::AddLabel(Pred::A, Node(i * 100)))
+            .collect();
+        let mut folded = base.clone();
+        folded.apply_all(&ops);
+        // Small, so the load's own view freeze does not outlast the write.
+        let reload = st("T(u)");
+        let write = Request::mutation(ops, "d");
+        let s = Server::new(ServerConfig {
+            threads: 1,
+            ..ServerConfig::default()
+        });
+        for round in 0..50u64 {
+            let race = |other: &dyn Fn()| {
+                let start = std::sync::Barrier::new(2);
+                std::thread::scope(|scope| {
+                    scope.spawn(|| {
+                        start.wait();
+                        // The write may find the instance already removed.
+                        let _ = s.answer_one(&write);
+                    });
+                    start.wait();
+                    std::thread::sleep(Duration::from_micros(round * 8));
+                    other();
+                });
+            };
+            s.load_instance("d", base.clone()).unwrap();
+            race(&|| {
+                s.remove_instance("d").unwrap();
+            });
+            assert!(
+                s.catalog().get("d").is_none(),
+                "round {round}: the removed instance came back"
+            );
+            s.load_instance("d", base.clone()).unwrap();
+            race(&|| {
+                s.load_instance("d", reload.clone()).unwrap();
+            });
+            assert!(
+                s.catalog().get("d").unwrap().data != folded,
+                "round {round}: the write overwrote the racing load"
+            );
+        }
+    }
+
+    /// A failed WAL append acks and applies nothing and leaves the writer
+    /// lock free: a later write to the same instance and a snapshot both
+    /// return (the log is fail-stop, so both report the failure) instead of
+    /// waiting forever. The waits are bounded, so a wedge fails the test
+    /// rather than hanging it.
     #[test]
     fn failed_wal_append_acks_nothing_and_wedges_nothing() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -1397,5 +1399,37 @@ mod tests {
             drop(s);
             std::fs::remove_dir_all(&dir).unwrap();
         }
+    }
+
+    #[test]
+    fn a_logged_write_that_unwinds_stops_the_log() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let dir = std::env::temp_dir().join(format!("sirup-server-unwind-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let s = Server::open_durable(ServerConfig::default(), &dir).unwrap();
+        s.load_instance("d", st("T(a), A(b), R(b,a)")).unwrap();
+        let write = |i| Request::mutation(vec![FactOp::AddLabel(Pred::A, Node(i))], "d");
+        assert!(s.answer_one(&write(0)).is_ok());
+        // A write whose apply panics after its record is on disk.
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            let _writer = s.shared.catalog.write("d");
+            let _logged = s.log(&WalRecord::Mutate {
+                name: "d".into(),
+                seq: 2,
+                ops: vec![FactOp::AddLabel(Pred::A, Node(1))],
+            });
+            panic!("apply unwinds");
+        }));
+        assert!(unwound.is_err());
+        // The record the catalog never applied must be the log's last.
+        let later = s.answer_one(&write(2));
+        assert!(matches!(later, Err(ServerError::Wal(_))), "{later:?}");
+        assert!(
+            s.snapshot_now().is_err(),
+            "a failed log must refuse compaction"
+        );
+        assert_eq!(s.catalog().get("d").unwrap().seq, 1);
+        drop(s);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

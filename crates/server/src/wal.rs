@@ -46,7 +46,10 @@
 //! failed append would also hide every record appended after it, acked or
 //! not. So a [`Wal`] whose append or `sync_data` fails once refuses every
 //! later append and compaction; the process must reopen the directory
-//! (recovery truncates the tear) before it logs again.
+//! (recovery truncates the tear) before it logs again. The server fails
+//! the log the same way when a write panics between its append and its
+//! apply: the log then holds a record the live catalog never applied, and
+//! a later write would log the same seq again.
 
 use sirup_core::delta::{decode_ops, encode_ops};
 use sirup_core::frame;
@@ -160,7 +163,8 @@ pub struct Wal {
     dir: PathBuf,
     log: File,
     epoch: u64,
-    /// Set by the first failed append or fsync; see § Fail-stop.
+    /// Set by the first failed append or fsync, or by [`Wal::fail`]; see
+    /// § Fail-stop.
     failed: bool,
     /// Test-only fault switch: the next append fails before writing.
     #[cfg(test)]
@@ -374,6 +378,12 @@ impl Wal {
         self.log.sync_data()
     }
 
+    /// Refuse every later append and compaction (§ Fail-stop): the caller
+    /// logged a write it could not apply.
+    pub(crate) fn fail(&mut self) {
+        self.failed = true;
+    }
+
     /// Make the next append fail before it writes anything.
     #[cfg(test)]
     pub(crate) fn fail_next_append(&mut self) {
@@ -393,9 +403,9 @@ impl Wal {
 
     /// Compact: write `instances` as the new snapshot at epoch `E+1`
     /// (temp file, fsync, atomic rename, directory fsync), then truncate
-    /// the log and start it fresh at the same epoch. The caller must have
-    /// quiesced the catalog — every appended record must be reflected in
-    /// `instances` — and must block appends for the duration.
+    /// the log and start it fresh at the same epoch. Every appended record
+    /// must be reflected in `instances`, and the caller must block appends
+    /// for the duration (the server holds every catalog writer lock).
     ///
     /// A failed compaction fails the log like a failed append: it may
     /// have cut the log short of its header.

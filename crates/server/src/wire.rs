@@ -59,9 +59,9 @@
 //! Requests are evaluated **inline** via [`Server::answer_one`] — never
 //! round-tripped through a batch's jobs: a connection job blocking on
 //! a reply channel while the work it waits for sits *behind it* in the
-//! injector would deadlock. The scheduler's owner-never-pops-injector
-//! invariant keeps the FIFO discipline intact for the re-spawned jobs
-//! themselves. Each request runs under `catch_unwind`: a panicking handler
+//! injector would deadlock. A write waits only for the catalog's writer
+//! lock, and whoever holds that lock is running, never queued. Each
+//! request runs under `catch_unwind`: a panicking handler
 //! produces an `error internal ...` frame and the connection (and every
 //! lock it touched, via the `sirup_core::sync` poison-recovering helpers)
 //! keeps serving.

@@ -7,7 +7,7 @@
 //! Batch snapshot semantics make this checkable exactly: queries of a
 //! replayed stream resolve their instance snapshots at submission time (the
 //! catalog *before* the stream's mutations), while the stream's mutations
-//! apply in ticket order, so
+//! apply in submission order, so
 //!
 //! * in-stream query answers ≡ engine on the initial instances,
 //! * the post-replay catalog ≡ the spec's mutations folded over the initial
@@ -161,9 +161,8 @@ fn open_loop_replay_applies_the_same_final_state() {
 }
 
 /// Open-loop replay submits in arrival order, which may differ from the
-/// request-stream (ticket-reservation-at-resolve would invert ticket vs
-/// queue order here and hang the scheduler — the regression this test pins):
-/// decreasing arrivals must complete and apply mutations in arrival order.
+/// request stream: decreasing arrivals must complete and apply mutations
+/// in arrival order.
 #[test]
 fn open_loop_out_of_order_arrivals_do_not_deadlock() {
     let text = "\
@@ -187,10 +186,9 @@ request mutate d @100 = -T(t)
     ));
 }
 
-/// Two threads racing whole mutation batches through `submit` on one
-/// instance, single worker: ticket reservation happens at enqueue, so the
-/// FIFO queue can never hold a ticket ahead of its predecessor (the
-/// resolve-time-reservation regression deadlocked here).
+/// Four threads racing whole mutation batches through `submit` on one
+/// instance, single worker: every batch completes, and a later inline
+/// write does not block.
 #[test]
 fn racing_submitters_single_worker_do_not_deadlock() {
     let s = server(1, 0);
@@ -215,7 +213,7 @@ fn racing_submitters_single_worker_do_not_deadlock() {
             h.join().unwrap();
         }
     });
-    // All 40 tickets redeemed: a fresh inline mutation does not block.
+    // All 40 writes applied: a fresh inline mutation does not block.
     assert!(s
         .answer_one(&Request::mutation(
             vec![FactOp::AddLabel(Pred::F, Node(0))],
@@ -282,8 +280,8 @@ fn served_answers_track_a_long_mutation_stream() {
 
 /// Readers racing a mutation stream: every answer any thread observes must
 /// equal the engine's answer on *some* catalog version (reads are
-/// snapshot-consistent — no torn state), and the final state is the ticket
-/// order's.
+/// snapshot-consistent — no torn state), and the final state is the
+/// submission order's.
 #[test]
 fn concurrent_readers_see_snapshot_consistent_answers() {
     let s = server(4, 0);
@@ -334,9 +332,9 @@ fn concurrent_readers_see_snapshot_consistent_answers() {
 }
 
 /// The bundled mutation replay with intra-request parallelism enabled:
-/// ticket-ordered mutation effects, the folded final catalog, and
-/// post-replay answers must all match the sequential oracle — the PR 4
-/// ordering invariants survive the shared scheduler.
+/// submission-ordered mutation effects, the folded final catalog, and
+/// post-replay answers must all match the sequential oracle — the write
+/// order survives the shared scheduler.
 #[test]
 fn parallel_mutation_replay_matches_engine() {
     let spec = bundled_spec();
@@ -351,7 +349,7 @@ fn parallel_mutation_replay_matches_engine() {
     let report = s.replay(&spec, ReplayMode::Closed).unwrap();
     assert!(report.mutations > 0);
     // Sequential reference replay. Mutation answers carry *per-instance*
-    // sequence numbers (ticket order), so they are deterministic across
+    // sequence numbers (submission order), so they are deterministic across
     // thread counts and compare exactly — no normalisation.
     let oracle = server(4, 0);
     let oracle_report = oracle.replay(&spec, ReplayMode::Closed).unwrap();

@@ -22,7 +22,7 @@ fn replay_answers(spec: &TrafficSpec) -> Vec<String> {
         .answers
         .iter()
         .map(|a| match a {
-            // Mutation stamps are deterministic ticket sequence numbers,
+            // Mutation stamps are deterministic sequence numbers,
             // so the full stream (not just query answers) must agree.
             Answer::Applied { applied, seq } => format!("Applied {applied} seq {seq}"),
             other => format!("{other:?}"),

@@ -378,15 +378,18 @@ pub fn scaling_traffic(nodes: usize, requests: usize, seed: u64) -> TrafficSpec 
 /// consecutive traffic phases —
 ///
 /// 1. **write-heavy**: mutations dominate with occasional interleaved
-///    reads, so consecutive writes to one instance hand their tickets to
-///    each other and every write carries the attached materialisations;
+///    reads, so every write carries the materialisations attached to the
+///    snapshot it builds on;
 /// 2. **read-heavy**: an uninterrupted run of unbounded semi-naive reads
 ///    (`q4` as Π/Σ) plus disjunctive DPLL reads (`q2` as Δ/Δ⁺);
-/// 3. **write-heavy again**, now with those reads' materialisations
-///    attached.
+/// 3. **write-heavy again**. Over the wire, where each request reads the
+///    snapshot current at its arrival, these writes carry the
+///    materialisations phase 2 attached; a file replay is one batch,
+///    whose reads all attach to the pre-batch snapshot.
 ///
-/// It probes the ticket hand-off between same-instance writes (ROADMAP
-/// item 4): at two worker threads a write waits for the one before it.
+/// It measures the write path under mixed traffic: writes to the one
+/// instance apply one after another under the instance's writer lock, on
+/// the submitting thread, while the reads run on the workers.
 /// `sirupctl serve --phases --emit` renders it (the bundled
 /// `workloads/phases.sirupload` is this spec at its committed size, and
 /// `workloads/recordings/phases.answers` its answer stream). Deterministic
